@@ -22,7 +22,7 @@ from .analysis import (
     majorant_lemma_check,
     radius_trend,
 )
-from .errors import CollisionError, ConfigError, DegenerateSeriesError, StiffnessError
+from .errors import CollisionError, ConfigError, StiffnessError
 from .force import ForceSpec, Harmonic, c_f_bound, eval_derivative, eval_force, eval_potential
 from .grid import as_grid, force_grid, iterated_derivative, nabla_minus, nabla_plus, shift
 from .ode import ODESolution, TrajectoryState, acceleration, energy, initial_state, integrate
@@ -55,7 +55,6 @@ __all__ = [
     "radius_trend",
     "CollisionError",
     "ConfigError",
-    "DegenerateSeriesError",
     "StiffnessError",
     "ForceSpec",
     "Harmonic",

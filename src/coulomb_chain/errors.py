@@ -15,12 +15,3 @@ class CollisionError(RuntimeError):
 
 class StiffnessError(RuntimeError):
     """The adaptive integrator's step size underflowed."""
-
-
-class DegenerateSeriesError(RuntimeError):
-    """A coefficient table has too few usable tail entries for a radius fit.
-
-    Radius estimation reports this condition through the ``degenerate`` flag
-    on the estimate instead of raising; the class exists for callers that
-    want to promote the flag to an exception.
-    """

@@ -18,6 +18,7 @@ from coulomb_chain import (
     radius_trend,
 )
 from coulomb_chain.analysis import c3_bound, c4_bound
+from coulomb_chain.series import ordered_compositions
 
 
 def geometric_table(rho, N=6, j_max=16):
@@ -227,19 +228,40 @@ def test_majorant_validation():
         majorant(1e300, 20)
 
 
+def enumerated_lemma_rhs(a, J):
+    """Right-hand sides for j = 5..J by literal enumeration of ordered compositions."""
+    h = [gp / (p + 1) for p, gp in enumerate(majorant(a, J).g.tolist())]
+    out = []
+    for j in range(5, J + 1):
+        rhs = 0.0
+        for k in range(1, (j - 1) // 2 + 1):
+            pref = (0.5 * a) ** (k + 1) * (k + 1) * (k + 2) / 2.0
+            inner = 0.0
+            for tup in ordered_compositions(j - 1 - k, k):
+                inner += math.prod(h[p] for p in tup)
+            rhs += pref * inner
+        out.append(rhs / j)
+    return out
+
+
 def test_majorant_lemma_holds():
     report = majorant_lemma_check(2.0, 12)
     assert report.all_hold
     assert report.js[0] == 5
     assert all(m >= 0 for m in report.margins)
+    # At a = 2 every g_p/(p+1) is a Catalan number, so both sums are exact.
+    reference = enumerated_lemma_rhs(2.0, 30)
+    for J in (12, 24, 30):
+        assert list(majorant_lemma_check(2.0, J).rhs) == reference[: J - 4]
 
 
 def test_majorant_lemma_small_parameter():
-    assert majorant_lemma_check(0.1, 20).all_hold
+    report = majorant_lemma_check(0.1, 20)
+    assert report.all_hold
+    np.testing.assert_allclose(report.rhs, enumerated_lemma_rhs(0.1, 20), rtol=1e-14, atol=0.0)
 
 
 def test_majorant_lemma_caps():
-    with pytest.raises(ConfigError):
-        majorant_lemma_check(2.0, 41)
+    assert majorant_lemma_check(2.0, 200).all_hold
     with pytest.raises(ConfigError):
         majorant_lemma_check(2.0, 4)

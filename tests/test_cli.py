@@ -20,10 +20,10 @@ def write_config(tmp_path, obj):
     return path
 
 
-def run(cmd, tmp_path, obj, extra=()):
+def run(cmd, tmp_path, obj):
     cfg = write_config(tmp_path, obj)
     out = tmp_path / "out"
-    code = main([cmd, "--config", str(cfg), "--out", str(out), *extra])
+    code = main([cmd, "--config", str(cfg), "--out", str(out)])
     return code, out
 
 
@@ -87,6 +87,14 @@ def test_schema_rejection_names_field(tmp_path, capsys):
     code, _ = run("coeffs", tmp_path, obj)
     assert code == 2
     assert "ring.N" in capsys.readouterr().err
+
+    # the removed second grid knob fails loudly instead of being ignored
+    obj = dict(SINE_CONFIG)
+    obj["analysis"] = {"tail_fraction": 0.5, "n_grid": [8, 16]}
+    code, _ = run("coeffs", tmp_path, obj)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "analysis.n_grid" in err and "ring.N" in err
 
 
 def test_schema_rejects_bad_harmonic(tmp_path, capsys):
@@ -174,7 +182,7 @@ def test_verify_passes(tmp_path, capsys):
 def test_sweep_report(tmp_path):
     obj = dict(SINE_CONFIG)
     obj["ring"] = {"N": [16, 32, 64, 128], "L": 1.0, "J_max": 9, "scale": "auto"}
-    code, out = run("sweep", tmp_path, obj, extra=["--threads", "2"])
+    code, out = run("sweep", tmp_path, obj)
     assert code == 0
     payload = json.loads((out / "sweep.json").read_text())
     assert {e["j"] for e in payload["exponents"]} == {1, 3, 5, 7, 9}
