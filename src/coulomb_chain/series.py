@@ -22,9 +22,26 @@ table fills in strictly increasing order j = 1, 2, ..., j_max:
 Everything is stored pre-multiplied by scale**j (the coefficient of tau**j
 in v_i(scale*tau)), which keeps magnitudes bounded for large N.  All
 particles advance together one order at a time as vectorized array rows.
+
+Only structurally nonzero terms are computed.  From rest every even order
+vanishes (the velocities are odd in t), so u, R, 1/(delta+R), w and every
+u**k carry only even powers of t, u starts at t**2 and u**k at t**(2k).
+The loop therefore runs c_{i1} = scale * F(x_i(0)) and then odd j only
+(even integrand order m = j - 1), and each convolution takes the even rows
+of its band: the reciprocal sums gap[2, 4, .., m] * recip[m-2, .., 0], the
+square recip[0, 2, .., m] * recip[m, .., 0], and u**k at order m sums
+u[i] * (u**(k-1))[m-i] for i = 2, 4, .., m-2k+2 and k <= m/2.  Even
+columns stay the exact +0.0 they are allocated with.  The result is
+bit-identical to the dense loop over all orders and all rows (kept in the
+tests as the reference): every sum keeps its ascending row order and only
+drops addends that are exactly zero, which can at most flip the sign of a
+zero; no series value is ever a divisor, and the final
+(scale/j) * (interaction + composed) never yields -0.0.
+
 The reciprocal and square cost O(N * j_max**2); the table of powers u**k
-for the force composition, k <= (j_max-1)//2, dominates at O(N * j_max**3).
-Force derivatives on the grid add O(N * j_max * K) for K force harmonics.
+for the force composition dominates at O(N * j_max**3), about
+N * j_max**3 / 48 multiply-adds.  Force derivatives on the grid add
+O(N * j_max * K) for K force harmonics.
 
 A literal composition-sum evaluation of the same recursion
 (``oracle_coefficients``) is kept as an independent cross-check for small
@@ -115,9 +132,8 @@ def compute_coefficients(config: RingConfig) -> CoefficientTable:
         raise ConfigError(f"j_max must be >= 1, got {config.j_max}")
     N, J, s = config.N, config.j_max, config.scale
     delta = config.delta
-    x0 = initial_positions(config)
 
-    # Exact force Taylor data at the rest positions: fk[k] = F^(k)(x0)/k!.
+    # Exact force Taylor data at the rest positions: fk[k] = F^(k)(x_i(0))/k!.
     # Only k <= (J-1)//2 can contribute below order J because u starts at t^2.
     k_cap = (J - 1) // 2
     fk = np.empty((k_cap + 1, N))
@@ -131,31 +147,30 @@ def compute_coefficients(config: RingConfig) -> CoefficientTable:
     gap = np.zeros((J, N))  # R = forward difference of u over the ring
     recip[0] = 1.0 / delta
     w[0] = 1.0 / delta**2
-    pow_u = np.zeros((k_cap + 1, J, N)) if k_cap >= 1 else None  # pow_u[k] = u**k
+    pow_u = np.zeros((k_cap + 1, J, N))  # pow_u[k] = u**k
+    # Order 1 is the force sample; w[0] is constant, so no interaction term.
+    c[1] = s * fk[0]
 
+    # Only odd orders j (even integrand orders m) are nonzero, and only even
+    # rows of u, gap, recip, w and pow_u are ever read; odd rows stay zero.
     # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, J + 1):
+        for j in range(3, J + 1, 2):
             m = j - 1  # integrand order being extracted
-            if m >= 1:
-                # Newest velocity order read here is j-2; orders j-1 and j are
-                # never touched, which is what makes the recursion well founded.
-                u[m] = s * c[m - 1] / m
-                gap[m] = np.roll(u[m], -1) - u[m]
-                recip[m] = -(gap[1 : m + 1] * recip[m - 1 :: -1]).sum(axis=0) / delta
-                w[m] = (recip[: m + 1] * recip[m::-1]).sum(axis=0)
-                if k_cap >= 1:
-                    pow_u[1, m] = u[m]
-                    for k in range(2, k_cap + 1):
-                        pow_u[k, m] = (u[: m + 1] * pow_u[k - 1, m::-1]).sum(axis=0)
+            # Newest velocity order read here is j-2; orders j-1 and j are
+            # never touched, which is what makes the recursion well founded.
+            u[m] = s * c[m - 1] / m
+            gap[m] = np.roll(u[m], -1) - u[m]
+            recip[m] = -(gap[2 : m + 1 : 2] * recip[m - 2 :: -2]).sum(axis=0) / delta
+            w[m] = (recip[: m + 1 : 2] * recip[m::-2]).sum(axis=0)
+            pow_u[1, m] = u[m]
+            for k in range(2, m // 2 + 1):
+                # u starts at order 2 and u**(k-1) at order 2k-2.
+                band = u[2 : m - 2 * k + 3 : 2] * pow_u[k - 1, m - 2 : 2 * k - 3 : -2]
+                pow_u[k, m] = band.sum(axis=0)
 
             interaction = np.roll(w[m], 1) - w[m]  # w_{i-1} - w_i
-            if m == 0:
-                composed = fk[0]
-            elif k_cap >= 1:
-                composed = np.einsum("kn,kn->n", fk[1:], pow_u[1:, m])
-            else:
-                composed = 0.0
+            composed = np.einsum("kn,kn->n", fk[1:], pow_u[1:, m])
             c[j] = (s / j) * (interaction + composed)
 
     return CoefficientTable(N=N, L=config.L, j_max=J, scale=s, data=np.ascontiguousarray(c.T))
@@ -279,11 +294,9 @@ def evaluate_position(
 def table_csv(table: CoefficientTable) -> str:
     """CSV rendering, one row per (i, j), i-major, 17 significant digits."""
     lines = ["i,j,c_scaled,scale,N,L,J_max"]
-    s, N, L, J = table.scale, table.N, table.L, table.j_max
-    for i in range(N):
-        row = table.data[i]
-        for j in range(1, J + 1):
-            lines.append(f"{i},{j},{row[j]:.17g},{s:.17g},{N},{L:.17g},{J}")
+    tail = f",{table.scale:.17g},{table.N},{table.L:.17g},{table.j_max}"
+    for i, row in enumerate(table.data[:, 1:].tolist()):
+        lines.extend(f"{i},{j},{v:.17g}{tail}" for j, v in enumerate(row, start=1))
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,15 +26,21 @@ from coulomb_chain import (
 from coulomb_chain.analysis import c4_bound
 
 
-def ode_taylor_oracle(N, L, amp, order):
+def ode_taylor_oracle(N, force, order):
     """Independent jet oracle: c_{ij} = v_i^(j)(0)/j! by repeated symbolic
-    differentiation of the equations of motion for force amp*sin(2 pi x / L),
-    evaluated at the uniform rest start."""
+    differentiation of the equations of motion for a trigonometric force on
+    the ring of circumference force.L, evaluated at the uniform rest start."""
+    L = force.L
     xs = sp.symbols(f"x:{N}")
     vs = sp.symbols(f"v:{N}")
 
     def F(x):
-        return amp * sp.sin(2 * sp.pi * x / L)
+        terms = [force.a0] if force.a0 else []
+        for h in force.harmonics:
+            theta = 2 * sp.pi * h.k * x / L
+            terms += [h.a * sp.cos(theta)] if h.a else []
+            terms += [h.b * sp.sin(theta)] if h.b else []
+        return sp.Add(*terms)
 
     gaps = [(xs[(i + 1) % N] - xs[i] + (L if i == N - 1 else 0)) for i in range(N)]
     acc = [1 / gaps[i - 1] ** 2 - 1 / gaps[i] ** 2 + F(xs[i]) for i in range(N)]
@@ -53,6 +60,54 @@ def ode_taylor_oracle(N, L, amp, order):
             if j < order:
                 expr = d_dt(expr)
     return out
+
+
+def dense_reference(config):
+    """Dense per-order loop of the coefficient recursion.
+
+    Every order j = 1..J runs, and each convolution spans all m+1 rows of
+    the truncated series, exact-zero terms included.  ``compute_coefficients``
+    skips the structural zeros and must reproduce this table bit for bit.
+    """
+    N, J, s = config.N, config.j_max, config.scale
+    delta = config.delta
+    k_cap = (J - 1) // 2
+    fk = np.empty((k_cap + 1, N))
+    for k in range(k_cap + 1):
+        fk[k] = force_grid(config.force, config, k) / math.factorial(k)
+
+    c = np.zeros((J + 1, N))
+    u = np.zeros((J, N))
+    recip = np.zeros((J, N))
+    w = np.zeros((J, N))
+    gap = np.zeros((J, N))
+    recip[0] = 1.0 / delta
+    w[0] = 1.0 / delta**2
+    pow_u = np.zeros((k_cap + 1, J, N)) if k_cap >= 1 else None
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, J + 1):
+            m = j - 1
+            if m >= 1:
+                u[m] = s * c[m - 1] / m
+                gap[m] = np.roll(u[m], -1) - u[m]
+                recip[m] = -(gap[1 : m + 1] * recip[m - 1 :: -1]).sum(axis=0) / delta
+                w[m] = (recip[: m + 1] * recip[m::-1]).sum(axis=0)
+                if k_cap >= 1:
+                    pow_u[1, m] = u[m]
+                    for k in range(2, k_cap + 1):
+                        pow_u[k, m] = (u[: m + 1] * pow_u[k - 1, m::-1]).sum(axis=0)
+
+            interaction = np.roll(w[m], 1) - w[m]
+            if m == 0:
+                composed = fk[0]
+            elif k_cap >= 1:
+                composed = np.einsum("kn,kn->n", fk[1:], pow_u[1:, m])
+            else:
+                composed = 0.0
+            c[j] = (s / j) * (interaction + composed)
+
+    return CoefficientTable(N=N, L=config.L, j_max=J, scale=s, data=np.ascontiguousarray(c.T))
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +136,21 @@ def test_first_order_is_the_force_sample(sine_force):
 
 
 def test_even_orders_vanish(sine_force):
-    # From rest on the uniform lattice the velocities are odd in time.
-    config = RingConfig(N=8, L=1.0, force=sine_force, j_max=12, scale=1.0)
-    table = compute_coefficients(config)
-    for j in range(2, 13, 2):
-        np.testing.assert_array_equal(table.data[:, j], np.zeros(8))
+    # From rest on the uniform lattice the velocities are odd in time.  The
+    # engine only computes odd orders and relies on this for every force, so
+    # it is checked on the two independent oracles, including a force with
+    # nonzero mean and several harmonics.
+    mixed = ForceSpec(L=1.0, a0=0.2, harmonics=(Harmonic(1, 0.1, 0.3), Harmonic(2, -0.05, 0.02)))
+    for force in (sine_force, mixed):
+        config = RingConfig(N=8, L=1.0, force=force, j_max=9, scale=1.0)
+        slow = oracle_coefficients(config, 9)
+        assert np.max(np.abs(slow.data[:, 1::2])) > 0.0
+        for j in range(2, 10, 2):
+            np.testing.assert_array_equal(slow.data[:, j], np.zeros(8))
+    jet = ode_taylor_oracle(3, mixed, 4)
+    assert np.max(np.abs(jet[3])) > 0.0
+    np.testing.assert_array_equal(jet[2], np.zeros(3))
+    np.testing.assert_array_equal(jet[4], np.zeros(3))
 
 
 def test_invalid_configs_rejected(sine_force):
@@ -97,6 +162,33 @@ def test_invalid_configs_rejected(sine_force):
         RingConfig(N=4, L=2.0, force=sine_force, j_max=4)
     with pytest.raises(ConfigError):
         RingConfig(N=4, L=1.0, force=sine_force, j_max=4, scale=-1.0)
+
+
+def test_matches_dense_reference(sine_force):
+    # Skipping the structurally zero orders and convolution terms must not
+    # change a single bit, signed zeros included.
+    forces = (
+        sine_force,
+        ForceSpec(L=1.0, a0=-0.3),
+        ForceSpec(L=1.0),
+        ForceSpec(L=1.0, a0=0.2, harmonics=(Harmonic(1, 0.1, 0.3), Harmonic(3, -0.05, 0.02))),
+    )
+    for force in forces:
+        for n in (2, 3, 8, 64):
+            for j_max in (1, 2, 3, 4, 5, 6, 9, 24, 47):
+                for scale in ({}, {"scale": 1.0}):
+                    config = RingConfig(N=n, L=1.0, force=force, j_max=j_max, **scale)
+                    fast = compute_coefficients(config).data
+                    dense = dense_reference(config).data
+                    np.testing.assert_array_equal(
+                        fast.view(np.uint64), dense.view(np.uint64),
+                        err_msg=f"N={n} j_max={j_max} {scale} {force}",
+                    )
+    config = RingConfig(N=16, L=1.0, force=sine_force, j_max=24, scale=1e40)
+    with pytest.raises(OverflowError) as dense_error:
+        dense_reference(config)
+    with pytest.raises(OverflowError, match=f"^{re.escape(str(dense_error.value))}$"):
+        compute_coefficients(config)
 
 
 def test_overflow_raises(sine_force):
@@ -138,7 +230,7 @@ def test_matches_symbolic_jet_oracle():
     force = ForceSpec(L=1.0, harmonics=(Harmonic(1, 0.0, 1.0),))
     config = RingConfig(N=4, L=1.0, force=force, j_max=3, scale=1.0)
     table = compute_coefficients(config)
-    oracle = ode_taylor_oracle(4, 1.0, 1.0, 3)
+    oracle = ode_taylor_oracle(4, force, 3)
     assert_columns_close(table.data, oracle.T, rtol=1e-10)
 
 
@@ -146,7 +238,7 @@ def test_matches_symbolic_jet_oracle_deeper():
     force = ForceSpec(L=1.0, harmonics=(Harmonic(1, 0.0, 0.5),))
     config = RingConfig(N=3, L=1.0, force=force, j_max=5, scale=1.0)
     table = compute_coefficients(config)
-    oracle = ode_taylor_oracle(3, 1.0, 0.5, 5)
+    oracle = ode_taylor_oracle(3, force, 5)
     assert_columns_close(table.data, oracle.T, rtol=1e-10)
 
 
@@ -162,7 +254,7 @@ def test_closed_form_c3(sine_force):
 def test_closed_form_c3_against_jet_oracle():
     force = ForceSpec(L=1.0, harmonics=(Harmonic(1, 0.0, 1.0),))
     config = RingConfig(N=4, L=1.0, force=force, j_max=3, scale=1.0)
-    oracle = ode_taylor_oracle(4, 1.0, 1.0, 3)
+    oracle = ode_taylor_oracle(4, force, 3)
     c3 = explicit_c3(config)
     scale = np.max(np.abs(oracle[3]))
     np.testing.assert_allclose(c3, oracle[3], rtol=1e-10, atol=1e-12 * scale)
