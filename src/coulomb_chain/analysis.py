@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import ConfigError
 
@@ -240,6 +239,8 @@ def exponent_fit(tables: list[CoefficientTable], j: int) -> ExponentFit:
     resid = y - (slope * x + intercept)
     dof = len(Ns) - 2
     se = math.sqrt(float(np.sum(resid**2)) / dof / float(np.sum((x - x.mean()) ** 2)))
+    from scipy.special import stdtrit  # deferred: only this fit needs scipy.special
+
     half_width = float(stdtrit(dof, 0.975)) * se
     return ExponentFit(
         j=j,

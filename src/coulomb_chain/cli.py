@@ -12,8 +12,10 @@ library operations:
     sweep     growth exponents, radius trend, bounds and majorant report
 
 Outputs are deterministic (fixed ordering, fixed float formatting) and files
-are written atomically (temp + rename).  Exit codes: 0 ok, 2 config error,
-3 overflow, 4 collision, 5 verification failure.
+are written atomically (temp + rename).  Exit codes: 0 ok, 1 integrator
+step underflow, 2 config error, 3 overflow, 4 collision (a starting gap at
+the floor or an accepted step that breaks the ordering), 5 verification
+failure.
 """
 
 from __future__ import annotations
@@ -267,8 +269,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> Path:
         if "csv" in cfg.formats:
             lines = ["t,i,x,v"]
             for st in sol.states:
-                for i in range(rc.N):
-                    lines.append(f"{st.t:.17g},{i},{st.x[i]:.17g},{st.v[i]:.17g}")
+                t = f"{st.t:.17g}"
+                lines.extend(
+                    f"{t},{i},{x:.17g},{v:.17g}"
+                    for i, (x, v) in enumerate(zip(st.x.tolist(), st.v.tolist()))
+                )
             _atomic_write(cfg.out_dir / f"trajectory_N{rc.N}.csv", "\n".join(lines) + "\n")
         drift = None
         if cfg.force.a0 == 0.0:

@@ -107,9 +107,13 @@ def eval_derivative(spec: ForceSpec, order: int, x):
     phase = order * 0.5 * np.pi
     for h in spec.harmonics:
         w = 2.0 * np.pi * h.k / spec.L
-        theta = w * xm + phase
-        out += w**order * (h.a * np.cos(theta) + h.b * np.sin(theta))
-    if order == 0:
+        if order == 0:  # no phase shift and no w**0 factor: same values, less work
+            theta = w * xm
+            out += h.a * np.cos(theta) + h.b * np.sin(theta)
+        else:
+            theta = w * xm + phase
+            out += w**order * (h.a * np.cos(theta) + h.b * np.sin(theta))
+    if order == 0 and spec.a0 != 0.0:
         out += spec.a0
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)

@@ -11,6 +11,13 @@ from the local dense interpolant.  This is the ground-truth oracle for the
 velocity series, so controllable local error matters more than long-time
 structure preservation; positions are kept unwrapped so gaps stay
 meaningful.
+
+A trial Runge-Kutta stage whose gaps reach the floor is not physical: the
+right-hand side returns NaN for it, DOP853's error norm is then not below
+one, and the controller rejects the step and retries with a shorter one.
+Only an accepted step that breaks the particle ordering raises
+CollisionError.  scipy is imported inside ``integrate``, so importing this
+module (and the CLI) does not pay for loading ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .errors import CollisionError, ConfigError, StiffnessError
 from .force import eval_force, eval_potential
@@ -74,17 +80,29 @@ def _gaps(x: np.ndarray, L: float) -> np.ndarray:
     return g
 
 
-def _acceleration(config: RingConfig, x: np.ndarray) -> np.ndarray:
+def _floor_gaps(config: RingConfig, x: np.ndarray) -> np.ndarray:
+    """Cyclic gaps of ``x``; raises CollisionError if any is at or below the floor."""
     g = _gaps(x, config.L)
     floor = GAP_FLOOR_FACTOR * config.delta
-    if np.any(g <= floor):
+    if (g <= floor).any():
         worst = int(np.argmin(g))
         raise CollisionError(
             f"gap {worst} shrank to {g[worst]:.3e} (floor {floor:.3e}); "
             "numerical fault in the integration"
         )
-    inv2 = g**-2.0
-    return np.roll(inv2, 1) - inv2 + eval_force(config.force, x)
+    return g
+
+
+def _acceleration(config: RingConfig, x: np.ndarray, out: np.ndarray) -> None:
+    """Write the net acceleration at positions ``x`` into ``out``.
+
+    Raises CollisionError when any gap is at or below the collision floor.
+    """
+    g = _floor_gaps(config, x)
+    inv2 = np.power(g, -2.0, out=g)
+    np.subtract(inv2[:-1], inv2[1:], out=out[1:])
+    out[0] = inv2[-1] - inv2[0]
+    out += eval_force(config.force, x)
 
 
 def initial_state(config: RingConfig) -> TrajectoryState:
@@ -97,7 +115,10 @@ def acceleration(config: RingConfig, state: TrajectoryState) -> np.ndarray:
 
     Raises CollisionError when any gap is at or below the collision floor.
     """
-    return _acceleration(config, np.asarray(state.x, dtype=float))
+    x = np.asarray(state.x, dtype=float)
+    out = np.empty_like(x)
+    _acceleration(config, x, out)
+    return out
 
 
 def integrate(
@@ -115,8 +136,9 @@ def integrate(
     caps the accepted step; the dense interpolant's rounding error scales
     with the step, so capping it tightens sample accuracy on trajectories
     the controller would otherwise cross in a few giant steps.  Raises
-    StiffnessError if the controller's accepted step underflows and
-    CollisionError if the ordering invariant fails.
+    StiffnessError if the controller's accepted step underflows, and
+    CollisionError if a gap of the initial state is at or below the floor
+    or an accepted step breaks the particle ordering.
     """
     if not (t_end > 0.0):
         raise ConfigError(f"t_end must be positive, got {t_end}")
@@ -129,6 +151,7 @@ def integrate(
     if initial is None:
         initial = initial_state(config)
     y0 = np.concatenate([np.asarray(initial.x, float), np.asarray(initial.v, float)])
+    _floor_gaps(config, y0[:N])  # only trial stages may cross the floor
 
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, 11)
@@ -137,7 +160,15 @@ def integrate(
         raise ConfigError("t_eval samples must lie within [0, t_end]")
 
     def rhs(_t, y):
-        return np.concatenate([y[N:], _acceleration(config, y[:N])])
+        dy = np.empty(2 * N)
+        dy[:N] = y[N:]
+        try:
+            _acceleration(config, y[:N], dy[N:])
+        except CollisionError:
+            dy[N:] = np.nan  # non-physical trial stage: DOP853 rejects the step
+        return dy
+
+    from scipy.integrate import DOP853  # deferred: only integration needs scipy
 
     solver = DOP853(rhs, 0.0, y0, t_end, rtol=rel_tol, atol=abs_tol, max_step=max_step)
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coulomb_chain
 from coulomb_chain.cli import main
 
 SINE_CONFIG = {
@@ -220,3 +226,35 @@ def test_format_override(tmp_path):
 def test_missing_config_file(tmp_path, capsys):
     assert main(["coeffs", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cold_start_defers_scipy(tmp_path):
+    # coeffs, radius and verify never need scipy; importing it costs most of a
+    # fresh process's start-up, so only simulate may load scipy.integrate.
+    cfg = write_config(tmp_path, SINE_CONFIG)
+    script = textwrap.dedent(
+        """
+        import sys
+        import coulomb_chain.cli as cli
+
+        cfg, out = sys.argv[1:]
+        heavy = ("scipy.integrate", "scipy.special")
+        for cmd in ("coeffs", "radius", "verify"):
+            assert cli.main([cmd, "--config", cfg, "--out", out]) == 0, cmd
+            loaded = [m for m in heavy if m in sys.modules]
+            assert not loaded, f"{cmd} loaded {loaded}"
+        assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert "scipy.integrate" in sys.modules, "simulate did not load scipy.integrate"
+        """
+    )
+    src = str(Path(coulomb_chain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -46,6 +46,21 @@ def test_collision_guard():
     state = TrajectoryState(t=0.0, x=np.array([0.0, 1e-12, 0.5]), v=np.zeros(3))
     with pytest.raises(CollisionError):
         acceleration(config, state)
+    with pytest.raises(CollisionError):
+        integrate(config, 0.01, 1e-10, 1e-12, initial=state)
+
+
+def test_nonphysical_trial_stage_is_rejected_not_fatal(sine_force):
+    # At this N the first trial step is long enough to push a stage past the
+    # gap floor; the controller must retry with a shorter step, not abort.
+    config = RingConfig(N=384, L=1.0, force=sine_force, j_max=4, scale=1.0)
+    sol = integrate(config, 0.01, 1e-10, 1e-12)
+    assert sol.times[-1] == 0.01
+    for st in sol.states:
+        assert np.all(st.gaps(config.L) > 0)
+    e0 = energy(config, sol.states[0])
+    drift = max(abs(energy(config, st) - e0) for st in sol.states) / abs(e0)
+    assert drift <= 1e-12
 
 
 def test_zero_force_stays_put():
