@@ -45,6 +45,8 @@ __all__ = [
 #: Tail entries below this magnitude count as exact zeros in radius fits.
 TAIL_FLOOR = 1e-300
 _LOG_FLOOR = math.log(TAIL_FLOOR)
+TREND_NOISE = 0.05  # relative rise of R_hat to the next grid N that still counts as monotone
+BOUND_NOISE = 0.10  # relative rise of chi_min(N, j) to the next grid N that counts as bounded
 
 
 @dataclass(frozen=True)
@@ -194,14 +196,14 @@ def estimate_radius(
     )
 
 
-def radius_trend(estimates: list[RadiusEstimate], noise: float = 0.05) -> RadiusTrend:
-    """Monotonicity (within ``noise``) and decay exponent of R_hat over N."""
+def radius_trend(estimates: list[RadiusEstimate]) -> RadiusTrend:
+    """Monotonicity (within ``TREND_NOISE``) and decay exponent of R_hat over N."""
     est = sorted(estimates, key=lambda e: e.N)
     Ns = tuple(e.N for e in est)
     rs = tuple(e.r_hat for e in est)
     finite = [(n, r) for n, r in zip(Ns, rs) if math.isfinite(r) and r > 0]
     monotone_ok = all(
-        r2 <= r1 * (1.0 + noise) for (_, r1), (_, r2) in zip(finite, finite[1:])
+        r2 <= r1 * (1.0 + TREND_NOISE) for (_, r1), (_, r2) in zip(finite, finite[1:])
     )
     if len(finite) >= 2:
         ln_n = np.log([n for n, _ in finite])
@@ -292,10 +294,10 @@ def c4_bound(c_f: float) -> float:
     return 0.25 * c_f**5 + c_f**4 / 16.0
 
 
-def bound_check(tables: list[CoefficientTable], c_f: float, noise: float = 0.10) -> BoundReport:
+def bound_check(tables: list[CoefficientTable], c_f: float) -> BoundReport:
     """Check the hard order-3/4 bounds and the growth-ratio boundedness.
 
-    chi_min(N, j) must not increase with N (within ``noise``) for the
+    chi_min(N, j) must not increase with N (within ``BOUND_NOISE``) for the
     growth bound |c_{ij}| < chi**j N**((5/6)j - 3/2) to hold with an
     N-independent chi; the max over the grid is the empirical chi.
     """
@@ -331,7 +333,7 @@ def bound_check(tables: list[CoefficientTable], c_f: float, noise: float = 0.10)
         chi_sqrt[j] = tuple(vals_sqrt)
         chi_all = max(chi_all, max(vals))
         monotone_ok[j] = all(
-            b <= a * (1.0 + noise) for a, b in zip(vals, vals[1:]) if a > 0.0 or b > 0.0
+            b <= a * (1.0 + BOUND_NOISE) for a, b in zip(vals, vals[1:]) if a > 0.0 or b > 0.0
         )
 
     passed = hard_c3_ok and hard_c4_ok and all(monotone_ok.values())

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import analysis as ana
 from . import ode, series
-from .errors import CollisionError, ConfigError, StiffnessError
+from .errors import CollisionError, ConfigError, StiffnessError, check_int, check_real
 from .force import ForceSpec, c_f_bound
 from .ring import RingConfig
 
@@ -50,23 +50,24 @@ __all__ = [
 ]
 
 EXIT_OK = 0
+EXIT_STIFFNESS = 1
 EXIT_CONFIG = 2
 EXIT_OVERFLOW = 3
 EXIT_COLLISION = 4
 EXIT_VERIFY = 5
+
+_EXIT_CODES = {ConfigError: EXIT_CONFIG, OverflowError: EXIT_OVERFLOW,
+               CollisionError: EXIT_COLLISION, StiffnessError: EXIT_STIFFNESS}
 
 _FORMATS = ("csv", "json", "both")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (one ring config per grid N)."""
+    """Validated experiment description: one ring per grid N, built at load."""
 
-    Ns: tuple[int, ...]
-    L: float
-    j_max: int
-    scale: float | None  # None = automatic rescale per N
-    force: ForceSpec
+    rings: tuple[RingConfig, ...]
+    scale: float | None  # as configured; None = automatic rescale per N
     t_end: float
     rel_tol: float
     abs_tol: float
@@ -75,11 +76,16 @@ class ExperimentConfig:
     out_dir: Path
     formats: tuple[str, ...]
 
-    def ring(self, N: int) -> RingConfig:
-        return RingConfig(N=N, L=self.L, force=self.force, j_max=self.j_max, scale=self.scale)
+    @property
+    def force(self) -> ForceSpec:
+        return self.rings[0].force
 
-    def rings(self) -> list[RingConfig]:
-        return [self.ring(N) for N in self.Ns]
+    @property
+    def j_max(self) -> int:
+        return self.rings[0].j_max
+
+
+_RING_PATHS = {"L": "ring.L", "j_max": "ring.J_max", "scale": "ring.scale", "force.L": "force.L"}
 
 
 def _need(obj: dict, field: str, path: str):
@@ -88,24 +94,8 @@ def _need(obj: dict, field: str, path: str):
     return obj[field]
 
 
-def _as_number(value, path: str, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
-    if positive and not (v > 0.0 and math.isfinite(v)):
-        raise ConfigError(f"{path}: must be positive and finite, got {value!r}")
-    return v
-
-
-def _as_int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return value
-
-
 def parse_config(obj: dict) -> ExperimentConfig:
+    """Build the force and every ring; ``ForceSpec`` and ``RingConfig`` check their values."""
     if not isinstance(obj, dict):
         raise ConfigError("config: top level must be a JSON object")
 
@@ -113,62 +103,50 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if not isinstance(ring, dict):
         raise ConfigError("ring: expected an object")
     n_raw = _need(ring, "N", "ring")
-    if isinstance(n_raw, list):
-        Ns = tuple(_as_int(v, f"ring.N[{i}]", minimum=2) for i, v in enumerate(n_raw))
-        if not Ns:
-            raise ConfigError("ring.N: grid must not be empty")
-        if any(b <= a for a, b in zip(Ns, Ns[1:])):
-            raise ConfigError(f"ring.N: grid must be strictly increasing, got {list(Ns)}")
-    else:
-        Ns = (_as_int(n_raw, "ring.N", minimum=2),)
-    L = _as_number(_need(ring, "L", "ring"), "ring.L", positive=True)
-    j_max = _as_int(_need(ring, "J_max", "ring"), "ring.J_max", minimum=1)
-    scale_raw = ring.get("scale", "auto")
-    if scale_raw == "auto":
+    grid = isinstance(n_raw, list)
+    if grid and not n_raw:
+        raise ConfigError("ring.N: grid must not be empty")
+    L = _need(ring, "L", "ring")
+    j_max = _need(ring, "J_max", "ring")
+    scale = ring.get("scale", "auto")
+    if scale is None:  # RingConfig reads None as the automatic rescale, spelled "auto" here
+        raise ConfigError('ring.scale: expected a number or "auto", got None')
+    if scale == "auto":
         scale = None
-    else:
-        scale = _as_number(scale_raw, "ring.scale", positive=True)
 
     force_obj = _need(obj, "force", "config")
-    if not isinstance(force_obj, dict):
-        raise ConfigError("force: expected an object")
-    force_json = dict(force_obj)
-    force_json.setdefault("L", L)
-    _as_number(force_json["L"], "force.L", positive=True)
-    if force_json["L"] != L:
-        raise ConfigError(f"force.L: {force_json['L']} does not match ring.L = {L}")
-    harmonics = force_json.get("harmonics", [])
-    if not isinstance(harmonics, list):
-        raise ConfigError("force.harmonics: expected a list")
-    for i, h in enumerate(harmonics):
-        if not isinstance(h, dict):
-            raise ConfigError(f"force.harmonics[{i}]: expected an object")
-        _as_int(_need(h, "k", f"force.harmonics[{i}]"), f"force.harmonics[{i}].k", minimum=1)
-        for key in ("a", "b"):
-            if key in h:
-                _as_number(h[key], f"force.harmonics[{i}].{key}")
-    if "a0" in force_json:
-        _as_number(force_json["a0"], "force.a0")
+    inherit_L = isinstance(force_obj, dict) and "L" not in force_obj
     try:
-        force = ForceSpec.from_json(force_json)
+        force = ForceSpec.from_json({**force_obj, "L": L} if inherit_L else force_obj)
     except ConfigError as exc:
-        raise ConfigError(f"force: {exc}") from exc
+        # force.L defaults to ring.L, so a bad inherited period is ring.L's fault
+        raise exc.within("ring" if inherit_L and exc.field == "L" else "force") from None
+
+    rings = []
+    for i, N in enumerate(n_raw if grid else [n_raw]):
+        try:
+            rings.append(RingConfig(N=N, L=L, force=force, j_max=j_max, scale=scale))
+        except ConfigError as exc:
+            paths = {**_RING_PATHS, "N": f"ring.N[{i}]" if grid else "ring.N"}
+            raise ConfigError(exc.reason, paths[exc.field]) from None
+    if any(b.N <= a.N for a, b in zip(rings, rings[1:])):
+        raise ConfigError(f"ring.N: grid must be strictly increasing, got {n_raw}")
 
     ode_obj = obj.get("ode", {})
     if not isinstance(ode_obj, dict):
         raise ConfigError("ode: expected an object")
-    t_end = _as_number(ode_obj.get("t_end", 0.05), "ode.t_end", positive=True)
-    rel_tol = _as_number(ode_obj.get("rel_tol", 1e-10), "ode.rel_tol", positive=True)
-    abs_tol = _as_number(ode_obj.get("abs_tol", 1e-12), "ode.abs_tol", positive=True)
+    t_end = check_real(ode_obj.get("t_end", 0.05), "ode.t_end", positive=True)
+    rel_tol = check_real(ode_obj.get("rel_tol", 1e-10), "ode.rel_tol", positive=True)
+    abs_tol = check_real(ode_obj.get("abs_tol", 1e-12), "ode.abs_tol", positive=True)
     for name, tol in (("ode.rel_tol", rel_tol), ("ode.abs_tol", abs_tol)):
         if tol > 1e-2:
             raise ConfigError(f"{name}: must be <= 1e-2, got {tol}")
-    sample_count = _as_int(ode_obj.get("sample_count", 10), "ode.sample_count", minimum=1)
+    sample_count = check_int(ode_obj.get("sample_count", 10), "ode.sample_count", minimum=1)
 
     ana_obj = obj.get("analysis", {})
     if not isinstance(ana_obj, dict):
         raise ConfigError("analysis: expected an object")
-    tail_fraction = _as_number(ana_obj.get("tail_fraction", 0.5), "analysis.tail_fraction")
+    tail_fraction = check_real(ana_obj.get("tail_fraction", 0.5), "analysis.tail_fraction")
     if not (0.0 < tail_fraction <= 1.0):
         raise ConfigError(f"analysis.tail_fraction: must lie in (0, 1], got {tail_fraction}")
     if "n_grid" in ana_obj:
@@ -191,11 +169,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     formats = tuple(dict.fromkeys(formats_raw))
 
     return ExperimentConfig(
-        Ns=Ns,
-        L=L,
-        j_max=j_max,
+        rings=tuple(rings),
         scale=scale,
-        force=force,
         t_end=t_end,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
@@ -241,7 +216,7 @@ def _write_json(path: Path, payload) -> None:
 # commands
 
 def _tables(cfg: ExperimentConfig) -> list[series.CoefficientTable]:
-    return [series.compute_coefficients(rc) for rc in cfg.rings()]
+    return [series.compute_coefficients(rc) for rc in cfg.rings]
 
 
 def cmd_coeffs(cfg: ExperimentConfig) -> list[Path]:
@@ -263,7 +238,7 @@ def cmd_coeffs(cfg: ExperimentConfig) -> list[Path]:
 def cmd_simulate(cfg: ExperimentConfig) -> Path:
     """Integrate each grid member; write trajectory CSVs and a summary JSON."""
     summary = []
-    for rc in cfg.rings():
+    for rc in cfg.rings:
         t_eval = np.linspace(0.0, cfg.t_end, cfg.sample_count + 1)
         sol = ode.integrate(rc, cfg.t_end, cfg.rel_tol, cfg.abs_tol, t_eval=t_eval)
         if "csv" in cfg.formats:
@@ -328,7 +303,7 @@ def _compare_one(cfg: ExperimentConfig, rc: RingConfig) -> dict:
 
 def cmd_compare(cfg: ExperimentConfig) -> Path:
     """Series-vs-integration report: max relative velocity error per N."""
-    per_n = [_compare_one(cfg, rc) for rc in cfg.rings()]
+    per_n = [_compare_one(cfg, rc) for rc in cfg.rings]
     payload = {
         "per_N": per_n,
         "max_rel_velocity_error": max(r["max_rel_velocity_error"] for r in per_n),
@@ -403,8 +378,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def cmd_verify(cfg: ExperimentConfig, out=sys.stdout) -> bool:
-    """Aggregate the hard checks; print one PASS/FAIL line per check."""
+def cmd_verify(cfg: ExperimentConfig, out=None) -> bool:
+    """Aggregate the hard checks; print one PASS/FAIL line per check to ``out`` (or stdout)."""
     ok = True
 
     def check(name: str, passed: bool, detail: str = "") -> None:
@@ -418,11 +393,11 @@ def cmd_verify(cfg: ExperimentConfig, out=sys.stdout) -> bool:
     check("order-3 magnitude bound", report.hard_c3_ok)
     check("order-4 magnitude bound", report.hard_c4_ok)
 
-    # Enumeration cross-check on small rings with the configured force.
+    # Enumeration cross-check on small rings with the configured force and scale ("auto": per N).
     max_err = 0.0
     j_cap = min(9, cfg.j_max)
     for N in (3, 4, 8):
-        rc = RingConfig(N=N, L=cfg.L, force=cfg.force, j_max=j_cap, scale=cfg.scale)
+        rc = replace(cfg.rings[0], N=N, j_max=j_cap, scale=cfg.scale)
         fast = series.compute_coefficients(rc)
         slow = series.oracle_coefficients(rc, j_cap)
         for j in range(1, j_cap + 1):
@@ -481,8 +456,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         updates["out_dir"] = Path(args.out)
     if args.format is not None:
         updates["formats"] = ("csv", "json") if args.format == "both" else (args.format,)
-    if not updates:
-        return cfg
     return replace(cfg, **updates)
 
 
@@ -494,18 +467,9 @@ def main(argv=None) -> int:
             return EXIT_OK if cmd_verify(cfg) else EXIT_VERIFY
         _COMMANDS[args.command](cfg)
         return EXIT_OK
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except CollisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COLLISION
-    except StiffnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entrypoint() -> None:

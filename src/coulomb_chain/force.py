@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_real
 
 __all__ = [
     "Harmonic",
@@ -32,15 +32,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Harmonic:
-    """One Fourier mode: a*cos(2 pi k x / L) + b*sin(2 pi k x / L)."""
+    """One Fourier mode a*cos(2 pi k x / L) + b*sin(2 pi k x / L): integer k >= 1, finite a, b."""
 
     k: int
     a: float = 0.0
     b: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ConfigError(f"harmonic index k must be a positive integer, got {self.k!r}")
+        check_int(self.k, "k", minimum=1)
+        object.__setattr__(self, "a", check_real(self.a, "a"))
+        object.__setattr__(self, "b", check_real(self.b, "b"))
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,9 @@ class ForceSpec:
     Parameters
     ----------
     L : float
-        Circumference of the circle; must be positive.
+        Circumference of the circle; must be positive and finite.
     a0 : float
-        Mean (constant) part of the force.
+        Mean (constant) part of the force; must be finite.
     harmonics : sequence of Harmonic
         Fourier modes with distinct positive indices.
     """
@@ -62,15 +63,12 @@ class ForceSpec:
     harmonics: tuple[Harmonic, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not (self.L > 0.0) or not math.isfinite(self.L):
-            raise ConfigError(f"force period L must be positive and finite, got {self.L!r}")
-        modes = tuple(
-            h if isinstance(h, Harmonic) else Harmonic(*h) for h in self.harmonics
-        )
-        object.__setattr__(self, "harmonics", modes)
-        ks = [h.k for h in modes]
+        object.__setattr__(self, "L", check_real(self.L, "L", positive=True))
+        object.__setattr__(self, "a0", check_real(self.a0, "a0"))
+        object.__setattr__(self, "harmonics", tuple(self.harmonics))
+        ks = [h.k for h in self.harmonics]
         if len(set(ks)) != len(ks):
-            raise ConfigError(f"harmonic indices must be distinct, got {ks}")
+            raise ConfigError(f"indices must be distinct, got {ks}", "harmonics")
 
     def to_json(self) -> dict:
         return {
@@ -81,11 +79,21 @@ class ForceSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ForceSpec":
-        harmonics = tuple(
-            Harmonic(int(h["k"]), float(h.get("a", 0.0)), float(h.get("b", 0.0)))
-            for h in obj.get("harmonics", [])
-        )
-        return cls(L=float(obj["L"]), a0=float(obj.get("a0", 0.0)), harmonics=harmonics)
+        """Parse ``{"L", "a0"?, "harmonics"?: [{"k", "a"?, "b"?}]}``; errors name the JSON path."""
+        if not isinstance(obj, dict):
+            raise ConfigError(f"expected an object, got {obj!r}")
+        raw = obj.get("harmonics", [])
+        if not isinstance(raw, list):
+            raise ConfigError("expected a list", "harmonics")
+        harmonics = []
+        for i, h in enumerate(raw):
+            try:
+                if not isinstance(h, dict):
+                    raise ConfigError("expected an object")
+                harmonics.append(Harmonic(h.get("k"), h.get("a", 0.0), h.get("b", 0.0)))
+            except ConfigError as exc:
+                raise exc.within(f"harmonics[{i}]") from None
+        return cls(L=obj.get("L"), a0=obj.get("a0", 0.0), harmonics=tuple(harmonics))
 
 
 def eval_force(spec: ForceSpec, x):

@@ -7,12 +7,11 @@ analytic force, expanded to order ``j_max`` with time rescale ``scale``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_real
 from .force import ForceSpec
 
 __all__ = ["RingConfig", "auto_scale", "initial_positions"]
@@ -32,6 +31,7 @@ def auto_scale(N: int) -> float:
 class RingConfig:
     """Immutable description of one expansion experiment.
 
+    Integers N >= 2 and j_max >= 1; L positive, finite and the force's period.
     ``scale=None`` selects the automatic rescale ``auto_scale(N)``.
     """
 
@@ -42,20 +42,13 @@ class RingConfig:
     scale: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 2:
-            raise ConfigError(f"N must be an integer >= 2, got {self.N!r}")
-        if not (self.L > 0.0) or not math.isfinite(self.L):
-            raise ConfigError(f"L must be positive and finite, got {self.L!r}")
-        if not isinstance(self.j_max, int) or self.j_max < 1:
-            raise ConfigError(f"j_max must be an integer >= 1, got {self.j_max!r}")
+        check_int(self.N, "N", minimum=2)
+        object.__setattr__(self, "L", check_real(self.L, "L", positive=True))
+        check_int(self.j_max, "j_max", minimum=1)
         if self.force.L != self.L:
-            raise ConfigError(
-                f"force period {self.force.L} does not match ring circumference {self.L}"
-            )
-        s = auto_scale(self.N) if self.scale is None else float(self.scale)
-        if not (s > 0.0) or not math.isfinite(s):
-            raise ConfigError(f"scale must be positive and finite, got {self.scale!r}")
-        object.__setattr__(self, "scale", s)
+            raise ConfigError(f"{self.force.L} differs from the ring's L = {self.L}", "force.L")
+        scale = auto_scale(self.N) if self.scale is None else self.scale
+        object.__setattr__(self, "scale", check_real(scale, "scale", positive=True))
 
     @property
     def delta(self) -> float:

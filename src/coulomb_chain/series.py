@@ -128,8 +128,6 @@ def compute_coefficients(config: RingConfig) -> CoefficientTable:
     Raises OverflowError if any rescaled coefficient leaves double range
     (the rescale is too large for this N and truncation depth).
     """
-    if config.j_max < 1:
-        raise ConfigError(f"j_max must be >= 1, got {config.j_max}")
     N, J, s = config.N, config.j_max, config.scale
     delta = config.delta
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import coulomb_chain
+from coulomb_chain import CollisionError, ConfigError, StiffnessError, cli
 from coulomb_chain.cli import main
 
 SINE_CONFIG = {
@@ -104,11 +107,49 @@ def test_schema_rejection_names_field(tmp_path, capsys):
 
 
 def test_schema_rejects_bad_harmonic(tmp_path, capsys):
-    obj = dict(SINE_CONFIG)
-    obj["force"] = {"L": 1.0, "harmonics": [{"k": 0, "a": 1.0}]}
-    code, _ = run("coeffs", tmp_path, obj)
+    bad = [
+        ({"k": 0, "a": 1.0}, "k"),
+        ({"k": 1.7}, "k"),
+        ({"k": True}, "k"),
+        ({"k": 1, "b": "0.5"}, "b"),
+        ({"k": 1, "b": math.nan}, "b"),  # written as the JSON literal NaN
+        ({"k": 1, "b": math.inf}, "b"),  # Infinity
+    ]
+    for harmonic, key in bad:
+        obj = dict(SINE_CONFIG)
+        obj["force"] = {"L": 1.0, "harmonics": [harmonic]}
+        code, _ = run("coeffs", tmp_path, obj)
+        assert code == 2, harmonic
+        assert f"force.harmonics[0].{key}" in capsys.readouterr().err, harmonic
+
+
+@pytest.mark.parametrize(
+    "section, key, value, path",
+    [
+        ("ring", "N", 1, "ring.N"),
+        ("ring", "N", [8, 1], "ring.N[1]"),
+        ("ring", "L", -1.0, "ring.L"),
+        ("ring", "L", math.nan, "ring.L"),
+        ("ring", "J_max", 0, "ring.J_max"),
+        ("ring", "J_max", True, "ring.J_max"),
+        ("ring", "scale", -1.0, "ring.scale"),
+        ("ring", "scale", math.inf, "ring.scale"),
+        ("ring", "scale", None, "ring.scale"),
+        ("force", "L", 0.0, "force.L"),
+        ("force", "L", 2.0, "force.L"),  # differs from ring.L
+        ("force", "a0", math.inf, "force.a0"),
+        pytest.param("force", "a0", 10**400, "force.a0", id="force-a0-int-beyond-double"),
+        ("ode", "rel_tol", 0.5, "ode.rel_tol"),
+        ("analysis", "tail_fraction", 1.5, "analysis.tail_fraction"),
+    ],
+)
+def test_config_error_names_field(tmp_path, capsys, section, key, value, path):
+    obj = copy.deepcopy(SINE_CONFIG)
+    obj[section][key] = value
+    code, out = run("coeffs", tmp_path, obj)
     assert code == 2
-    assert "force.harmonics[0].k" in capsys.readouterr().err
+    assert f"error: {path}:" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work
 
 
 def test_schema_rejects_decreasing_grid(tmp_path, capsys):
@@ -179,8 +220,13 @@ def test_compare_sine_force(tmp_path):
 def test_verify_passes(tmp_path, capsys):
     code, out = run("verify", tmp_path, SINE_CONFIG)
     assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert all(line.startswith("PASS") for line in lines)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[:2] for line in lines] == [
+        ["PASS", "order-3 magnitude bound"],
+        ["PASS", "order-4 magnitude bound"],
+        ["PASS", "composition-sum cross-check"],
+        ["PASS", "majorant self-domination"],
+    ]
     payload = json.loads((out / "verify.json").read_text())
     assert payload["passed"] is True
 
@@ -221,6 +267,24 @@ def test_format_override(tmp_path):
     assert main(["coeffs", "--config", str(cfg), "--out", str(out), "--format", "csv"]) == 0
     assert (out / "coeffs_N8.csv").exists()
     assert not (out / "coeffs_N8.json").exists()
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (ConfigError("bad value"), 2),
+        (OverflowError("too large"), 3),
+        (CollisionError("gap at the floor"), 4),
+        (StiffnessError("step underflow"), 1),
+    ],
+)
+def test_exit_codes(tmp_path, monkeypatch, capsys, exc, code):
+    def failing(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "coeffs", failing)
+    assert run("coeffs", tmp_path, SINE_CONFIG)[0] == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -118,3 +118,28 @@ def test_invalid_specs_rejected():
         Harmonic(0, 1.0, 0.0)
     with pytest.raises(ConfigError):
         eval_derivative(ForceSpec(L=1.0), -1, 0.0)
+    with pytest.raises(ConfigError, match="^a0: "):
+        ForceSpec(L=1.0, a0=math.inf)
+    with pytest.raises(ConfigError, match="^b: "):
+        Harmonic(1, 0.0, math.nan)
+
+
+@pytest.mark.parametrize(
+    "harmonic, field",
+    [
+        ({"k": 1.7}, "harmonics[0].k"),
+        ({"k": True}, "harmonics[0].k"),
+        ({"k": 1, "b": "0.5"}, "harmonics[0].b"),
+    ],
+)
+def test_from_json_rejects_bad_values(harmonic, field):
+    with pytest.raises(ConfigError) as info:
+        ForceSpec.from_json({"L": 1.0, "harmonics": [harmonic]})
+    assert info.value.field == field
+
+
+def test_from_json_stores_floats():
+    # an integer a0 must not change the JSON written back (and every table header)
+    spec = ForceSpec.from_json({"L": 1, "a0": 0, "harmonics": [{"k": 2, "b": 1}]})
+    assert spec.to_json() == {"L": 1.0, "a0": 0.0, "harmonics": [{"k": 2, "a": 0.0, "b": 1.0}]}
+    assert all(type(v) is float for v in (spec.L, spec.a0, spec.harmonics[0].b))

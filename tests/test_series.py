@@ -162,6 +162,10 @@ def test_invalid_configs_rejected(sine_force):
         RingConfig(N=4, L=2.0, force=sine_force, j_max=4)
     with pytest.raises(ConfigError):
         RingConfig(N=4, L=1.0, force=sine_force, j_max=4, scale=-1.0)
+    with pytest.raises(ConfigError, match="^j_max: "):
+        RingConfig(N=4, L=1.0, force=sine_force, j_max=True)
+    with pytest.raises(ConfigError, match="^N: "):
+        RingConfig(N=True, L=1.0, force=sine_force, j_max=4)
 
 
 def test_matches_dense_reference(sine_force):
