@@ -24,7 +24,7 @@ from .analysis import (
 )
 from .errors import CollisionError, ConfigError, StiffnessError
 from .force import ForceSpec, Harmonic, c_f_bound, eval_derivative, eval_force, eval_potential
-from .grid import as_grid, force_grid, iterated_derivative, nabla_minus, nabla_plus, shift
+from .grid import as_grid, force_grid, nabla_minus, nabla_plus
 from .ode import ODESolution, TrajectoryState, acceleration, energy, initial_state, integrate
 from .ring import RingConfig, auto_scale, initial_positions
 from .series import (
@@ -33,7 +33,6 @@ from .series import (
     evaluate_position,
     evaluate_velocity,
     explicit_c3,
-    explicit_c4,
     oracle_coefficients,
     ordered_compositions,
     table_csv,
@@ -64,10 +63,8 @@ __all__ = [
     "eval_potential",
     "as_grid",
     "force_grid",
-    "iterated_derivative",
     "nabla_minus",
     "nabla_plus",
-    "shift",
     "ODESolution",
     "TrajectoryState",
     "acceleration",
@@ -82,7 +79,6 @@ __all__ = [
     "evaluate_position",
     "evaluate_velocity",
     "explicit_c3",
-    "explicit_c4",
     "oracle_coefficients",
     "ordered_compositions",
     "table_csv",

@@ -2,9 +2,9 @@
 
 Four kinds of checks:
 
-  * convergence-radius estimates from the coefficient tail (root test as a
-    log-linear fit, or a gap-aware ratio test), all in the log domain so
-    deep tails never overflow;
+  * the convergence-radius estimate from the coefficient tail: a root test,
+    i.e. a least-squares fit of log max_i |c_{ij}| against j over the top
+    orders of the table;
   * log-log growth exponents of max_i |c_{ij}| against N for fixed order j,
     compared with the caps (j-1)/2 and (5/6)j - 3/2;
   * hard magnitude bounds at orders 3 and 4, plus the normalized growth
@@ -13,6 +13,11 @@ Four kinds of checks:
     N**(j/2) normalization is reported alongside);
   * the one-particle majorant sequence g_j, the Taylor coefficients of
     (1 - a t)**(-1/2), and the self-domination inequality it satisfies.
+
+The first three read coefficient magnitudes and bounds as logarithms only,
+so deep tails and strong forces never overflow.  ``check_tail_fraction`` is
+the one check of the radius fit's run setting; the CLI applies it to the
+config before any work.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_real
 
 # Unused here, but the benchmark's tracer rebinds analysis.ordered_compositions.
-from .series import CoefficientTable, ordered_compositions  # noqa: F401
+from .series import TINY, CoefficientTable, ordered_compositions  # noqa: F401
 
 __all__ = [
     "RadiusEstimate",
@@ -42,9 +47,9 @@ __all__ = [
     "majorant_lemma_check",
 ]
 
-#: Tail entries below this magnitude count as exact zeros in radius fits.
-TAIL_FLOOR = 1e-300
-_LOG_FLOOR = math.log(TAIL_FLOOR)
+_LOG_FLOOR = math.log(TINY)  # tail entries below TINY count as exact zeros
+#: Radius estimates need at least this many orders (the fit uses the top half).
+MIN_RADIUS_ORDER = 8
 TREND_NOISE = 0.05  # relative rise of R_hat to the next grid N that still counts as monotone
 BOUND_NOISE = 0.10  # relative rise of chi_min(N, j) to the next grid N that counts as bounded
 
@@ -55,7 +60,6 @@ class RadiusEstimate:
 
     N: int
     j_max: int
-    method: str
     r_hat: float
     window: tuple[int, int]
     fit_residual: float
@@ -65,7 +69,7 @@ class RadiusEstimate:
         return {
             "N": self.N,
             "J_max": self.j_max,
-            "method": self.method,
+            "method": "root-test",
             "R_hat": None if not math.isfinite(self.r_hat) else self.r_hat,
             "window": list(self.window),
             "fit_residual": None if not math.isfinite(self.fit_residual) else self.fit_residual,
@@ -139,36 +143,35 @@ def _usable_tail(table: CoefficientTable, window: tuple[int, int]) -> tuple[list
     return js, logs
 
 
-def estimate_radius(
-    table: CoefficientTable, method: str = "root-test", tail_fraction: float = 0.5
-) -> RadiusEstimate:
+def check_tail_fraction(tail_fraction) -> float:
+    """``tail_fraction`` as a float; it must lie in (0, 1]."""
+    tail_fraction = check_real(tail_fraction, "tail_fraction")
+    if not (0.0 < tail_fraction <= 1.0):
+        raise ConfigError(f"must lie in (0, 1], got {tail_fraction}", "tail_fraction")
+    return tail_fraction
+
+
+def estimate_radius(table: CoefficientTable, tail_fraction: float = 0.5) -> RadiusEstimate:
     """Estimate the convergence radius of the velocity series from its tail.
 
-    The tail window is the top ``tail_fraction`` of available orders (low
-    orders are transient: order 2 vanishes identically and distorts
-    ratios).  Orders whose coefficients all vanish are skipped, so series
-    with an even/odd structure or terminating series are handled; with
-    fewer than 3 usable tail orders the estimate is flagged degenerate and
-    the radius reported infinite (a terminating series converges
-    everywhere).
-
-    root-test: least-squares fit log a_j ~ -j log R + const, a_j = max_i |c_{ij}|.
-    ratio-test: R = exp(-median slope) over successive usable orders, which
-    reduces to the classic a_{j+1}/a_j when no orders are skipped.
+    Root test: a least-squares fit log a_j ~ -j log R + const, with
+    a_j = max_i |c_{ij}|, over the top ``tail_fraction`` of available orders
+    (low orders are transient: order 2 vanishes identically).  Orders whose
+    coefficients all vanish are skipped, so series with an even/odd
+    structure or terminating series are handled; with fewer than 3 usable
+    tail orders the estimate is flagged degenerate and the radius reported
+    infinite (a terminating series converges everywhere).
     """
-    if method not in ("root-test", "ratio-test"):
-        raise ConfigError(f"unknown radius method {method!r}")
-    if table.j_max < 8:
-        raise ConfigError(f"radius estimation needs j_max >= 8, got {table.j_max}")
-    if not (0.0 < tail_fraction <= 1.0):
-        raise ConfigError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
-    window = _tail_window(table.j_max, tail_fraction)
+    if table.j_max < MIN_RADIUS_ORDER:
+        raise ConfigError(
+            f"radius estimation needs j_max >= {MIN_RADIUS_ORDER}, got {table.j_max}"
+        )
+    window = _tail_window(table.j_max, check_tail_fraction(tail_fraction))
     js, logs = _usable_tail(table, window)
     if len(js) < 3:
         return RadiusEstimate(
             N=table.N,
             j_max=table.j_max,
-            method=method,
             r_hat=math.inf,
             window=window,
             fit_residual=math.nan,
@@ -176,20 +179,12 @@ def estimate_radius(
         )
     ja = np.asarray(js, dtype=float)
     la = np.asarray(logs, dtype=float)
-    if method == "root-test":
-        slope, intercept = np.polyfit(ja, la, 1)
-        resid = float(np.sqrt(np.mean((slope * ja + intercept - la) ** 2)))
-        r_hat = math.exp(-slope)
-    else:
-        slopes = np.diff(la) / np.diff(ja)
-        med = float(np.median(slopes))
-        resid = float(np.median(np.abs(slopes - med)))
-        r_hat = math.exp(-med)
+    slope, intercept = np.polyfit(ja, la, 1)
+    resid = float(np.sqrt(np.mean((slope * ja + intercept - la) ** 2)))
     return RadiusEstimate(
         N=table.N,
         j_max=table.j_max,
-        method=method,
-        r_hat=r_hat,
+        r_hat=math.exp(-slope),
         window=window,
         fit_residual=resid,
         degenerate=False,
@@ -284,35 +279,33 @@ class BoundReport:
         }
 
 
-def c3_bound(c_f: float, N: int, L: float) -> float:
-    """Hard magnitude bound (1/3) C**3 (N/L + 1/2) at order 3."""
-    return (c_f**3) * (N / L + 0.5) / 3.0
+def log_c3_bound(c_f: float, N: int, L: float) -> float:
+    """Natural log of the hard magnitude bound (1/3) C**3 (N/L + 1/2) at order 3."""
+    return 3.0 * math.log(c_f) + math.log((N / L + 0.5) / 3.0)
 
 
-def c4_bound(c_f: float) -> float:
-    """Hard magnitude bound (1/4) C**5 + (1/16) C**4 at order 4."""
-    return 0.25 * c_f**5 + c_f**4 / 16.0
+def log_c4_bound(c_f: float) -> float:
+    """Natural log of the hard magnitude bound (1/4) C**5 + (1/16) C**4 at order 4."""
+    return 4.0 * math.log(c_f) + math.log(0.25 * c_f + 1.0 / 16.0)
 
 
 def bound_check(tables: list[CoefficientTable], c_f: float) -> BoundReport:
     """Check the hard order-3/4 bounds and the growth-ratio boundedness.
 
-    chi_min(N, j) must not increase with N (within ``BOUND_NOISE``) for the
-    growth bound |c_{ij}| < chi**j N**((5/6)j - 3/2) to hold with an
-    N-independent chi; the max over the grid is the empirical chi.
+    The hard bounds compare logs of magnitudes, so neither the raw
+    coefficients nor the bounds (powers of the growth constant C >= 1) are
+    ever formed.  chi_min(N, j) must not increase with N (within
+    ``BOUND_NOISE``) for the growth bound |c_{ij}| < chi**j N**((5/6)j - 3/2)
+    to hold with an N-independent chi; the max over the grid is the
+    empirical chi.
     """
     tabs = sorted(tables, key=lambda t: t.N)
     Ns = tuple(t.N for t in tabs)
     j_top = min(t.j_max for t in tabs)
     js = tuple(range(3, j_top + 1))
 
-    hard_c3_ok = all(
-        float(np.max(np.abs(t.unscaled(3)))) <= c3_bound(c_f, t.N, t.L) for t in tabs
-    )
-    hard_c4_ok = all(
-        t.j_max < 4 or float(np.max(np.abs(t.unscaled(4)))) <= c4_bound(c_f)
-        for t in tabs
-    )
+    hard_c3_ok = all(t.log_max_abs(3) <= log_c3_bound(c_f, t.N, t.L) for t in tabs)
+    hard_c4_ok = all(t.j_max < 4 or t.log_max_abs(4) <= log_c4_bound(c_f) for t in tabs)
 
     chi_min: dict[int, tuple[float, ...]] = {}
     chi_sqrt: dict[int, tuple[float, ...]] = {}

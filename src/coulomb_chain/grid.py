@@ -14,14 +14,7 @@ import numpy as np
 from .force import ForceSpec, eval_derivative
 from .ring import RingConfig, initial_positions
 
-__all__ = [
-    "as_grid",
-    "nabla_plus",
-    "nabla_minus",
-    "shift",
-    "force_grid",
-    "iterated_derivative",
-]
+__all__ = ["as_grid", "nabla_plus", "nabla_minus", "force_grid"]
 
 
 def as_grid(values) -> np.ndarray:
@@ -46,28 +39,6 @@ def nabla_minus(g) -> np.ndarray:
     return g - np.roll(g, 1)
 
 
-def shift(g, n: int = 1) -> np.ndarray:
-    """Shift operator: result(i) = g(i+n), indices mod N."""
-    return np.roll(as_grid(g), -n)
-
-
 def force_grid(spec: ForceSpec, config: RingConfig, k: int) -> np.ndarray:
     """Sample the k-th force derivative on the rest lattice: F^(k)(i*L/N)."""
     return np.asarray(eval_derivative(spec, k, initial_positions(config)))
-
-
-def iterated_derivative(spec: ForceSpec, config: RingConfig, k: int, q: int) -> np.ndarray:
-    """Apply the forward difference q times to the k-th force derivative grid.
-
-    Any mix of forward/backward differences gives the same magnitude
-    envelope; the all-forward stencil is the canonical choice here.  The
-    result is bounded by C**(k+q+1) * (L/N)**q with C the force growth
-    constant, because each difference is an integral of the next derivative
-    over one lattice spacing.
-    """
-    if q < 0:
-        raise ValueError(f"difference order q must be >= 0, got {q}")
-    g = force_grid(spec, config, k)
-    for _ in range(q):
-        g = nabla_plus(g)
-    return g

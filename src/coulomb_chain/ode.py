@@ -18,6 +18,10 @@ one, and the controller rejects the step and retries with a shorter one.
 Only an accepted step that breaks the particle ordering raises
 CollisionError.  scipy is imported inside ``integrate``, so importing this
 module (and the CLI) does not pay for loading ``scipy.integrate``.
+
+``check_settings`` is the one check of the run settings t_end, rel_tol and
+abs_tol; ``integrate`` applies it, and the CLI applies it to the config
+before any work.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CollisionError, ConfigError, StiffnessError
+from .errors import CollisionError, ConfigError, StiffnessError, check_real
 from .force import eval_force, eval_potential
 from .ring import RingConfig, initial_positions
 
@@ -121,6 +125,17 @@ def acceleration(config: RingConfig, state: TrajectoryState) -> np.ndarray:
     return out
 
 
+def check_settings(t_end, rel_tol, abs_tol) -> tuple[float, float, float]:
+    """The run settings as floats: ``t_end`` > 0 and both tolerances in (0, 1e-2]."""
+    t_end = check_real(t_end, "t_end", positive=True)
+    rel_tol = check_real(rel_tol, "rel_tol", positive=True)
+    abs_tol = check_real(abs_tol, "abs_tol", positive=True)
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if tol > 1e-2:
+            raise ConfigError(f"must be <= 1e-2, got {tol}", name)
+    return t_end, rel_tol, abs_tol
+
+
 def integrate(
     config: RingConfig,
     t_end: float,
@@ -140,13 +155,9 @@ def integrate(
     CollisionError if a gap of the initial state is at or below the floor
     or an accepted step breaks the particle ordering.
     """
-    if not (t_end > 0.0):
-        raise ConfigError(f"t_end must be positive, got {t_end}")
+    t_end, rel_tol, abs_tol = check_settings(t_end, rel_tol, abs_tol)
     if not (max_step > 0.0):
         raise ConfigError(f"max_step must be positive, got {max_step}")
-    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        if not (0.0 < tol <= 1e-2):
-            raise ConfigError(f"{name} must lie in (0, 1e-2], got {tol}")
     N = config.N
     if initial is None:
         initial = initial_state(config)

@@ -68,15 +68,15 @@ __all__ = [
     "oracle_coefficients",
     "ordered_compositions",
     "explicit_c3",
-    "explicit_c4",
     "evaluate_velocity",
     "evaluate_position",
     "table_csv",
     "table_json",
 ]
 
-#: Below this magnitude a tail coefficient is treated as exactly zero by
-#: log-domain consumers (radius fits).
+#: Magnitude floor with two uses: radius fits treat tail coefficients below
+#: it as exact zeros, and relative errors (``verify``'s oracle cross-check,
+#: ``compare``'s velocity error) never divide by less than it.
 TINY = 1e-300
 
 
@@ -106,10 +106,6 @@ class CoefficientTable:
                 f"coefficient overflow at order {int(np.argmin(finite))}: rescale "
                 f"{self.scale} too large for N={self.N}, j_max={self.j_max}"
             )
-
-    def unscaled(self, j: int) -> np.ndarray:
-        """Raw coefficients c_{ij} for one order (may overflow for deep tails)."""
-        return self.data[:, j] * self.scale ** (-float(j))
 
     def log_max_abs(self, j: int) -> float:
         """log(max_i |c_{ij}|) evaluated without leaving the log domain.
@@ -186,8 +182,8 @@ def ordered_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def oracle_coefficients(config: RingConfig, j_cap: int) -> CoefficientTable:
-    """Slow literal evaluation of the coefficient recursion for j <= j_cap.
+def oracle_coefficients(config: RingConfig) -> CoefficientTable:
+    """Slow literal evaluation of the coefficient recursion up to order config.j_max.
 
     For j >= 3,
 
@@ -198,37 +194,45 @@ def oracle_coefficients(config: RingConfig, j_cap: int) -> CoefficientTable:
 
     with the inner sums over ordered tuples satisfying
     (j_1+1)+...+(j_m+1) = j-1, which caps m and k at (j-1)//2.  Tuple
-    enumeration grows exponentially, hence the hard limit j_cap <= 9.
+    enumeration grows exponentially, hence the hard limit j_max <= 9.  The
+    recursion runs on raw (unscaled) coefficients; raises OverflowError at
+    the first order that leaves double range.
     """
-    if j_cap > 9:
-        raise ConfigError(f"oracle enumeration is limited to j_cap <= 9, got {j_cap}")
-    if j_cap < 1:
-        raise ConfigError(f"j_cap must be >= 1, got {j_cap}")
-    N, delta, s = config.N, config.delta, config.scale
+    J, N, delta, s = config.j_max, config.N, config.delta, config.scale
+    if J > 9:
+        raise ConfigError(f"oracle enumeration is limited to j_max <= 9, got {J}")
 
-    c = np.zeros((j_cap + 1, N))
+    def finite(values: np.ndarray, j: int) -> np.ndarray:
+        if not np.isfinite(values).all():
+            raise OverflowError(
+                f"oracle_coefficients: raw coefficient overflow at order {j} for N={N}, j_max={J}"
+            )
+        return values
+
+    c = np.zeros((J + 1, N))
     c[1] = force_grid(config.force, config, 0)
-    for j in range(3, j_cap + 1):
-        acc = np.zeros(N)
-        for m in range(1, (j - 1) // 2 + 1):
-            d_m = (-1) ** m * (m + 1)
-            pref = d_m * delta ** (-2.0 - m) / j
-            for tup in ordered_compositions(j - 1 - m, m):
-                prod = np.ones(N)
-                for jp in tup:
-                    prod *= nabla_plus(c[jp]) / (jp + 1)
-                acc -= pref * nabla_minus(prod)
-        for k in range(1, (j - 1) // 2 + 1):
-            fk = force_grid(config.force, config, k) / math.factorial(k)
-            for tup in ordered_compositions(j - 1 - k, k):
-                prod = np.ones(N)
-                for jp in tup:
-                    prod *= c[jp] / (jp + 1)
-                acc += fk * prod / j
-        c[j] = acc
-
-    scaled = c * (s ** np.arange(j_cap + 1))[:, None]
-    return CoefficientTable(N=N, L=config.L, j_max=j_cap, scale=s, data=np.ascontiguousarray(scaled.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(3, J + 1):
+            acc = np.zeros(N)
+            for m in range(1, (j - 1) // 2 + 1):
+                d_m = (-1) ** m * (m + 1)
+                pref = d_m * delta ** (-2.0 - m) / j
+                for tup in ordered_compositions(j - 1 - m, m):
+                    prod = np.ones(N)
+                    for jp in tup:
+                        prod *= nabla_plus(c[jp]) / (jp + 1)
+                    acc -= pref * nabla_minus(finite(prod, j))
+            for k in range(1, (j - 1) // 2 + 1):
+                fk = force_grid(config.force, config, k) / math.factorial(k)
+                for tup in ordered_compositions(j - 1 - k, k):
+                    prod = np.ones(N)
+                    for jp in tup:
+                        prod *= c[jp] / (jp + 1)
+                    acc += fk * prod / j
+            c[j] = finite(acc, j)
+        # A rescaled value out of range is reported by CoefficientTable.
+        scaled = c * (s ** np.arange(J + 1))[:, None]
+    return CoefficientTable(N=N, L=config.L, j_max=J, scale=s, data=np.ascontiguousarray(scaled.T))
 
 
 def explicit_c3(config: RingConfig) -> np.ndarray:
@@ -245,24 +249,6 @@ def explicit_c3(config: RingConfig) -> np.ndarray:
     return nabla_minus(nabla_plus(f0)) / (3.0 * delta**3) + f0 * f1 / 6.0
 
 
-def explicit_c4(config: RingConfig) -> np.ndarray:
-    """Printed closed form of the order-4 coefficient (unscaled).
-
-    c_{i4} = (1/8) delta**(-3) nabla_minus((nabla_plus F)**2)(i) + (1/16) F'_i F_i**2.
-
-    Kept as a diagnostic only: it is NOT what the recursion produces.  From
-    the rest start every even order vanishes identically (the velocities are
-    odd in t), and both ``compute_coefficients`` and direct differentiation
-    of the equations of motion give c_{i4} = 0; the recursion is the ground
-    truth.  The expression above still obeys the magnitude bound
-    (1/4) C**5 + (1/16) C**4 used by the bound checks.
-    """
-    delta = config.delta
-    f0 = force_grid(config.force, config, 0)
-    f1 = force_grid(config.force, config, 1)
-    return nabla_minus(nabla_plus(f0) ** 2) / (8.0 * delta**3) + f1 * f0**2 / 16.0
-
-
 def evaluate_velocity(table: CoefficientTable, t: float) -> np.ndarray:
     """All particle velocities at time t by Horner evaluation in tau = t/scale."""
     tau = t / table.scale
@@ -272,21 +258,13 @@ def evaluate_velocity(table: CoefficientTable, t: float) -> np.ndarray:
     return acc * tau
 
 
-def evaluate_position(
-    table: CoefficientTable, config: RingConfig, t: float, wrap: bool = False
-) -> np.ndarray:
-    """All particle positions at time t (termwise-integrated velocity series).
-
-    Positions are unwrapped by default; ``wrap=True`` reduces them modulo L.
-    """
+def evaluate_position(table: CoefficientTable, config: RingConfig, t: float) -> np.ndarray:
+    """All particle positions at time t, unwrapped (termwise-integrated velocity series)."""
     tau = t / table.scale
     acc = np.zeros(table.N)
     for j in range(table.j_max, 0, -1):
         acc = acc * tau + table.data[:, j] / (j + 1.0)
-    x = initial_positions(config) + table.scale * acc * tau**2
-    if wrap:
-        x = np.mod(x, config.L)
-    return x
+    return initial_positions(config) + table.scale * acc * tau**2
 
 
 def table_csv(table: CoefficientTable) -> str:
@@ -298,13 +276,10 @@ def table_csv(table: CoefficientTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_json(table: CoefficientTable, force: ForceSpec | None = None) -> dict:
-    """JSON envelope: config header, rescale, and row-major coefficients."""
-    cfg: dict = {"N": table.N, "L": table.L, "J_max": table.j_max}
-    if force is not None:
-        cfg["force"] = force.to_json()
+def table_json(table: CoefficientTable, force: ForceSpec) -> dict:
+    """JSON envelope: config header (with the force), rescale, and row-major coefficients."""
     return {
-        "config": cfg,
+        "config": {"N": table.N, "L": table.L, "J_max": table.j_max, "force": force.to_json()},
         "scale": table.scale,
         "coefficients": [float(v) for v in table.data[:, 1:].ravel(order="C")],
     }

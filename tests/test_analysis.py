@@ -17,7 +17,7 @@ from coulomb_chain import (
     majorant_lemma_check,
     radius_trend,
 )
-from coulomb_chain.analysis import c3_bound, c4_bound
+from coulomb_chain.analysis import log_c3_bound, log_c4_bound
 from coulomb_chain.series import ordered_compositions
 
 
@@ -34,11 +34,10 @@ def geometric_table(rho, N=6, j_max=16):
 
 @pytest.mark.parametrize("rho", [0.1, 2.0, 10.0])
 def test_radius_exact_on_geometric_tables(rho):
-    for method in ("root-test", "ratio-test"):
-        est = estimate_radius(geometric_table(rho), method=method)
-        assert not est.degenerate
-        assert est.r_hat == pytest.approx(rho, rel=1e-2)
-        assert est.fit_residual == pytest.approx(0.0, abs=1e-9)
+    est = estimate_radius(geometric_table(rho))
+    assert not est.degenerate
+    assert est.r_hat == pytest.approx(rho, rel=1e-2)
+    assert est.fit_residual == pytest.approx(0.0, abs=1e-9)
 
 
 def test_radius_degenerate_for_terminating_series():
@@ -53,11 +52,10 @@ def test_radius_degenerate_for_terminating_series():
 def test_radius_skips_zero_orders_without_nan(sine_force):
     # Even orders vanish identically; the fit must use the odd tail only.
     table = compute_coefficients(RingConfig(N=8, L=1.0, force=sine_force, j_max=16, scale=1.0))
-    for method in ("root-test", "ratio-test"):
-        est = estimate_radius(table, method=method)
-        assert not est.degenerate
-        assert math.isfinite(est.r_hat) and est.r_hat > 0
-        assert math.isfinite(est.fit_residual)
+    est = estimate_radius(table)
+    assert not est.degenerate
+    assert math.isfinite(est.r_hat) and est.r_hat > 0
+    assert math.isfinite(est.fit_residual)
 
 
 def test_radius_window_is_upper_half():
@@ -79,6 +77,13 @@ def test_radius_requires_enough_orders(sine_force):
     table = compute_coefficients(RingConfig(N=4, L=1.0, force=sine_force, j_max=6, scale=1.0))
     with pytest.raises(ConfigError):
         estimate_radius(table)
+
+
+@pytest.mark.parametrize("tail_fraction", [0.0, 1.5, math.nan])
+def test_radius_rejects_bad_tail_fraction(tail_fraction):
+    with pytest.raises(ConfigError) as exc:
+        estimate_radius(geometric_table(2.0), tail_fraction=tail_fraction)
+    assert exc.value.field == "tail_fraction"
 
 
 def test_radius_theorem_consistency(sine_force):
@@ -175,8 +180,11 @@ def test_bound_check_constant_force_chi_zero():
 
 
 def test_hard_bound_formulas():
-    assert c3_bound(2.0, 16, 1.0) == pytest.approx((8.0 / 3.0) * 16.5)
-    assert c4_bound(2.0) == pytest.approx(0.25 * 32 + 16.0 / 16.0)
+    assert math.exp(log_c3_bound(2.0, 16, 1.0)) == pytest.approx((8.0 / 3.0) * 16.5)
+    assert math.exp(log_c4_bound(2.0)) == pytest.approx(0.25 * 32 + 16.0 / 16.0)
+    # a growth constant whose powers overflow a double still has finite logs
+    assert log_c3_bound(1e120, 16, 1.0) == pytest.approx(3 * math.log(1e120) + math.log(5.5))
+    assert log_c4_bound(1e120) == pytest.approx(5 * math.log(1e120) - math.log(4.0))
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,10 @@ def test_schema_rejects_bad_harmonic(tmp_path, capsys):
         ("force", "a0", math.inf, "force.a0"),
         pytest.param("force", "a0", 10**400, "force.a0", id="force-a0-int-beyond-double"),
         ("ode", "rel_tol", 0.5, "ode.rel_tol"),
+        ("ode", "abs_tol", 0.5, "ode.abs_tol"),
+        ("ode", "t_end", 0, "ode.t_end"),
         ("analysis", "tail_fraction", 1.5, "analysis.tail_fraction"),
+        ("analysis", "tail_fraction", 0.0, "analysis.tail_fraction"),
     ],
 )
 def test_config_error_names_field(tmp_path, capsys, section, key, value, path):
@@ -150,6 +153,27 @@ def test_config_error_names_field(tmp_path, capsys, section, key, value, path):
     assert code == 2
     assert f"error: {path}:" in capsys.readouterr().err
     assert not out.exists()  # rejected before any work
+
+
+def test_large_amplitude_forces(tmp_path, capsys):
+    # Valid configs whose raw coefficients or bounds leave double range
+    # although the rescaled table is fine: the bound checks stay in the log
+    # domain, and the unscaled oracle stops with an overflow naming its order.
+    ring = {"N": [16, 32], "L": 1, "J_max": 9}
+    huge_amplitude = {
+        "ring": {**ring, "scale": 1e-100},
+        "force": {"harmonics": [{"k": 1, "a": 0.0, "b": 1e120}]},
+    }
+    code, out = run("sweep", tmp_path, huge_amplitude)
+    assert code == 0, capsys.readouterr().err
+    assert json.loads((out / "sweep.json").read_text())["bounds"]["hard_c3_ok"] is True
+    huge_frequency = {
+        "ring": {**ring, "scale": 1e-20},
+        "force": {"harmonics": [{"k": 16 * 10**35, "a": 0.0, "b": 1e50}]},
+    }
+    assert run("verify", tmp_path, huge_frequency)[0] == 3
+    err = capsys.readouterr().err
+    assert "order" in err and "Traceback" not in err
 
 
 def test_schema_rejects_decreasing_grid(tmp_path, capsys):

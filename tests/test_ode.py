@@ -13,6 +13,7 @@ from coulomb_chain import (
     initial_state,
     integrate,
 )
+from coulomb_chain.cli import parse_config
 
 
 def make_config(N=8, force=None, j_max=4):
@@ -161,7 +162,18 @@ def test_integrate_validation(sine_force):
     config = RingConfig(N=4, L=1.0, force=sine_force, j_max=4, scale=1.0)
     with pytest.raises(ConfigError):
         integrate(config, -1.0, 1e-10, 1e-12)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as library:
         integrate(config, 1.0, 0.5, 1e-12)
+    with pytest.raises(ConfigError) as front_end:
+        parse_config(
+            {
+                "ring": {"N": 4, "L": 1.0, "J_max": 4},
+                "force": {"harmonics": [{"k": 1, "a": 0.0, "b": 0.5}]},
+                "ode": {"rel_tol": 0.5},
+            }
+        )
+    # one rule, one reason; the CLI only adds the JSON path
+    assert (library.value.field, front_end.value.field) == ("rel_tol", "ode.rel_tol")
+    assert library.value.reason == front_end.value.reason == "must be <= 1e-2, got 0.5"
     with pytest.raises(ConfigError):
         integrate(config, 1.0, 1e-10, 1e-12, t_eval=[2.0])

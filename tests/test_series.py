@@ -17,13 +17,11 @@ from coulomb_chain import (
     evaluate_position,
     evaluate_velocity,
     explicit_c3,
-    explicit_c4,
     force_grid,
     initial_positions,
     oracle_coefficients,
     ordered_compositions,
 )
-from coulomb_chain.analysis import c4_bound
 
 
 def ode_taylor_oracle(N, force, order):
@@ -143,7 +141,7 @@ def test_even_orders_vanish(sine_force):
     mixed = ForceSpec(L=1.0, a0=0.2, harmonics=(Harmonic(1, 0.1, 0.3), Harmonic(2, -0.05, 0.02)))
     for force in (sine_force, mixed):
         config = RingConfig(N=8, L=1.0, force=force, j_max=9, scale=1.0)
-        slow = oracle_coefficients(config, 9)
+        slow = oracle_coefficients(config)
         assert np.max(np.abs(slow.data[:, 1::2])) > 0.0
         for j in range(2, 10, 2):
             np.testing.assert_array_equal(slow.data[:, j], np.zeros(8))
@@ -215,19 +213,19 @@ def test_matches_enumeration_oracle(sine_force):
     for n in (3, 4, 8):
         config = RingConfig(N=n, L=1.0, force=sine_force, j_max=9, scale=1.0)
         fast = compute_coefficients(config)
-        slow = oracle_coefficients(config, 9)
+        slow = oracle_coefficients(config)
         assert_columns_close(fast.data, slow.data, rtol=1e-10)
 
 
 def test_enumeration_oracle_zero_force():
     config = RingConfig(N=4, L=1.0, force=ForceSpec(L=1.0), j_max=9, scale=1.0)
-    assert np.max(np.abs(oracle_coefficients(config, 9).data)) == 0.0
+    assert np.max(np.abs(oracle_coefficients(config).data)) == 0.0
 
 
 def test_enumeration_oracle_cap():
-    config = RingConfig(N=4, L=1.0, force=ForceSpec(L=1.0), j_max=12, scale=1.0)
+    config = RingConfig(N=4, L=1.0, force=ForceSpec(L=1.0), j_max=10, scale=1.0)
     with pytest.raises(ConfigError):
-        oracle_coefficients(config, 10)
+        oracle_coefficients(config)
 
 
 def test_matches_symbolic_jet_oracle():
@@ -267,17 +265,6 @@ def test_closed_form_c3_against_jet_oracle():
 def test_constant_force_closed_forms_vanish():
     config = RingConfig(N=6, L=1.0, force=ForceSpec(L=1.0, a0=2.0), j_max=4, scale=1.0)
     np.testing.assert_array_equal(explicit_c3(config), np.zeros(6))
-    np.testing.assert_array_equal(explicit_c4(config), np.zeros(6))
-
-
-def test_printed_c4_display_respects_bound(sine_force):
-    # The printed display disagrees with the recursion (the true order-4
-    # coefficients vanish from rest) but must still obey its own magnitude
-    # bound.
-    from coulomb_chain import c_f_bound
-
-    config = RingConfig(N=16, L=1.0, force=sine_force, j_max=4, scale=1.0)
-    assert np.max(np.abs(explicit_c4(config))) <= c4_bound(c_f_bound(sine_force))
 
 
 def test_c4_of_recursion_is_zero(sine_force):
@@ -384,13 +371,6 @@ def test_constant_force_evaluation():
     )
 
 
-def test_position_wrapping():
-    config = RingConfig(N=4, L=1.0, force=ForceSpec(L=1.0, a0=5.0), j_max=4, scale=1.0)
-    table = compute_coefficients(config)
-    x = evaluate_position(table, config, 1.0, wrap=True)
-    assert np.all((0.0 <= x) & (x < 1.0))
-
-
 def test_partial_sum_tail_identity(sine_force):
     config = RingConfig(N=8, L=1.0, force=sine_force, j_max=12, scale=1.0)
     table = compute_coefficients(config)
@@ -410,6 +390,6 @@ def test_unscaled_and_log_access(sine_force):
     config = RingConfig(N=8, L=1.0, force=sine_force, j_max=8)
     table = compute_coefficients(config)
     ref = compute_coefficients(RingConfig(N=8, L=1.0, force=sine_force, j_max=8, scale=1.0))
-    np.testing.assert_allclose(table.unscaled(3), ref.data[:, 3], rtol=1e-12)
+    np.testing.assert_allclose(table.data[:, 3], ref.data[:, 3] * table.scale**3, rtol=1e-12)
     assert table.log_max_abs(3) == pytest.approx(math.log(np.max(np.abs(ref.data[:, 3]))), rel=1e-12)
     assert table.log_max_abs(2) == -math.inf
