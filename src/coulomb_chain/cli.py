@@ -262,6 +262,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> Path:
                 "N": rc.N,
                 "t_end": cfg.t_end,
                 "n_steps": sol.n_steps,
+                "n_rejected_steps": sol.n_rejected_steps,
                 "n_rhs_evals": sol.n_rhs_evals,
                 "min_step": sol.min_step,
                 "max_step": sol.max_step,
@@ -300,6 +301,8 @@ def _compare_one(cfg: ExperimentConfig, rc: RingConfig) -> dict:
         "R_hat": None if not math.isfinite(r_hat) else r_hat,
         "max_rel_velocity_error": max_rel,
         "truncation_tail_estimate": tail,
+        "ode_steps": sol.n_steps,
+        "ode_rhs_evals": sol.n_rhs_evals,
     }
 
 

@@ -9,15 +9,32 @@ is integrated with an adaptive eighth-order explicit Runge-Kutta pair
 monitored on every accepted step and requested sample times can be filled
 from the local dense interpolant.  This is the ground-truth oracle for the
 velocity series, so controllable local error matters more than long-time
-structure preservation; positions are kept unwrapped so gaps stay
-meaningful.
+structure preservation.
+
+The state is the displacement u = x - x(0) and the velocity v, and the
+gaps are g_i = g0_i + (u_{i+1} - u_i) with g0 the gaps of the start (exactly
+L/N for the uniform start).  Gaps formed as differences of O(L) positions
+carry eps*L of rounding that the O(N**2) interaction terms amplify into
+RHS noise, and DOP853 then shortens its steps to resolve noise: with the
+force 0.5 sin(2 pi x), 416 steps at N = 1024, t_end = 1e-3, against 14 on
+the displacements, whose growth of about 2.8x per doubling of N is the
+explicit stability limit N**(3/2).  Reported states carry x = x(0) + u.
+``ODESolution.local_error_bound`` accumulates ``rel_tol * max|(u, v)| +
+abs_tol`` over the accepted steps, since the tolerances act on (u, v).
+
+With a noise-free RHS the controller would cross a short horizon in a few
+giant steps, and the dense interpolant is far less accurate mid-step than
+at step ends; so no accepted step is longer than the smallest spacing of
+the requested samples.
 
 A trial Runge-Kutta stage whose gaps reach the floor is not physical: the
 right-hand side returns NaN for it, DOP853's error norm is then not below
 one, and the controller rejects the step and retries with a shorter one.
 Only an accepted step that breaks the particle ordering raises
-CollisionError.  scipy is imported inside ``integrate``, so importing this
-module (and the CLI) does not pay for loading ``scipy.integrate``.
+CollisionError.  Rejected attempts are counted from the RHS calls of each
+step (DOP853 spends ``n_stages`` per attempt).  scipy is imported inside
+``integrate``, so importing this module (and the CLI) does not pay for
+loading ``scipy.integrate``.
 
 ``check_settings`` is the one check of the run settings t_end, rel_tol and
 abs_tol; ``integrate`` applies it, and the CLI applies it to the config
@@ -66,12 +83,17 @@ class TrajectoryState:
 
 @dataclass(frozen=True, eq=False)
 class ODESolution:
-    """Sampled trajectory plus error and step-size statistics."""
+    """Sampled trajectory plus error and step-size statistics.
+
+    ``n_steps`` counts accepted steps and ``n_rejected_steps`` the attempts
+    the controller threw away; ``n_rhs_evals`` counts every RHS call.
+    """
 
     times: np.ndarray
     states: list[TrajectoryState]
     local_error_bound: float
     n_steps: int
+    n_rejected_steps: int
     n_rhs_evals: int
     min_step: float
     max_step: float = field(default=0.0)
@@ -84,9 +106,18 @@ def _gaps(x: np.ndarray, L: float) -> np.ndarray:
     return g
 
 
-def _floor_gaps(config: RingConfig, x: np.ndarray) -> np.ndarray:
-    """Cyclic gaps of ``x``; raises CollisionError if any is at or below the floor."""
-    g = _gaps(x, config.L)
+def _forward_diff(u: np.ndarray) -> np.ndarray:
+    """Cyclic forward difference u[i+1] - u[i]."""
+    return np.concatenate((u[1:], u[:1])) - u
+
+
+def _left(a: np.ndarray) -> np.ndarray:
+    """Cyclic left neighbor a[i-1]."""
+    return np.concatenate((a[-1:], a[:-1]))
+
+
+def _check_floor(config: RingConfig, g: np.ndarray) -> None:
+    """Raise CollisionError if any gap in ``g`` is at or below the floor."""
     floor = GAP_FLOOR_FACTOR * config.delta
     if (g <= floor).any():
         worst = int(np.argmin(g))
@@ -94,19 +125,39 @@ def _floor_gaps(config: RingConfig, x: np.ndarray) -> np.ndarray:
             f"gap {worst} shrank to {g[worst]:.3e} (floor {floor:.3e}); "
             "numerical fault in the integration"
         )
-    return g
 
 
-def _acceleration(config: RingConfig, x: np.ndarray, out: np.ndarray) -> None:
-    """Write the net acceleration at positions ``x`` into ``out``.
+def _acceleration(
+    config: RingConfig,
+    x0: np.ndarray,
+    g0: np.ndarray,
+    dg0: np.ndarray,
+    u: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Write the net acceleration at positions ``x0 + u`` into ``out``.
 
-    Raises CollisionError when any gap is at or below the collision floor.
+    ``g0`` are the cyclic gaps of ``x0`` and ``dg0[i] = g0[i] - g0[i-1]``.
+    With g_i = g0_i + (u_{i+1} - u_i) the interaction is formed as
+
+        g_{i-1}**-2 - g_i**-2 = (g_i - g_{i-1}) (g_i + g_{i-1}) / (g_i g_{i-1})**2,
+        g_i - g_{i-1} = dg0_i + (u_{i+1} - 2 u_i + u_{i-1}),
+
+    so no difference of O(L) positions, and no difference of two O(N**2)
+    terms, enters it.  Raises CollisionError when any gap is at or below the
+    collision floor.
     """
-    g = _floor_gaps(config, x)
-    inv2 = np.power(g, -2.0, out=g)
-    np.subtract(inv2[:-1], inv2[1:], out=out[1:])
-    out[0] = inv2[-1] - inv2[0]
-    out += eval_force(config.force, x)
+    du = _forward_diff(u)
+    g = g0 + du
+    _check_floor(config, g)
+    g_left = _left(g)
+    dg = du - _left(du)
+    dg += dg0
+    np.multiply(dg, g + g_left, out=out)
+    g *= g_left
+    out /= g
+    out /= g
+    out += eval_force(config.force, x0 + u)
 
 
 def initial_state(config: RingConfig) -> TrajectoryState:
@@ -120,8 +171,9 @@ def acceleration(config: RingConfig, state: TrajectoryState) -> np.ndarray:
     Raises CollisionError when any gap is at or below the collision floor.
     """
     x = np.asarray(state.x, dtype=float)
+    g = _gaps(x, config.L)
     out = np.empty_like(x)
-    _acceleration(config, x, out)
+    _acceleration(config, x, g, g - _left(g), np.zeros_like(x), out)
     return out
 
 
@@ -147,56 +199,72 @@ def integrate(
 ) -> ODESolution:
     """Integrate from rest (or ``initial``) to ``t_end`` with sampled output.
 
-    ``t_eval`` defaults to 11 uniform samples on [0, t_end].  ``max_step``
-    caps the accepted step; the dense interpolant's rounding error scales
-    with the step, so capping it tightens sample accuracy on trajectories
-    the controller would otherwise cross in a few giant steps.  Raises
-    StiffnessError if the controller's accepted step underflows, and
-    CollisionError if a gap of the initial state is at or below the floor
-    or an accepted step breaks the particle ordering.
+    ``t_eval`` defaults to 11 uniform samples on [0, t_end].  An accepted
+    step is never longer than ``max_step``, nor (to within 1e-9 relative)
+    than the smallest spacing of 0 and the samples.  Raises StiffnessError
+    if the controller's accepted step underflows, and CollisionError if a
+    gap of the initial state is at or below the floor or an accepted step
+    breaks the particle ordering.
     """
     t_end, rel_tol, abs_tol = check_settings(t_end, rel_tol, abs_tol)
     if not (max_step > 0.0):
         raise ConfigError(f"max_step must be positive, got {max_step}")
     N = config.N
     if initial is None:
-        initial = initial_state(config)
-    y0 = np.concatenate([np.asarray(initial.x, float), np.asarray(initial.v, float)])
-    _floor_gaps(config, y0[:N])  # only trial stages may cross the floor
+        x0, v0 = initial_positions(config), np.zeros(N)
+        # exact: differencing the rounded i*L/N would leave eps*L in every gap
+        g0 = np.full(N, config.delta)
+    else:
+        x0, v0 = np.asarray(initial.x, float), np.asarray(initial.v, float)
+        g0 = _gaps(x0, config.L)
+    _check_floor(config, g0)  # only trial stages may cross the floor
+    dg0 = g0 - _left(g0)
+    y0 = np.concatenate([np.zeros(N), v0])
 
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, 11)
     t_eval = np.sort(np.asarray(t_eval, dtype=float))
     if t_eval.size and (t_eval[0] < 0.0 or t_eval[-1] > t_end * (1 + 1e-12)):
         raise ConfigError("t_eval samples must lie within [0, t_end]")
+    spacing = np.diff(t_eval, prepend=0.0)
+    spacing = spacing[spacing > 0.0]
+    if spacing.size:
+        # a hair over the spacing, so rounding in the sum of steps leaves no
+        # sliver step before a sample or the horizon
+        max_step = min(max_step, float(spacing.min()) * (1.0 + 1e-9))
 
     def rhs(_t, y):
         dy = np.empty(2 * N)
         dy[:N] = y[N:]
         try:
-            _acceleration(config, y[:N], dy[N:])
+            _acceleration(config, x0, g0, dg0, y[:N], dy[N:])
         except CollisionError:
             dy[N:] = np.nan  # non-physical trial stage: DOP853 rejects the step
         return dy
+
+    def state(t, y):
+        return TrajectoryState(t=t, x=x0 + y[:N], v=y[N:].copy())
 
     from scipy.integrate import DOP853  # deferred: only integration needs scipy
 
     solver = DOP853(rhs, 0.0, y0, t_end, rtol=rel_tol, atol=abs_tol, max_step=max_step)
 
-    samples: list[tuple[float, np.ndarray]] = []
+    states: list[TrajectoryState] = []
     next_idx = 0
     while next_idx < t_eval.size and t_eval[next_idx] <= 0.0:
-        samples.append((float(t_eval[next_idx]), y0.copy()))
+        states.append(state(float(t_eval[next_idx]), y0))
         next_idx += 1
 
-    n_steps = 0
-    min_step = np.inf
-    max_step = 0.0
+    n_steps = n_rejected = 0
+    shortest, longest = np.inf, 0.0
     err_bound = 0.0
     while solver.status == "running":
+        nfev = solver.nfev
         msg = solver.step()
         if solver.status == "failed":
             raise StiffnessError(f"step-size control failed: {msg}")
+        # every attempt costs n_stages RHS calls; all but the last were rejected
+        n_rejected += (solver.nfev - nfev) // solver.n_stages - 1
         h = solver.t - solver.t_old
         if h < MIN_STEP_FRACTION * t_end:
             raise StiffnessError(
@@ -204,28 +272,27 @@ def integrate(
                 f"{MIN_STEP_FRACTION * t_end:.3e}"
             )
         n_steps += 1
-        min_step = min(min_step, h)
-        max_step = max(max_step, h)
+        shortest, longest = min(shortest, h), max(longest, h)
         err_bound += rel_tol * float(np.max(np.abs(solver.y))) + abs_tol
         # Ordering must survive every accepted step, not just the samples.
-        if np.any(_gaps(solver.y[:N], config.L) <= 0.0):
+        if np.any(g0 + _forward_diff(solver.y[:N]) <= 0.0):
             raise CollisionError(f"particle ordering violated at t={solver.t:.6e}")
         if next_idx < t_eval.size and t_eval[next_idx] <= solver.t:
             dense = solver.dense_output()
             while next_idx < t_eval.size and t_eval[next_idx] <= solver.t:
                 tq = float(t_eval[next_idx])
-                samples.append((tq, dense(tq)))
+                states.append(state(tq, dense(tq)))
                 next_idx += 1
 
-    states = [TrajectoryState(t=tq, x=y[:N].copy(), v=y[N:].copy()) for tq, y in samples]
     return ODESolution(
-        times=np.array([tq for tq, _ in samples]),
+        times=np.array([st.t for st in states]),
         states=states,
         local_error_bound=err_bound,
         n_steps=n_steps,
+        n_rejected_steps=n_rejected,
         n_rhs_evals=int(solver.nfev),
-        min_step=float(min_step) if n_steps else 0.0,
-        max_step=float(max_step),
+        min_step=float(shortest) if n_steps else 0.0,
+        max_step=float(longest),
     )
 
 

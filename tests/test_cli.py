@@ -239,6 +239,9 @@ def test_compare_sine_force(tmp_path):
     payload = json.loads((out / "compare.json").read_text())
     assert payload["max_rel_velocity_error"] <= 1e-6
     assert payload["per_N"][0]["horizon"] <= 0.5 * payload["per_N"][0]["R_hat"] + 1e-15
+    # at least one step per sample interval
+    assert payload["per_N"][0]["ode_steps"] >= obj["ode"]["sample_count"]
+    assert payload["per_N"][0]["ode_rhs_evals"] > payload["per_N"][0]["ode_steps"]
 
 
 def test_verify_passes(tmp_path, capsys):
@@ -283,6 +286,7 @@ def test_simulate_writes_trajectory(tmp_path):
     run_info = payload["runs"][0]
     assert run_info["N"] == 8
     assert run_info["max_energy_drift"] <= 1e-7
+    assert run_info["n_steps"] >= 5 and run_info["n_rejected_steps"] == 0
 
 
 def test_format_override(tmp_path):

@@ -9,9 +9,12 @@ from coulomb_chain import (
     RingConfig,
     TrajectoryState,
     acceleration,
+    compute_coefficients,
     energy,
+    evaluate_velocity,
     initial_state,
     integrate,
+    ode,
 )
 from coulomb_chain.cli import parse_config
 
@@ -51,17 +54,60 @@ def test_collision_guard():
         integrate(config, 0.01, 1e-10, 1e-12, initial=state)
 
 
-def test_nonphysical_trial_stage_is_rejected_not_fatal(sine_force):
-    # At this N the first trial step is long enough to push a stage past the
-    # gap floor; the controller must retry with a shorter step, not abort.
-    config = RingConfig(N=384, L=1.0, force=sine_force, j_max=4, scale=1.0)
-    sol = integrate(config, 0.01, 1e-10, 1e-12)
-    assert sol.times[-1] == 0.01
+def test_nonphysical_trial_stage_is_rejected_not_fatal(sine_force, monkeypatch):
+    # Particle 0 runs into particle 1, 0.01 ahead, at closing speed 200 while
+    # the ring slides; the slide makes the controller's first trial step
+    # (~1e-4) long enough to carry a stage past the gap floor.  The controller
+    # must retry with a shorter step, not abort.
+    nonphysical = []
+    kernel = ode._acceleration
+
+    def counted(*args):
+        try:
+            kernel(*args)
+        except CollisionError:
+            nonphysical.append(1)
+            raise
+
+    monkeypatch.setattr(ode, "_acceleration", counted)
+    N = 8
+    config = RingConfig(N=N, L=1.0, force=sine_force, j_max=4, scale=1.0)
+    x = np.arange(N) / N
+    x[1] = x[0] + 0.01
+    v = np.full(N, -100.0)
+    v[0] = 100.0
+    sol = integrate(config, 1e-3, 1e-10, 1e-12, initial=TrajectoryState(t=0.0, x=x, v=v))
+    assert nonphysical
+    assert sol.n_rejected_steps >= 1
+    assert sol.times[-1] == 1e-3
     for st in sol.states:
         assert np.all(st.gaps(config.L) > 0)
     e0 = energy(config, sol.states[0])
     drift = max(abs(energy(config, st) - e0) for st in sol.states) / abs(e0)
-    assert drift <= 1e-12
+    assert drift <= 1e-9
+
+
+def test_step_count_is_stability_limited(sine_force):
+    # Integrating displacements keeps the RHS free of eps*L noise in the gaps,
+    # so the controller is no longer accuracy-limited: 14 steps here, where
+    # differencing absolute positions took 416.
+    config = RingConfig(N=1024, L=1.0, force=sine_force, j_max=4)
+    assert integrate(config, 0.001).n_steps <= 41
+
+
+@pytest.mark.parametrize("N", [256, 384, 512])
+def test_samples_match_series(sine_force, N):
+    # Guards two rules: no accepted step is longer than the sample spacing
+    # (without that cap the controller crosses N=512 in 2 steps and the
+    # dense interpolant is off by 3e-10), and the uniform start uses the exact
+    # gaps L/N (differencing the rounded i*L/N is off by 2e-8 at N=384).
+    config = RingConfig(N=N, L=1.0, force=sine_force, j_max=13)
+    table = compute_coefficients(config)
+    t_end = 5e-4
+    sol = integrate(config, t_end, t_eval=np.linspace(t_end / 10, t_end, 10))
+    for st in sol.states:
+        err = np.max(np.abs(evaluate_velocity(table, st.t) - st.v)) / np.max(np.abs(st.v))
+        assert err <= 1e-10
 
 
 def test_zero_force_stays_put():
@@ -89,6 +135,7 @@ def test_requested_samples_are_honored(sine_force):
     np.testing.assert_array_equal(sol.times, times)
     assert [st.t for st in sol.states] == list(times)
     assert sol.n_steps > 0 and sol.n_rhs_evals > 0
+    assert sol.n_rejected_steps == 0  # a smooth run
     assert 0 < sol.min_step <= sol.max_step
     assert sol.local_error_bound > 0
 
