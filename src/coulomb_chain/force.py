@@ -9,6 +9,14 @@ closed form (each harmonic picks up a factor (2 pi k / L)**n and a quarter
 turn of phase per derivative order) and a single growth constant C with
 |F^(n)(x)| <= C**(n+1) for all n >= 0 follows from the amplitude sum and the
 top angular frequency.
+
+One kernel, ``_jet``, evaluates every derivative: it takes one cos and one
+sin per harmonic and point and applies each quarter turn as an exact
+rotation of the pair (a cos + b sin, b cos - a sin), then scales by w**n.
+``eval_force`` and ``eval_derivative`` read one row of it, and
+``grid.force_grid`` reads rows 0..k_max on the rest lattice at the cost of
+one trig pass.  Points are reduced modulo L only when one lies outside
+[0, L).
 """
 
 from __future__ import annotations
@@ -97,35 +105,68 @@ class ForceSpec:
 
 
 def eval_force(spec: ForceSpec, x):
-    """Evaluate F at ``x`` (scalar or array); x is reduced modulo L first."""
-    return eval_derivative(spec, 0, x)
+    """Evaluate F at ``x`` (scalar or array).
+
+    ``x`` is reduced modulo L only when some entry lies outside [0, L); the
+    value is bit-identical to reducing every entry first.
+    """
+    return _as_input_shape(_jet(spec, x, 0)[0], x)
 
 
 def eval_derivative(spec: ForceSpec, order: int, x):
     """Exact ``order``-th derivative of the force at ``x``.
 
     Differentiating a harmonic of angular frequency w multiplies it by
-    w**order and advances its phase by order * pi/2; the constant part
-    survives only at order 0.
+    w**order and turns its phase by ``order`` quarter turns.  The turn is
+    applied exactly, as a rotation of (a cos + b sin, b cos - a sin), not by
+    rounding the phase sum w x + order pi/2; the constant part survives only
+    at order 0.  Bit-identical to row ``order`` of ``grid.force_grid`` on
+    the rest lattice.
     """
     if order < 0:
         raise ConfigError(f"derivative order must be >= 0, got {order}")
-    xm = np.mod(np.asarray(x, dtype=float), spec.L)
-    out = np.zeros_like(xm)
-    phase = order * 0.5 * np.pi
+    return _as_input_shape(_jet(spec, x, order)[order], x)
+
+
+def _jet(spec: ForceSpec, x, k_max: int) -> np.ndarray:
+    """Rows F^(k)(x) for k = 0..k_max, one cos and one sin per harmonic.
+
+    With theta = w x, p = a cos(theta) + b sin(theta) is the harmonic and
+    q = b cos(theta) - a sin(theta) its quarter turn, so the k-th derivative
+    is w**k * (p, q, -p, -q)[k mod 4]: an exact rotation, where the phase
+    sum theta + k pi/2 would round.  Row 0 is accumulated exactly as
+    ``out += a cos(theta) + b sin(theta)`` per harmonic, then ``+ a0``.
+    ``x`` is reduced with ``np.mod`` only when some entry lies outside
+    [0, L) (a NaN fails both tests).  ``np.mod`` is exact and returns the
+    entries inside unchanged except -0.0, which it maps to +0.0; row 0
+    starts from +0.0, which absorbs that sign, so skipping the reduction
+    changes no bit of it.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size and not (x.min() >= 0.0 and x.max() < spec.L):
+        x = np.mod(x, spec.L)
+    out = np.zeros((k_max + 1,) + x.shape)
     for h in spec.harmonics:
         w = 2.0 * np.pi * h.k / spec.L
-        if order == 0:  # no phase shift and no w**0 factor: same values, less work
-            theta = w * xm
-            out += h.a * np.cos(theta) + h.b * np.sin(theta)
-        else:
-            theta = w * xm + phase
-            out += w**order * (h.a * np.cos(theta) + h.b * np.sin(theta))
-    if order == 0 and spec.a0 != 0.0:
-        out += spec.a0
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
+        theta = w * x
+        cos, sin = np.cos(theta), np.sin(theta)
+        p = h.a * cos + h.b * sin
+        out[0] += p
+        if k_max >= 1:
+            q = h.b * cos - h.a * sin
+            turns = (p, q, -p, -q)
+            for k in range(1, k_max + 1):
+                out[k] += w**k * turns[k % 4]
+    if spec.a0 != 0.0:
+        out[0] += spec.a0
     return out
+
+
+def _as_input_shape(values: np.ndarray, x):
+    """A Python float for scalar input, the array otherwise."""
+    if np.ndim(x) == 0:
+        return float(values)
+    return values
 
 
 def c_f_bound(spec: ForceSpec) -> float:
@@ -155,6 +196,4 @@ def eval_potential(spec: ForceSpec, x):
     for h in spec.harmonics:
         w = 2.0 * np.pi * h.k / spec.L
         out += (-h.a * np.sin(w * xm) + h.b * np.cos(w * xm)) / w
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _as_input_shape(out, x)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .force import ForceSpec, eval_derivative
+from .errors import ConfigError
+from .force import ForceSpec, _jet
 from .ring import RingConfig, initial_positions
 
 __all__ = ["as_grid", "nabla_plus", "nabla_minus", "force_grid"]
@@ -39,6 +40,11 @@ def nabla_minus(g) -> np.ndarray:
     return g - np.roll(g, 1)
 
 
-def force_grid(spec: ForceSpec, config: RingConfig, k: int) -> np.ndarray:
-    """Sample the k-th force derivative on the rest lattice: F^(k)(i*L/N)."""
-    return np.asarray(eval_derivative(spec, k, initial_positions(config)))
+def force_grid(spec: ForceSpec, config: RingConfig, k_max: int) -> np.ndarray:
+    """The force jet on the rest lattice: row k is F^(k)(i*L/N), for k = 0..k_max.
+
+    One cos and one sin per harmonic and particle serve every row.
+    """
+    if k_max < 0:
+        raise ConfigError(f"derivative order must be >= 0, got {k_max}")
+    return _jet(spec, initial_positions(config), k_max)

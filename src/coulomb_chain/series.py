@@ -38,10 +38,15 @@ drops addends that are exactly zero, which can at most flip the sign of a
 zero; no series value is ever a divisor, and the final
 (scale/j) * (interaction + composed) never yields -0.0.
 
+Those series rows are stored only for even m (row r holds order m = 2r),
+so u, gap, recip, w and pow_u hold (j_max+1)//2 rows each.
+
 The reciprocal and square cost O(N * j_max**2); the table of powers u**k
 for the force composition dominates at O(N * j_max**3), about
-N * j_max**3 / 48 multiply-adds.  Force derivatives on the grid add
-O(N * j_max * K) for K force harmonics.
+N * j_max**3 / 48 multiply-adds.  The force jet F^(k)(x_i(0)) for
+k = 0..(j_max-1)//2 comes from one ``force_grid`` call per table: one cos
+and one sin per harmonic and particle, plus O(N * j_max * K) multiplies
+for K force harmonics.
 
 A literal composition-sum evaluation of the same recursion
 (``oracle_coefficients``) is kept as an independent cross-check for small
@@ -130,41 +135,44 @@ def compute_coefficients(config: RingConfig) -> CoefficientTable:
     # Exact force Taylor data at the rest positions: fk[k] = F^(k)(x_i(0))/k!.
     # Only k <= (J-1)//2 can contribute below order J because u starts at t^2.
     k_cap = (J - 1) // 2
-    fk = np.empty((k_cap + 1, N))
-    for k in range(k_cap + 1):
-        fk[k] = force_grid(config.force, config, k) / math.factorial(k)
+    fk = force_grid(config.force, config, k_cap)
+    for k in range(2, k_cap + 1):
+        fk[k] /= math.factorial(k)
 
+    # Only odd orders j (even integrand orders m) are nonzero, and only even
+    # rows of u, gap, recip, w and pow_u are ever read, so those arrays keep
+    # row r for series order m = 2r.
+    rows = (J + 1) // 2
     c = np.zeros((J + 1, N))  # rescaled velocity coefficients, order-major
-    u = np.zeros((J, N))  # displacement series (orders 0..J-1)
-    recip = np.zeros((J, N))  # 1 / (delta + R)
-    w = np.zeros((J, N))  # (delta + R)**(-2)
-    gap = np.zeros((J, N))  # R = forward difference of u over the ring
+    u = np.zeros((rows, N))  # displacement series
+    recip = np.zeros((rows, N))  # 1 / (delta + R)
+    w = np.zeros((rows, N))  # (delta + R)**(-2)
+    gap = np.zeros((rows, N))  # R = forward difference of u over the ring
     recip[0] = 1.0 / delta
     w[0] = 1.0 / delta**2
-    pow_u = np.zeros((k_cap + 1, J, N))  # pow_u[k] = u**k
+    pow_u = np.zeros((k_cap + 1, rows, N))  # pow_u[k] = u**k
     # Order 1 is the force sample; w[0] is constant, so no interaction term.
     c[1] = s * fk[0]
 
-    # Only odd orders j (even integrand orders m) are nonzero, and only even
-    # rows of u, gap, recip, w and pow_u are ever read; odd rows stay zero.
     # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(3, J + 1, 2):
             m = j - 1  # integrand order being extracted
+            r = m // 2
             # Newest velocity order read here is j-2; orders j-1 and j are
             # never touched, which is what makes the recursion well founded.
-            u[m] = s * c[m - 1] / m
-            gap[m] = np.roll(u[m], -1) - u[m]
-            recip[m] = -(gap[2 : m + 1 : 2] * recip[m - 2 :: -2]).sum(axis=0) / delta
-            w[m] = (recip[: m + 1 : 2] * recip[m::-2]).sum(axis=0)
-            pow_u[1, m] = u[m]
-            for k in range(2, m // 2 + 1):
+            u[r] = s * c[m - 1] / m
+            gap[r] = np.roll(u[r], -1) - u[r]
+            recip[r] = -(gap[1 : r + 1] * recip[r - 1 :: -1]).sum(axis=0) / delta
+            w[r] = (recip[: r + 1] * recip[r::-1]).sum(axis=0)
+            pow_u[1, r] = u[r]
+            for k in range(2, r + 1):
                 # u starts at order 2 and u**(k-1) at order 2k-2.
-                band = u[2 : m - 2 * k + 3 : 2] * pow_u[k - 1, m - 2 : 2 * k - 3 : -2]
-                pow_u[k, m] = band.sum(axis=0)
+                band = u[1 : r - k + 2] * pow_u[k - 1, r - 1 : k - 2 : -1]
+                pow_u[k, r] = band.sum(axis=0)
 
-            interaction = np.roll(w[m], 1) - w[m]  # w_{i-1} - w_i
-            composed = np.einsum("kn,kn->n", fk[1:], pow_u[1:, m])
+            interaction = np.roll(w[r], 1) - w[r]  # w_{i-1} - w_i
+            composed = np.einsum("kn,kn->n", fk[1:], pow_u[1:, r])
             c[j] = (s / j) * (interaction + composed)
 
     return CoefficientTable(N=N, L=config.L, j_max=J, scale=s, data=np.ascontiguousarray(c.T))
@@ -194,9 +202,15 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
 
     with the inner sums over ordered tuples satisfying
     (j_1+1)+...+(j_m+1) = j-1, which caps m and k at (j-1)//2.  Tuple
-    enumeration grows exponentially, hence the hard limit j_max <= 9.  The
-    recursion runs on raw (unscaled) coefficients; raises OverflowError at
-    the first order that leaves double range.
+    enumeration grows exponentially, hence the hard limit j_max <= 9.
+
+    The recursion runs on the rescaled coefficients c_{ij} * scale**j, so a
+    force whose raw coefficients leave double range is checked as far as
+    the engine's table reaches.  Each term then carries scale**(m+1) (A) or
+    scale**(k+1) (B), applied the way the engine's displacement
+    u = scale * c / (j_p+1) carries it: one factor of scale per tuple entry
+    and one for the term, so no power of scale is formed on its own.
+    Raises OverflowError at the first order that leaves double range.
     """
     J, N, delta, s = config.j_max, config.N, config.delta, config.scale
     if J > 9:
@@ -205,34 +219,33 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
     def finite(values: np.ndarray, j: int) -> np.ndarray:
         if not np.isfinite(values).all():
             raise OverflowError(
-                f"oracle_coefficients: raw coefficient overflow at order {j} for N={N}, j_max={J}"
+                f"oracle_coefficients: coefficient overflow at order {j} for N={N}, j_max={J}"
             )
         return values
 
+    fk = force_grid(config.force, config, (J - 1) // 2)
     c = np.zeros((J + 1, N))
-    c[1] = force_grid(config.force, config, 0)
+    c[1] = s * fk[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(3, J + 1):
             acc = np.zeros(N)
             for m in range(1, (j - 1) // 2 + 1):
                 d_m = (-1) ** m * (m + 1)
-                pref = d_m * delta ** (-2.0 - m) / j
+                pref = d_m * delta ** (-2.0 - m) * s / j
                 for tup in ordered_compositions(j - 1 - m, m):
                     prod = np.ones(N)
                     for jp in tup:
-                        prod *= nabla_plus(c[jp]) / (jp + 1)
+                        prod *= s * nabla_plus(c[jp]) / (jp + 1)
                     acc -= pref * nabla_minus(finite(prod, j))
             for k in range(1, (j - 1) // 2 + 1):
-                fk = force_grid(config.force, config, k) / math.factorial(k)
+                f = fk[k] / math.factorial(k)
                 for tup in ordered_compositions(j - 1 - k, k):
                     prod = np.ones(N)
                     for jp in tup:
-                        prod *= c[jp] / (jp + 1)
-                    acc += fk * prod / j
+                        prod *= s * c[jp] / (jp + 1)
+                    acc += (s / j) * (f * prod)
             c[j] = finite(acc, j)
-        # A rescaled value out of range is reported by CoefficientTable.
-        scaled = c * (s ** np.arange(J + 1))[:, None]
-    return CoefficientTable(N=N, L=config.L, j_max=J, scale=s, data=np.ascontiguousarray(scaled.T))
+    return CoefficientTable(N=N, L=config.L, j_max=J, scale=s, data=np.ascontiguousarray(c.T))
 
 
 def explicit_c3(config: RingConfig) -> np.ndarray:
@@ -244,8 +257,7 @@ def explicit_c3(config: RingConfig) -> np.ndarray:
     of motion at t=0.
     """
     delta = config.delta
-    f0 = force_grid(config.force, config, 0)
-    f1 = force_grid(config.force, config, 1)
+    f0, f1 = force_grid(config.force, config, 1)
     return nabla_minus(nabla_plus(f0)) / (3.0 * delta**3) + f0 * f1 / 6.0
 
 

@@ -4,6 +4,19 @@ import pytest
 from coulomb_chain import ForceSpec, Harmonic
 
 
+# Seed-7 forces of the benchmark workloads (two and three harmonics, total
+# amplitude 0.5), written out so the tests do not depend on the benchmark.
+SEED7_TWO = ForceSpec(L=1.0, harmonics=(
+    Harmonic(1, -0.22768836648082902, 0.03706854929700913),
+    Harmonic(2, 0.26605283425496473, 0.04178366273797423),
+))
+SEED7_THREE = ForceSpec(L=1.0, harmonics=(
+    Harmonic(1, 0.15151179318533423, 0.023794964203293658),
+    Harmonic(2, 0.17022893021267912, -0.05550743079364868),
+    Harmonic(3, -0.11956971363766732, 0.11741570085089265),
+))
+
+
 @pytest.fixture
 def sine_force():
     """Zero-mean single-harmonic force 0.5*sin(2*pi*x) on the unit circle."""

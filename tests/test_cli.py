@@ -158,22 +158,26 @@ def test_config_error_names_field(tmp_path, capsys, section, key, value, path):
 def test_large_amplitude_forces(tmp_path, capsys):
     # Valid configs whose raw coefficients or bounds leave double range
     # although the rescaled table is fine: the bound checks stay in the log
-    # domain, and the unscaled oracle stops with an overflow naming its order.
+    # domain, and the oracle carries the rescale through its prefactors, so
+    # verify cross-checks them like any other force.
     ring = {"N": [16, 32], "L": 1, "J_max": 9}
     huge_amplitude = {
         "ring": {**ring, "scale": 1e-100},
         "force": {"harmonics": [{"k": 1, "a": 0.0, "b": 1e120}]},
     }
-    code, out = run("sweep", tmp_path, huge_amplitude)
-    assert code == 0, capsys.readouterr().err
-    assert json.loads((out / "sweep.json").read_text())["bounds"]["hard_c3_ok"] is True
     huge_frequency = {
         "ring": {**ring, "scale": 1e-20},
         "force": {"harmonics": [{"k": 16 * 10**35, "a": 0.0, "b": 1e50}]},
     }
-    assert run("verify", tmp_path, huge_frequency)[0] == 3
-    err = capsys.readouterr().err
-    assert "order" in err and "Traceback" not in err
+    for obj in (huge_amplitude, huge_frequency):
+        for command in ("coeffs", "radius", "sweep", "verify"):
+            code, out = run(command, tmp_path, obj)
+            assert code == 0, (command, capsys.readouterr().err)
+        checks = [line.split("  ")[:2] for line in capsys.readouterr().out.splitlines()]
+        assert ["PASS", "composition-sum cross-check"] in checks
+        assert json.loads((out / "verify.json").read_text())["passed"] is True
+    code, out = run("sweep", tmp_path, huge_amplitude)
+    assert json.loads((out / "sweep.json").read_text())["bounds"]["hard_c3_ok"] is True
 
 
 def test_schema_rejects_decreasing_grid(tmp_path, capsys):

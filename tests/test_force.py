@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from conftest import SEED7_THREE, SEED7_TWO
 from coulomb_chain import (
     ConfigError,
     ForceSpec,
     Harmonic,
+    RingConfig,
     c_f_bound,
     eval_derivative,
     eval_force,
     eval_potential,
+    force_grid,
+    initial_positions,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -143,3 +147,86 @@ def test_from_json_stores_floats():
     spec = ForceSpec.from_json({"L": 1, "a0": 0, "harmonics": [{"k": 2, "b": 1}]})
     assert spec.to_json() == {"L": 1.0, "a0": 0.0, "harmonics": [{"k": 2, "a": 0.0, "b": 1.0}]}
     assert all(type(v) is float for v in (spec.L, spec.a0, spec.harmonics[0].b))
+
+
+# ---------------------------------------------------------------------------
+# the jet kernel
+
+def reference_force(spec, x):
+    """The force formula the jet's row 0 must reproduce bit for bit: reduce
+    every entry with np.mod, add a*cos + b*sin per harmonic, then a0."""
+    xm = np.mod(np.asarray(x, dtype=float), spec.L)
+    out = np.zeros_like(xm)
+    for h in spec.harmonics:
+        theta = 2.0 * np.pi * h.k / spec.L * xm
+        out += h.a * np.cos(theta) + h.b * np.sin(theta)
+    if spec.a0 != 0.0:
+        out += spec.a0
+    return out
+
+
+def test_row_zero_is_bit_identical_to_the_force_formula(rng):
+    L = 1.5
+    specs = (
+        ForceSpec(L=L, a0=-0.3, harmonics=(Harmonic(1, 0.4, -0.2), Harmonic(3, 0.0, 1.1))),
+        ForceSpec(L=L, harmonics=(Harmonic(2, -0.0, 0.7),)),
+        ForceSpec(L=L, a0=0.25),
+    )
+    special = [0.0, -0.0, L, -L, np.nextafter(L, 0.0), 1e6, -1e6, np.inf, -np.inf, np.nan]
+    xs = np.concatenate([special, rng.uniform(-3 * L, 3 * L, size=200)])
+    config = RingConfig(N=64, L=L, force=specs[0], j_max=9)
+    with np.errstate(invalid="ignore"):  # np.mod and cos/sin of inf
+        for spec in specs:
+            expected = reference_force(spec, xs)
+            np.testing.assert_array_equal(eval_force(spec, xs).view(np.uint64),
+                                          expected.view(np.uint64))
+            np.testing.assert_array_equal(eval_derivative(spec, 0, xs).view(np.uint64),
+                                          expected.view(np.uint64))
+            for x, e in zip(xs.tolist(), expected.tolist()):
+                assert np.array_equal(eval_force(spec, x), e, equal_nan=True)
+            lattice = initial_positions(config)
+            np.testing.assert_array_equal(
+                force_grid(spec, config, 4)[0].view(np.uint64),
+                reference_force(spec, lattice).view(np.uint64),
+            )
+
+
+@pytest.mark.parametrize("spec", [SEED7_TWO, SEED7_THREE], ids=["two", "three"])
+@pytest.mark.parametrize("n", [128, 1000, 4096])
+def test_jet_against_mpmath(spec, n):
+    # Row-relative error of F^(k) on the rest lattice for k <= 8, against
+    # 40-digit evaluation at the same double positions.  Rotating p and q by
+    # exact quarter turns stays below 3e-15; rounding theta + k pi/2 (the
+    # earlier formula) reaches 4.4e-15 on the three-harmonic force at 4096.
+    mpmath = pytest.importorskip("mpmath")
+    k_max = 8
+    config = RingConfig(N=n, L=1.0, force=spec, j_max=2 * k_max + 1)
+    jet = force_grid(spec, config, k_max)
+    exact = np.zeros_like(jet)
+    with mpmath.workdps(40):
+        rows = [[mpmath.mpf(0)] * n for _ in range(k_max + 1)]
+        for h in spec.harmonics:
+            w = 2 * mpmath.pi * h.k / mpmath.mpf(spec.L)
+            for i, x in enumerate(initial_positions(config).tolist()):
+                cos, sin = mpmath.cos(w * x), mpmath.sin(w * x)
+                turns = (h.a * cos + h.b * sin, h.b * cos - h.a * sin)
+                for k in range(k_max + 1):
+                    sign = 1 if k % 4 < 2 else -1
+                    rows[k][i] += sign * w**k * turns[k % 2]
+        for k in range(k_max + 1):
+            exact[k] = [float(v) for v in rows[k]]
+    for k in range(k_max + 1):
+        err = np.max(np.abs(jet[k] - exact[k])) / np.max(np.abs(exact[k]))
+        assert err <= 3e-15, (k, err)
+
+
+def test_derivative_equals_jet_row(rng):
+    spec = ForceSpec(L=1.0, a0=0.2, harmonics=SEED7_THREE.harmonics)
+    config = RingConfig(N=96, L=1.0, force=spec, j_max=24)
+    jet = force_grid(spec, config, 11)
+    lattice = initial_positions(config)
+    for k in range(12):
+        np.testing.assert_array_equal(eval_derivative(spec, k, lattice).view(np.uint64),
+                                      jet[k].view(np.uint64))
+        for i in rng.integers(0, 96, size=4).tolist():
+            assert eval_derivative(spec, k, float(lattice[i])) == jet[k, i]

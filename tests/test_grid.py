@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coulomb_chain import (
+    ConfigError,
     ForceSpec,
     Harmonic,
     RingConfig,
@@ -20,7 +21,7 @@ TWO_PI = 2.0 * math.pi
 
 def differenced(spec, config, k, q):
     """The k-th force derivative on the rest lattice, forward-differenced q times."""
-    g = force_grid(spec, config, k)
+    g = force_grid(spec, config, k)[k]
     for _ in range(q):
         g = nabla_plus(g)
     return g
@@ -73,17 +74,15 @@ def test_telescoping(rng):
 def test_force_grid_quarter_points():
     spec = ForceSpec(L=1.0, harmonics=(Harmonic(1, 0.0, 1.0),))
     config = RingConfig(N=4, L=1.0, force=spec, j_max=4, scale=1.0)
-    np.testing.assert_allclose(force_grid(spec, config, 0), [0.0, 1.0, 0.0, -1.0], atol=1e-15)
-    np.testing.assert_allclose(
-        force_grid(spec, config, 1), [TWO_PI, 0.0, -TWO_PI, 0.0], atol=1e-14
-    )
+    f0, f1 = force_grid(spec, config, 1)
+    np.testing.assert_allclose(f0, [0.0, 1.0, 0.0, -1.0], atol=1e-15)
+    np.testing.assert_allclose(f1, [TWO_PI, 0.0, -TWO_PI, 0.0], atol=1e-14)
 
 
 def test_force_grid_constant_derivatives_vanish():
     spec = ForceSpec(L=1.0, a0=0.7)
     config = RingConfig(N=6, L=1.0, force=spec, j_max=4, scale=1.0)
-    for k in (1, 2, 3):
-        np.testing.assert_array_equal(force_grid(spec, config, k), np.zeros(6))
+    np.testing.assert_array_equal(force_grid(spec, config, 3)[1:], np.zeros((3, 6)))
 
 
 def test_iterated_derivative_identity_case():
@@ -129,3 +128,6 @@ def test_grid_validation():
         nabla_plus([1.0])
     with pytest.raises(ValueError):
         nabla_plus([1.0, np.inf])
+    spec = ForceSpec(L=1.0, harmonics=(Harmonic(1, 0.0, 1.0),))
+    with pytest.raises(ConfigError):
+        force_grid(spec, RingConfig(N=4, L=1.0, force=spec, j_max=4), -1)
