@@ -225,15 +225,16 @@ def _tables(cfg: ExperimentConfig) -> list[series.CoefficientTable]:
 def cmd_coeffs(cfg: ExperimentConfig) -> list[Path]:
     """Write one coefficient table per grid N; returns the written paths."""
     written = []
-    for table in _tables(cfg):
-        base = cfg.out_dir / f"coeffs_N{table.N}"
+    for rc in cfg.rings:  # one table and its text in memory at a time
+        table = series.compute_coefficients(rc)
+        base = cfg.out_dir / f"coeffs_N{rc.N}"
         if "csv" in cfg.formats:
             path = base.with_suffix(".csv")
             _atomic_write(path, series.table_csv(table))
             written.append(path)
         if "json" in cfg.formats:
             path = base.with_suffix(".json")
-            _write_json(path, series.table_json(table, cfg.force))
+            _atomic_write(path, series.table_json(table, cfg.force))
             written.append(path)
     return written
 
@@ -245,14 +246,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> Path:
         t_eval = np.linspace(0.0, cfg.t_end, cfg.sample_count + 1)
         sol = ode.integrate(rc, cfg.t_end, cfg.rel_tol, cfg.abs_tol, t_eval=t_eval)
         if "csv" in cfg.formats:
-            lines = ["t,i,x,v"]
+            index = range(rc.N)
+            blocks = ["t,i,x,v\n"]
             for st in sol.states:
-                t = f"{st.t:.17g}"
-                lines.extend(
-                    f"{t},{i},{x:.17g},{v:.17g}"
-                    for i, (x, v) in enumerate(zip(st.x.tolist(), st.v.tolist()))
-                )
-            _atomic_write(cfg.out_dir / f"trajectory_N{rc.N}.csv", "\n".join(lines) + "\n")
+                row = f"{st.t:.17g},%d,%.17g,%.17g\n"  # one printf template per sample time
+                blocks.append("".join(map(row.__mod__, zip(index, st.x.tolist(), st.v.tolist()))))
+            _atomic_write(cfg.out_dir / f"trajectory_N{rc.N}.csv", "".join(blocks))
         drift = None
         if cfg.force.a0 == 0.0:
             e0 = ode.energy(rc, sol.states[0])

@@ -48,6 +48,10 @@ k = 0..(j_max-1)//2 comes from one ``force_grid`` call per table: one cos
 and one sin per harmonic and particle, plus O(N * j_max * K) multiplies
 for K force harmonics.
 
+The writers ``table_csv`` and ``table_json`` return the artifact text and
+cost one float format per value each (``%.17g`` and ``float.__repr__``);
+at j_max = 9 that is far more than the engine's own time.
+
 A literal composition-sum evaluation of the same recursion
 (``oracle_coefficients``) is kept as an independent cross-check for small
 orders; it enumerates every ordered tuple (j_1..j_m) with
@@ -56,6 +60,7 @@ orders; it enumerates every ordered tuple (j_1..j_m) with
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -280,18 +285,36 @@ def evaluate_position(table: CoefficientTable, config: RingConfig, t: float) -> 
 
 
 def table_csv(table: CoefficientTable) -> str:
-    """CSV rendering, one row per (i, j), i-major, 17 significant digits."""
-    lines = ["i,j,c_scaled,scale,N,L,J_max"]
-    tail = f",{table.scale:.17g},{table.N},{table.L:.17g},{table.j_max}"
-    for i, row in enumerate(table.data[:, 1:].tolist()):
-        lines.extend(f"{i},{j},{v:.17g}{tail}" for j, v in enumerate(row, start=1))
-    return "\n".join(lines) + "\n"
+    """CSV rendering, one row per (i, j), i-major, 17 significant digits.
+
+    One printf template spans the j_max lines of a particle and is applied
+    to (i, c_i1, i, c_i2, ...), so the cost is one float format per value.
+    """
+    J = table.j_max
+    tail = f",{table.scale:.17g},{table.N},{table.L:.17g},{J}\n"
+    row = "".join(f"%d,{j},%.17g{tail}" for j in range(1, J + 1))
+    index = range(table.N)
+    args = zip(*[arg for column in table.data[:, 1:].T.tolist() for arg in (index, column)])
+    return "i,j,c_scaled,scale,N,L,J_max\n" + "".join(map(row.__mod__, args))
 
 
-def table_json(table: CoefficientTable, force: ForceSpec) -> dict:
-    """JSON envelope: config header (with the force), rescale, and row-major coefficients."""
-    return {
-        "config": {"N": table.N, "L": table.L, "J_max": table.j_max, "force": force.to_json()},
-        "scale": table.scale,
-        "coefficients": [float(v) for v in table.data[:, 1:].ravel(order="C")],
-    }
+def table_json(table: CoefficientTable, force: ForceSpec) -> str:
+    """JSON artifact text: config header (with the force), rescale, and row-major coefficients.
+
+    The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False) + "\n"`` for the payload with keys ``config``, ``scale``
+    and ``coefficients``.  Only the small header goes through ``json``; the
+    coefficients take one ``float.__repr__`` each, the encoder's float form.
+    Raises ValueError on a non-finite value, as ``allow_nan=False`` does.
+    """
+    values = table.data[:, 1:].ravel()
+    if not np.isfinite(values).all():
+        raise ValueError(f"coefficient table N={table.N}: non-finite values are not valid JSON")
+    header = json.dumps(
+        {"config": {"N": table.N, "L": table.L, "J_max": table.j_max, "force": force.to_json()},
+         "scale": table.scale},
+        indent=2, sort_keys=True, allow_nan=False,
+    )
+    items = ",\n    ".join(map(float.__repr__, values.tolist()))
+    # "coefficients" sorts before "config" and "scale", so it opens the object.
+    return f'{{\n  "coefficients": [\n    {items}\n  ],\n{header[2:]}\n'

@@ -72,6 +72,16 @@ def test_coeffs_grid_writes_one_file_per_n(tmp_path):
         assert len(payload["coefficients"]) == n * 10
 
 
+def test_coeffs_writes_each_table_before_computing_the_next(tmp_path, capsys):
+    # scale 3e12 keeps N=8 in double range at J_max=24 but overflows N=64
+    obj = dict(SINE_CONFIG)
+    obj["ring"] = {"N": [8, 64], "L": 1.0, "J_max": 24, "scale": 3e12}
+    code, out = run("coeffs", tmp_path, obj)
+    assert code == 3
+    assert "N=64" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["coeffs_N8.csv", "coeffs_N8.json"]
+
+
 def test_csv_round_trip_against_library(tmp_path):
     code, out = run("coeffs", tmp_path, SINE_CONFIG)
     assert code == 0
@@ -291,6 +301,21 @@ def test_simulate_writes_trajectory(tmp_path):
     assert run_info["N"] == 8
     assert run_info["max_energy_drift"] <= 1e-7
     assert run_info["n_steps"] >= 5 and run_info["n_rejected_steps"] == 0
+
+
+def test_trajectory_csv_matches_reference_rendering(tmp_path):
+    code, out = run("simulate", tmp_path, SINE_CONFIG)
+    assert code == 0
+    cfg = cli.load_config(write_config(tmp_path, SINE_CONFIG))
+    t_eval = np.linspace(0.0, cfg.t_end, cfg.sample_count + 1)
+    sol = coulomb_chain.integrate(cfg.rings[0], cfg.t_end, cfg.rel_tol, cfg.abs_tol, t_eval=t_eval)
+    lines = ["t,i,x,v"]  # one f-string per line
+    for st in sol.states:
+        lines.extend(
+            f"{st.t:.17g},{i},{x:.17g},{v:.17g}"
+            for i, (x, v) in enumerate(zip(st.x.tolist(), st.v.tolist()))
+        )
+    assert (out / "trajectory_N8.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_format_override(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 
@@ -23,6 +24,7 @@ from coulomb_chain import (
     oracle_coefficients,
     ordered_compositions,
     table_csv,
+    table_json,
 )
 
 
@@ -195,11 +197,31 @@ def test_matches_dense_reference(sine_force):
         compute_coefficients(config)
 
 
-# sha256 of ``table_csv`` for the seed-7 two-harmonic force, scale "auto".
-# The determinism tests compare two runs of the same code; these pins catch
-# a change of any bit.  They hold for one numpy build and CPU family (the
-# trig functions are not correctly rounded): on another platform, check
-# the tables against the oracles and re-pin.
+def reference_csv(table):
+    """Per-entry f-string CSV; ``table_csv`` must reproduce it byte for byte."""
+    lines = ["i,j,c_scaled,scale,N,L,J_max"]
+    tail = f",{table.scale:.17g},{table.N},{table.L:.17g},{table.j_max}"
+    for i, row in enumerate(table.data[:, 1:].tolist()):
+        lines.extend(f"{i},{j},{v:.17g}{tail}" for j, v in enumerate(row, start=1))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(table, force):
+    """The stdlib encoder on the payload dict; ``table_json`` must reproduce it byte for byte."""
+    payload = {
+        "config": {"N": table.N, "L": table.L, "J_max": table.j_max, "force": force.to_json()},
+        "scale": table.scale,
+        "coefficients": [float(v) for v in table.data[:, 1:].ravel(order="C")],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# sha256 of ``table_csv`` and ``table_json`` for the seed-7 two-harmonic
+# force, scale "auto".  The determinism tests compare two runs of the same
+# code; these pins catch a change of any bit.  They hold for one numpy build
+# and CPU family (the trig functions are not correctly rounded): on another
+# platform, check the tables against the oracles and re-pin.  The JSON pins
+# were taken from the stdlib encoder (``reference_json``).
 PINNED_CSV = {
     (8, 9): "4ae222deb646c912320f6ddc4537b4195a7d0a5c53f3c7fff61b6358c84b37ed",
     (8, 24): "023114cca99651f135dda39528df5619ccd3fb6010d2cb832f0ee3fd11cf2051",
@@ -208,12 +230,57 @@ PINNED_CSV = {
     (256, 9): "21f00f9aabcbd0513dfdad9155d0002e6f2d8916caa8d21db6a89ba9c599cade",
     (256, 24): "0c3d328a94121d11d46c3fab79575989500941b47223f5d9a6e1968abcd2fbb3",
 }
+PINNED_JSON = {
+    (8, 9): "939a64c632b68215e90e9b1c7a7f4d9a6c63d87909f961b867e26a96e3d59f10",
+    (8, 24): "ba537e5f1b99a5f353c024abe8c2c102618bdee84343838c19a0c17a600483cc",
+    (64, 9): "0872416641a43423142f1dd8c10a52c55b035f5959de130e383fad05fcd480d5",
+    (64, 24): "d58592a696a1e9f0a69bae4ebe15aa75b1f8b9371dfad3b58e5a811071c2cb0c",
+    (256, 9): "c33c6ba194cc48d28c43284bff7f151ba5609dfc352e7e695e92d4a7e1b19632",
+    (256, 24): "6a6bdae0f3f60f13045f0b0d56ff785e60489c1045c43efff320ccd1f5546997",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("n, j_max", sorted(PINNED_CSV))
 def test_table_bytes_are_pinned(n, j_max):
     table = compute_coefficients(RingConfig(N=n, L=1.0, force=SEED7_TWO, j_max=j_max))
-    assert hashlib.sha256(table_csv(table).encode()).hexdigest() == PINNED_CSV[n, j_max]
+    assert sha256(table_csv(table)) == PINNED_CSV[n, j_max]
+    assert sha256(table_json(table, SEED7_TWO)) == PINNED_JSON[n, j_max]
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-5, 2.0, 1e16, 1e22, -1.7976931348623157e308, 3.3e-05, 1e18]
+
+
+@pytest.mark.parametrize("j_max", [1, 3, 9])
+def test_writers_match_reference_renderers_on_edge_values(j_max):
+    # The edge values fill the table in turn; scale and L print in exponent form.
+    n = -(-len(EDGE_VALUES) // j_max)
+    data = np.zeros((n, j_max + 1))
+    data[:, 1:] = np.resize(EDGE_VALUES, (n, j_max))
+    table = CoefficientTable(N=n, L=1.5e20, j_max=j_max, scale=2.5e-7, data=data)
+    assert table_csv(table) == reference_csv(table)
+    assert table_json(table, SEED7_TWO) == reference_json(table, SEED7_TWO)
+
+
+def test_writers_match_reference_renderers_on_random_bits(rng):
+    bits = rng.integers(0, 2**64, size=(64, 9), dtype=np.uint64)
+    values = bits.view(np.float64)
+    values[~np.isfinite(values)] = 0.0
+    data = np.hstack([np.zeros((64, 1)), values])
+    table = CoefficientTable(N=64, L=3.0e-9, j_max=9, scale=1e-100, data=data)
+    assert table_csv(table) == reference_csv(table)
+    assert table_json(table, SEED7_TWO) == reference_json(table, SEED7_TWO)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_table_json_rejects_values_set_after_construction(bad):
+    table = CoefficientTable(N=4, L=1.0, j_max=3, scale=0.5, data=np.zeros((4, 4)))
+    table.data[2, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        table_json(table, SEED7_TWO)
 
 
 def test_overflow_raises(sine_force):
