@@ -23,10 +23,9 @@ from .analysis import (
     radius_trend,
 )
 from .errors import CollisionError, ConfigError, StiffnessError
-from .force import ForceSpec, Harmonic, c_f_bound, eval_derivative, eval_force, eval_potential
-from .grid import as_grid, force_grid, nabla_minus, nabla_plus
+from .force import ForceSpec, Harmonic, c_f_bound, eval_force, eval_potential, force_jet
 from .ode import ODESolution, TrajectoryState, acceleration, energy, initial_state, integrate
-from .ring import RingConfig, auto_scale, initial_positions
+from .ring import RingConfig, auto_scale, force_grid, initial_positions, nabla_minus, nabla_plus
 from .series import (
     CoefficientTable,
     compute_coefficients,
@@ -58,13 +57,9 @@ __all__ = [
     "ForceSpec",
     "Harmonic",
     "c_f_bound",
-    "eval_derivative",
     "eval_force",
     "eval_potential",
-    "as_grid",
-    "force_grid",
-    "nabla_minus",
-    "nabla_plus",
+    "force_jet",
     "ODESolution",
     "TrajectoryState",
     "acceleration",
@@ -73,7 +68,10 @@ __all__ = [
     "integrate",
     "RingConfig",
     "auto_scale",
+    "force_grid",
     "initial_positions",
+    "nabla_minus",
+    "nabla_plus",
     "CoefficientTable",
     "compute_coefficients",
     "evaluate_position",

@@ -304,7 +304,7 @@ def bound_check(tables: list[CoefficientTable], c_f: float) -> BoundReport:
     j_top = min(t.j_max for t in tabs)
     js = tuple(range(3, j_top + 1))
 
-    hard_c3_ok = all(t.log_max_abs(3) <= log_c3_bound(c_f, t.N, t.L) for t in tabs)
+    hard_c3_ok = all(t.j_max < 3 or t.log_max_abs(3) <= log_c3_bound(c_f, t.N, t.L) for t in tabs)
     hard_c4_ok = all(t.j_max < 4 or t.log_max_abs(4) <= log_c4_bound(c_f) for t in tabs)
 
     chi_min: dict[int, tuple[float, ...]] = {}

@@ -10,13 +10,12 @@ turn of phase per derivative order) and a single growth constant C with
 |F^(n)(x)| <= C**(n+1) for all n >= 0 follows from the amplitude sum and the
 top angular frequency.
 
-One kernel, ``_jet``, evaluates every derivative: it takes one cos and one
-sin per harmonic and point and applies each quarter turn as an exact
+One kernel, ``force_jet``, evaluates every derivative: it takes one cos and
+one sin per harmonic and point and applies each quarter turn as an exact
 rotation of the pair (a cos + b sin, b cos - a sin), then scales by w**n.
-``eval_force`` and ``eval_derivative`` read one row of it, and
-``grid.force_grid`` reads rows 0..k_max on the rest lattice at the cost of
-one trig pass.  Points are reduced modulo L only when one lies outside
-[0, L).
+``eval_force`` reads its row 0, and ``ring.force_grid`` reads rows
+0..k_max on the rest lattice at the cost of one trig pass.  Points are
+reduced modulo L only when one lies outside [0, L).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ __all__ = [
     "Harmonic",
     "ForceSpec",
     "eval_force",
-    "eval_derivative",
+    "force_jet",
     "c_f_bound",
     "eval_potential",
 ]
@@ -110,38 +109,26 @@ def eval_force(spec: ForceSpec, x):
     ``x`` is reduced modulo L only when some entry lies outside [0, L); the
     value is bit-identical to reducing every entry first.
     """
-    return _as_input_shape(_jet(spec, x, 0)[0], x)
+    return _as_input_shape(force_jet(spec, x, 0)[0], x)
 
 
-def eval_derivative(spec: ForceSpec, order: int, x):
-    """Exact ``order``-th derivative of the force at ``x``.
-
-    Differentiating a harmonic of angular frequency w multiplies it by
-    w**order and turns its phase by ``order`` quarter turns.  The turn is
-    applied exactly, as a rotation of (a cos + b sin, b cos - a sin), not by
-    rounding the phase sum w x + order pi/2; the constant part survives only
-    at order 0.  Bit-identical to row ``order`` of ``grid.force_grid`` on
-    the rest lattice.
-    """
-    if order < 0:
-        raise ConfigError(f"derivative order must be >= 0, got {order}")
-    return _as_input_shape(_jet(spec, x, order)[order], x)
-
-
-def _jet(spec: ForceSpec, x, k_max: int) -> np.ndarray:
+def force_jet(spec: ForceSpec, x, k_max: int) -> np.ndarray:
     """Rows F^(k)(x) for k = 0..k_max, one cos and one sin per harmonic.
 
-    With theta = w x, p = a cos(theta) + b sin(theta) is the harmonic and
+    Row k has the shape of ``x``; ``k_max`` must be >= 0.  With theta = w x,
+    p = a cos(theta) + b sin(theta) is the harmonic and
     q = b cos(theta) - a sin(theta) its quarter turn, so the k-th derivative
     is w**k * (p, q, -p, -q)[k mod 4]: an exact rotation, where the phase
     sum theta + k pi/2 would round.  Row 0 is accumulated exactly as
-    ``out += a cos(theta) + b sin(theta)`` per harmonic, then ``+ a0``.
-    ``x`` is reduced with ``np.mod`` only when some entry lies outside
-    [0, L) (a NaN fails both tests).  ``np.mod`` is exact and returns the
-    entries inside unchanged except -0.0, which it maps to +0.0; row 0
-    starts from +0.0, which absorbs that sign, so skipping the reduction
-    changes no bit of it.
+    ``out += a cos(theta) + b sin(theta)`` per harmonic, then ``+ a0``; the
+    constant part appears in no other row.  ``x`` is reduced with
+    ``np.mod`` only when some entry lies outside [0, L) (a NaN fails both
+    tests).  ``np.mod`` is exact and returns the entries inside unchanged
+    except -0.0, which it maps to +0.0; row 0 starts from +0.0, which
+    absorbs that sign, so skipping the reduction changes no bit of it.
     """
+    if k_max < 0:
+        raise ConfigError(f"derivative order must be >= 0, got {k_max}")
     x = np.asarray(x, dtype=float)
     if x.size and not (x.min() >= 0.0 and x.max() < spec.L):
         x = np.mod(x, spec.L)

@@ -43,7 +43,7 @@ before any work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,14 +89,13 @@ class ODESolution:
     the controller threw away; ``n_rhs_evals`` counts every RHS call.
     """
 
-    times: np.ndarray
     states: list[TrajectoryState]
     local_error_bound: float
     n_steps: int
     n_rejected_steps: int
     n_rhs_evals: int
     min_step: float
-    max_step: float = field(default=0.0)
+    max_step: float
 
 
 def _gaps(x: np.ndarray, L: float) -> np.ndarray:
@@ -195,20 +194,18 @@ def integrate(
     abs_tol: float = 1e-12,
     t_eval: np.ndarray | None = None,
     initial: TrajectoryState | None = None,
-    max_step: float = np.inf,
 ) -> ODESolution:
     """Integrate from rest (or ``initial``) to ``t_end`` with sampled output.
 
-    ``t_eval`` defaults to 11 uniform samples on [0, t_end].  An accepted
-    step is never longer than ``max_step``, nor (to within 1e-9 relative)
-    than the smallest spacing of 0 and the samples.  Raises StiffnessError
-    if the controller's accepted step underflows, and CollisionError if a
-    gap of the initial state is at or below the floor or an accepted step
-    breaks the particle ordering.
+    ``t_eval`` defaults to 11 uniform samples on [0, t_end]; its samples
+    must be finite and lie in [0, t_end].  An accepted step is never longer
+    (to within 1e-9 relative) than the smallest spacing of 0 and the
+    samples, so a denser ``t_eval`` gives shorter steps.  Raises
+    StiffnessError if the controller's accepted step underflows, and
+    CollisionError if a gap of the initial state is at or below the floor
+    or an accepted step breaks the particle ordering.
     """
     t_end, rel_tol, abs_tol = check_settings(t_end, rel_tol, abs_tol)
-    if not (max_step > 0.0):
-        raise ConfigError(f"max_step must be positive, got {max_step}")
     N = config.N
     if initial is None:
         x0, v0 = initial_positions(config), np.zeros(N)
@@ -224,14 +221,16 @@ def integrate(
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, 11)
     t_eval = np.sort(np.asarray(t_eval, dtype=float))
-    if t_eval.size and (t_eval[0] < 0.0 or t_eval[-1] > t_end * (1 + 1e-12)):
-        raise ConfigError("t_eval samples must lie within [0, t_end]")
+    # NaN sorts last and fails the comparison, like +-inf
+    if t_eval.size and not (t_eval[0] >= 0.0 and t_eval[-1] <= t_end * (1 + 1e-12)):
+        raise ConfigError("samples must be finite and lie within [0, t_end]", "t_eval")
     spacing = np.diff(t_eval, prepend=0.0)
     spacing = spacing[spacing > 0.0]
+    max_step = np.inf
     if spacing.size:
         # a hair over the spacing, so rounding in the sum of steps leaves no
         # sliver step before a sample or the horizon
-        max_step = min(max_step, float(spacing.min()) * (1.0 + 1e-9))
+        max_step = float(spacing.min()) * (1.0 + 1e-9)
 
     def rhs(_t, y):
         dy = np.empty(2 * N)
@@ -285,7 +284,6 @@ def integrate(
                 next_idx += 1
 
     return ODESolution(
-        times=np.array([st.t for st in states]),
         states=states,
         local_error_bound=err_bound,
         n_steps=n_steps,

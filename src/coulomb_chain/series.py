@@ -44,9 +44,9 @@ so u, gap, recip, w and pow_u hold (j_max+1)//2 rows each.
 The reciprocal and square cost O(N * j_max**2); the table of powers u**k
 for the force composition dominates at O(N * j_max**3), about
 N * j_max**3 / 48 multiply-adds.  The force jet F^(k)(x_i(0)) for
-k = 0..(j_max-1)//2 comes from one ``force_grid`` call per table: one cos
-and one sin per harmonic and particle, plus O(N * j_max * K) multiplies
-for K force harmonics.
+k = 0..(j_max-1)//2 comes from one ``ring.force_grid`` call per table: one
+cos and one sin per harmonic and particle, plus O(N * j_max * K)
+multiplies for K force harmonics.
 
 The writers ``table_csv`` and ``table_json`` return the artifact text and
 cost one float format per value each (``%.17g`` and ``float.__repr__``);
@@ -69,8 +69,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .force import ForceSpec
-from .grid import force_grid, nabla_minus, nabla_plus
-from .ring import RingConfig, initial_positions
+from .ring import RingConfig, force_grid, initial_positions, nabla_minus, nabla_plus
 
 __all__ = [
     "CoefficientTable",
@@ -140,7 +139,7 @@ def compute_coefficients(config: RingConfig) -> CoefficientTable:
     # Exact force Taylor data at the rest positions: fk[k] = F^(k)(x_i(0))/k!.
     # Only k <= (J-1)//2 can contribute below order J because u starts at t^2.
     k_cap = (J - 1) // 2
-    fk = force_grid(config.force, config, k_cap)
+    fk = force_grid(config, k_cap)
     for k in range(2, k_cap + 1):
         fk[k] /= math.factorial(k)
 
@@ -228,7 +227,7 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
             )
         return values
 
-    fk = force_grid(config.force, config, (J - 1) // 2)
+    fk = force_grid(config, (J - 1) // 2)
     c = np.zeros((J + 1, N))
     c[1] = s * fk[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,7 +261,7 @@ def explicit_c3(config: RingConfig) -> np.ndarray:
     of motion at t=0.
     """
     delta = config.delta
-    f0, f1 = force_grid(config.force, config, 1)
+    f0, f1 = force_grid(config, 1)
     return nabla_minus(nabla_plus(f0)) / (3.0 * delta**3) + f0 * f1 / 6.0
 
 

@@ -115,7 +115,7 @@ def test_criterion_04_constant_force_exactness():
     coeffs_ok = bool(
         np.all(table.data[:, 1] == f0) and np.max(np.abs(table.data[:, 2:])) <= 1e-14
     )
-    sol = integrate(config, 0.3, rel_tol=1e-11, abs_tol=1e-13, max_step=0.3 / 50)
+    sol = integrate(config, 0.3, rel_tol=1e-11, abs_tol=1e-13, t_eval=np.linspace(0.0, 0.3, 51))
     ode_err = max(float(np.max(np.abs(st.v - f0 * st.t))) for st in sol.states)
     report(4, "constant-force exactness", coeffs_ok and ode_err <= 1e-12,
            f"max tail {np.max(np.abs(table.data[:, 2:])):.1e}, ode err {ode_err:.2e}")

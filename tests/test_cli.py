@@ -290,6 +290,23 @@ def test_sweep_report(tmp_path):
     assert len(rad_rows) == 5
 
 
+@pytest.mark.parametrize("j_max", [1, 2])
+def test_sweep_and_verify_below_order_three(tmp_path, capsys, j_max):
+    # A table without an order-3 column passes the order-3 bound vacuously,
+    # as one without an order-4 column passes the order-4 bound.
+    obj = dict(SINE_CONFIG)
+    obj["ring"] = {"N": [16, 32, 64, 128], "L": 1.0, "J_max": j_max, "scale": "auto"}
+    code, out = run("sweep", tmp_path, obj)
+    assert code == 0, capsys.readouterr().err
+    bounds = json.loads((out / "sweep.json").read_text())["bounds"]
+    assert bounds["hard_c3_ok"] is True and bounds["hard_c4_ok"] is True
+    capsys.readouterr()
+    code, out = run("verify", tmp_path, obj)
+    assert code == 0, capsys.readouterr().err
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[0] for line in lines] == ["PASS"] * 4
+
+
 def test_simulate_writes_trajectory(tmp_path):
     code, out = run("simulate", tmp_path, SINE_CONFIG)
     assert code == 0

@@ -10,10 +10,10 @@ from coulomb_chain import (
     Harmonic,
     RingConfig,
     c_f_bound,
-    eval_derivative,
     eval_force,
     eval_potential,
     force_grid,
+    force_jet,
     initial_positions,
 )
 
@@ -37,20 +37,20 @@ def test_eval_force_sine_quarter_period():
 
 def test_first_derivative_of_sine_at_zero():
     spec = ForceSpec(L=1.0, harmonics=(Harmonic(1, 0.0, 1.0),))
-    assert eval_derivative(spec, 1, 0.0) == pytest.approx(TWO_PI, rel=1e-15)
+    assert force_jet(spec, 0.0, 1)[1] == pytest.approx(TWO_PI, rel=1e-15)
 
 
 def test_order_zero_is_the_force(rng):
     spec = ForceSpec(L=2.0, a0=-0.3, harmonics=(Harmonic(1, 0.4, -0.2), Harmonic(3, 0.0, 1.1)))
     for x in rng.uniform(-5, 5, size=20):
-        assert eval_derivative(spec, 0, x) == eval_force(spec, x)
+        assert force_jet(spec, x, 0)[0] == eval_force(spec, x)
 
 
 def test_second_derivative_against_finite_difference():
     # d^2/dx^2 sin(2 pi x) at x=0.25 is -(2 pi)^2; cross-check the closed form
     # with a central difference of the direct evaluation.
     spec = ForceSpec(L=1.0, harmonics=(Harmonic(1, 0.0, 1.0),))
-    exact = eval_derivative(spec, 2, 0.25)
+    exact = force_jet(spec, 0.25, 2)[2]
     assert exact == pytest.approx(-(TWO_PI**2), rel=1e-13)
     h = 1e-5
     fd = (eval_force(spec, 0.25 + h) - 2 * eval_force(spec, 0.25) + eval_force(spec, 0.25 - h)) / h**2
@@ -76,7 +76,7 @@ def test_derivative_bound(rng):
     c = c_f_bound(spec)
     xs = rng.uniform(0, spec.L, size=100)
     for k in range(9):
-        vals = eval_derivative(spec, k, xs)
+        vals = force_jet(spec, xs, k)[k]
         assert np.max(np.abs(vals)) <= c ** (k + 1)
 
 
@@ -85,8 +85,8 @@ def test_finite_difference_consistency(rng):
     h = 1e-5
     xs = rng.uniform(0, 1, size=25)
     for k in range(4):
-        exact = eval_derivative(spec, k + 1, xs)
-        fd = (eval_derivative(spec, k, xs + h) - eval_derivative(spec, k, xs - h)) / (2 * h)
+        exact = force_jet(spec, xs, k + 1)[k + 1]
+        fd = (force_jet(spec, xs + h, k)[k] - force_jet(spec, xs - h, k)[k]) / (2 * h)
         scale = np.max(np.abs(exact))
         np.testing.assert_allclose(fd, exact, rtol=1e-4, atol=1e-4 * scale)
 
@@ -121,7 +121,7 @@ def test_invalid_specs_rejected():
     with pytest.raises(ConfigError):
         Harmonic(0, 1.0, 0.0)
     with pytest.raises(ConfigError):
-        eval_derivative(ForceSpec(L=1.0), -1, 0.0)
+        force_jet(ForceSpec(L=1.0), 0.0, -1)
     with pytest.raises(ConfigError, match="^a0: "):
         ForceSpec(L=1.0, a0=math.inf)
     with pytest.raises(ConfigError, match="^b: "):
@@ -174,19 +174,19 @@ def test_row_zero_is_bit_identical_to_the_force_formula(rng):
     )
     special = [0.0, -0.0, L, -L, np.nextafter(L, 0.0), 1e6, -1e6, np.inf, -np.inf, np.nan]
     xs = np.concatenate([special, rng.uniform(-3 * L, 3 * L, size=200)])
-    config = RingConfig(N=64, L=L, force=specs[0], j_max=9)
     with np.errstate(invalid="ignore"):  # np.mod and cos/sin of inf
         for spec in specs:
+            config = RingConfig(N=64, L=L, force=spec, j_max=9)
             expected = reference_force(spec, xs)
             np.testing.assert_array_equal(eval_force(spec, xs).view(np.uint64),
                                           expected.view(np.uint64))
-            np.testing.assert_array_equal(eval_derivative(spec, 0, xs).view(np.uint64),
+            np.testing.assert_array_equal(force_jet(spec, xs, 0)[0].view(np.uint64),
                                           expected.view(np.uint64))
             for x, e in zip(xs.tolist(), expected.tolist()):
                 assert np.array_equal(eval_force(spec, x), e, equal_nan=True)
             lattice = initial_positions(config)
             np.testing.assert_array_equal(
-                force_grid(spec, config, 4)[0].view(np.uint64),
+                force_grid(config, 4)[0].view(np.uint64),
                 reference_force(spec, lattice).view(np.uint64),
             )
 
@@ -201,7 +201,7 @@ def test_jet_against_mpmath(spec, n):
     mpmath = pytest.importorskip("mpmath")
     k_max = 8
     config = RingConfig(N=n, L=1.0, force=spec, j_max=2 * k_max + 1)
-    jet = force_grid(spec, config, k_max)
+    jet = force_grid(config, k_max)
     exact = np.zeros_like(jet)
     with mpmath.workdps(40):
         rows = [[mpmath.mpf(0)] * n for _ in range(k_max + 1)]
@@ -223,10 +223,10 @@ def test_jet_against_mpmath(spec, n):
 def test_derivative_equals_jet_row(rng):
     spec = ForceSpec(L=1.0, a0=0.2, harmonics=SEED7_THREE.harmonics)
     config = RingConfig(N=96, L=1.0, force=spec, j_max=24)
-    jet = force_grid(spec, config, 11)
+    jet = force_grid(config, 11)
     lattice = initial_positions(config)
     for k in range(12):
-        np.testing.assert_array_equal(eval_derivative(spec, k, lattice).view(np.uint64),
+        np.testing.assert_array_equal(force_jet(spec, lattice, k)[k].view(np.uint64),
                                       jet[k].view(np.uint64))
         for i in rng.integers(0, 96, size=4).tolist():
-            assert eval_derivative(spec, k, float(lattice[i])) == jet[k, i]
+            assert force_jet(spec, float(lattice[i]), k)[k] == jet[k, i]

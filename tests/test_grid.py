@@ -9,8 +9,8 @@ from coulomb_chain import (
     Harmonic,
     RingConfig,
     c_f_bound,
-    eval_derivative,
     force_grid,
+    force_jet,
     initial_positions,
     nabla_minus,
     nabla_plus,
@@ -19,9 +19,9 @@ from coulomb_chain import (
 TWO_PI = 2.0 * math.pi
 
 
-def differenced(spec, config, k, q):
+def differenced(config, k, q):
     """The k-th force derivative on the rest lattice, forward-differenced q times."""
-    g = force_grid(spec, config, k)[k]
+    g = force_grid(config, k)[k]
     for _ in range(q):
         g = nabla_plus(g)
     return g
@@ -74,7 +74,7 @@ def test_telescoping(rng):
 def test_force_grid_quarter_points():
     spec = ForceSpec(L=1.0, harmonics=(Harmonic(1, 0.0, 1.0),))
     config = RingConfig(N=4, L=1.0, force=spec, j_max=4, scale=1.0)
-    f0, f1 = force_grid(spec, config, 1)
+    f0, f1 = force_grid(config, 1)
     np.testing.assert_allclose(f0, [0.0, 1.0, 0.0, -1.0], atol=1e-15)
     np.testing.assert_allclose(f1, [TWO_PI, 0.0, -TWO_PI, 0.0], atol=1e-14)
 
@@ -82,7 +82,7 @@ def test_force_grid_quarter_points():
 def test_force_grid_constant_derivatives_vanish():
     spec = ForceSpec(L=1.0, a0=0.7)
     config = RingConfig(N=6, L=1.0, force=spec, j_max=4, scale=1.0)
-    np.testing.assert_array_equal(force_grid(spec, config, 3)[1:], np.zeros((3, 6)))
+    np.testing.assert_array_equal(force_grid(config, 3)[1:], np.zeros((3, 6)))
 
 
 def test_iterated_derivative_identity_case():
@@ -93,10 +93,10 @@ def test_iterated_derivative_identity_case():
     config = RingConfig(N=8, L=1.0, force=spec, j_max=4, scale=1.0)
     w, d = 2.0 * TWO_PI, config.delta
     midpoints = initial_positions(config) + 0.5 * d
-    expected = (2.0 * math.sin(0.5 * w * d) / w) * eval_derivative(spec, 4, midpoints)
+    expected = (2.0 * math.sin(0.5 * w * d) / w) * force_jet(spec, midpoints, 4)[4]
     scale = np.max(np.abs(expected))
     np.testing.assert_allclose(
-        differenced(spec, config, 3, 1), expected, rtol=1e-12, atol=1e-13 * scale
+        differenced(config, 3, 1), expected, rtol=1e-12, atol=1e-13 * scale
     )
 
 
@@ -111,7 +111,7 @@ def test_iterated_derivative_bound(n):
     for k in range(4):
         for q in range(5):
             bound = c ** (k + q + 1) * delta**q
-            assert np.max(np.abs(differenced(spec, config, k, q))) <= bound
+            assert np.max(np.abs(differenced(config, k, q))) <= bound
 
 
 def test_first_iterated_bounds_explicit():
@@ -119,8 +119,8 @@ def test_first_iterated_bounds_explicit():
     config = RingConfig(N=16, L=1.0, force=spec, j_max=4, scale=1.0)
     c = c_f_bound(spec)
     delta = config.delta
-    assert np.max(np.abs(differenced(spec, config, 0, 1))) <= c**2 * delta
-    assert np.max(np.abs(differenced(spec, config, 0, 2))) <= c**3 * delta**2
+    assert np.max(np.abs(differenced(config, 0, 1))) <= c**2 * delta
+    assert np.max(np.abs(differenced(config, 0, 2))) <= c**3 * delta**2
 
 
 def test_grid_validation():
@@ -130,4 +130,4 @@ def test_grid_validation():
         nabla_plus([1.0, np.inf])
     spec = ForceSpec(L=1.0, harmonics=(Harmonic(1, 0.0, 1.0),))
     with pytest.raises(ConfigError):
-        force_grid(spec, RingConfig(N=4, L=1.0, force=spec, j_max=4), -1)
+        force_grid(RingConfig(N=4, L=1.0, force=spec, j_max=4), -1)
