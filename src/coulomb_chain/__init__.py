@@ -28,7 +28,6 @@ from .ring import RingConfig, auto_scale, force_grid, initial_positions, nabla_m
 from .series import (
     CoefficientTable,
     compute_coefficients,
-    evaluate_position,
     evaluate_velocity,
     explicit_c3,
     oracle_coefficients,
@@ -72,7 +71,6 @@ __all__ = [
     "nabla_plus",
     "CoefficientTable",
     "compute_coefficients",
-    "evaluate_position",
     "evaluate_velocity",
     "explicit_c3",
     "oracle_coefficients",

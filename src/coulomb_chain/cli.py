@@ -14,14 +14,15 @@ library operations:
 
 Outputs are deterministic (fixed ordering, fixed float formatting) and files
 are written atomically (temp + rename).  Exit codes: 0 ok, 1 integrator
-step underflow, 2 config error, 3 overflow, 4 collision (a starting gap at
-the floor or an accepted step that breaks the ordering), 5 verification
-failure.
+step underflow, 2 config error (also an output directory that cannot be
+created or written), 3 overflow, 4 collision (a starting gap at the floor or
+an accepted step that breaks the ordering), 5 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -201,19 +202,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # deterministic output helpers
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _json_text(payload) -> str:
-    # repr-based floats round-trip losslessly and are deterministic
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ConfigError(f"cannot write {path}: {exc}", "output.directory") from exc
 
 
 def _write_json(path: Path, payload) -> None:
-    _atomic_write(path, _json_text(payload))
+    # repr-based floats round-trip losslessly and are deterministic
+    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +277,32 @@ def cmd_simulate(cfg: ExperimentConfig) -> Path:
     return path
 
 
+def _radius_estimates(cfg: ExperimentConfig, tables) -> list[ana.RadiusEstimate]:
+    """One root-test estimate per table; none when J_max is too short to fit a tail."""
+    if cfg.j_max < ana.MIN_RADIUS_ORDER:
+        return []
+    return [ana.estimate_radius(t, tail_fraction=cfg.tail_fraction) for t in tables]
+
+
+def _radius_report(cfg: ExperimentConfig, estimates) -> dict:
+    """The ``radius`` and ``trend`` JSON fields; writes ``radius.csv`` too when CSV is on."""
+    if estimates and "csv" in cfg.formats:
+        rows = "".join(
+            f"{e.N},{e.j_max},root-test,{e.r_hat:.17g},{e.window[0]},{e.window[1]},"
+            f"{e.fit_residual:.17g},{int(e.degenerate)}\n" for e in estimates
+        )
+        header = "N,J_max,method,R_hat,window_lo,window_hi,fit_residual,degenerate\n"
+        _atomic_write(cfg.out_dir / "radius.csv", header + rows)
+    return {
+        "radius": [e.to_json() for e in estimates],
+        "trend": ana.radius_trend(estimates).to_json() if estimates else None,
+    }
+
+
 def _compare_one(cfg: ExperimentConfig, rc: RingConfig) -> dict:
     table = series.compute_coefficients(rc)
-    r_hat = math.inf
-    if rc.j_max >= ana.MIN_RADIUS_ORDER:
-        r_hat = ana.estimate_radius(table, tail_fraction=cfg.tail_fraction).r_hat
+    estimates = _radius_estimates(cfg, [table])
+    r_hat = estimates[0].r_hat if estimates else math.inf
     horizon = cfg.t_end if not math.isfinite(r_hat) else min(cfg.t_end, 0.5 * r_hat)
     times = np.linspace(horizon / cfg.sample_count, horizon, cfg.sample_count)
     sol = ode.integrate(rc, horizon, cfg.rel_tol, cfg.abs_tol, t_eval=times)
@@ -318,33 +341,14 @@ def cmd_compare(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _radius_csv(estimates) -> str:
-    lines = ["N,J_max,method,R_hat,window_lo,window_hi,fit_residual,degenerate"]
-    for e in estimates:
-        lines.append(
-            f"{e.N},{e.j_max},root-test,{e.r_hat:.17g},{e.window[0]},{e.window[1]},"
-            f"{e.fit_residual:.17g},{int(e.degenerate)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_radius(cfg: ExperimentConfig) -> Path:
     """Radius estimates for every grid N plus the cross-N trend."""
     if cfg.j_max < ana.MIN_RADIUS_ORDER:  # fail before computing any table
         raise ConfigError(
             f"radius estimation needs J_max >= {ana.MIN_RADIUS_ORDER}, got {cfg.j_max}", "ring.J_max"
         )
-    tables = _tables(cfg)
-    estimates = [ana.estimate_radius(t, tail_fraction=cfg.tail_fraction) for t in tables]
-    trend = ana.radius_trend(estimates)
-    payload = {
-        "radius": [e.to_json() for e in estimates],
-        "trend": trend.to_json(),
-    }
     path = cfg.out_dir / "radius.json"
-    _write_json(path, payload)
-    if "csv" in cfg.formats:
-        _atomic_write(cfg.out_dir / "radius.csv", _radius_csv(estimates))
+    _write_json(path, _radius_report(cfg, _radius_estimates(cfg, _tables(cfg))))
     return path
 
 
@@ -360,15 +364,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
                 exponents.append(ana.exponent_fit(tables, j).to_json())
             except ConfigError:
                 continue  # identically-zero column (e.g. constant force)
-    estimates = []
-    if cfg.j_max >= ana.MIN_RADIUS_ORDER:
-        estimates = [ana.estimate_radius(t, tail_fraction=cfg.tail_fraction) for t in tables]
-    bounds = ana.bound_check(tables, c_f_bound(cfg.force))
     payload = {
-        "radius": [e.to_json() for e in estimates],
-        "trend": ana.radius_trend(estimates).to_json() if estimates else None,
+        **_radius_report(cfg, _radius_estimates(cfg, tables)),
         "exponents": exponents,
-        "bounds": bounds.to_json(),
+        "bounds": ana.bound_check(tables, c_f_bound(cfg.force)).to_json(),
     }
     path = cfg.out_dir / "sweep.json"
     _write_json(path, payload)
@@ -380,8 +379,6 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
                 f"{e['cap_half']:.17g},{e['cap_five_sixths']:.17g}"
             )
         _atomic_write(cfg.out_dir / "exponents.csv", "\n".join(lines) + "\n")
-        if estimates:
-            _atomic_write(cfg.out_dir / "radius.csv", _radius_csv(estimates))
     return path
 
 
@@ -401,7 +398,7 @@ def _oracle_max_rel_err(cfg: ExperimentConfig) -> float | None:
         fast = series.compute_coefficients(rc)
         slow = series.oracle_coefficients(rc)
         for j in range(1, j_cap + 1):
-            col_scale = max(float(np.max(np.abs(slow.data[:, j]))), series.TINY)
+            col_scale = max(float(slow.max_abs[j]), series.TINY)
             err = float(np.max(np.abs(fast.data[:, j] - slow.data[:, j]))) / col_scale
             max_err = max(max_err, err)
     return max_err

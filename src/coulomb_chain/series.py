@@ -50,7 +50,9 @@ multiplies for K force harmonics.
 
 The writers ``table_csv`` and ``table_json`` return the artifact text and
 cost one float format per value each (``%.17g`` and ``float.__repr__``);
-at j_max = 9 that is far more than the engine's own time.
+at j_max = 9 that is far more than the engine's own time.  A table takes
+its magnitude profile max_i |c_{ij}|, which every report reads, in one
+reduction; ``evaluate_velocity`` sums the velocity series.
 
 A literal composition-sum evaluation of the same recursion
 (``oracle_coefficients``) is kept as an independent cross-check for small
@@ -62,14 +64,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigError
 from .force import ForceSpec
-from .ring import RingConfig, force_grid, initial_positions, nabla_minus, nabla_plus
+from .ring import RingConfig, force_grid, nabla_minus, nabla_plus
 
 __all__ = [
     "CoefficientTable",
@@ -78,7 +80,6 @@ __all__ = [
     "ordered_compositions",
     "explicit_c3",
     "evaluate_velocity",
-    "evaluate_position",
     "table_csv",
     "table_json",
 ]
@@ -94,34 +95,45 @@ class CoefficientTable:
     """Rescaled velocity coefficients for all particles up to order j_max.
 
     ``data[i, j]`` holds c_{ij} * scale**j for j = 0..j_max (column 0 is
-    identically zero: the particles start at rest).
+    identically zero: the particles start at rest); ``N`` and ``j_max`` are
+    read from its shape.  ``max_abs[j]`` = max_i |data[i, j]| is taken once,
+    at construction, and does not follow later writes to ``data``.
     """
 
-    N: int
     L: float
-    j_max: int
     scale: float
     data: np.ndarray
+    max_abs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.data.shape != (self.N, self.j_max + 1):
+        if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 2:
             raise ConfigError(
-                f"coefficient data must have shape (N, j_max+1) = "
-                f"({self.N}, {self.j_max + 1}), got {self.data.shape}"
+                f"coefficient data must have shape (N >= 1, j_max+1 >= 2), got {self.data.shape}"
             )
-        finite = np.isfinite(self.data).all(axis=0)
+        # max carries NaN and inf through, so this is also the finiteness check.
+        max_abs = np.abs(self.data).max(axis=0)
+        finite = np.isfinite(max_abs)
         if not finite.all():
             raise OverflowError(
                 f"coefficient overflow at order {int(np.argmin(finite))}: rescale "
                 f"{self.scale} too large for N={self.N}, j_max={self.j_max}"
             )
+        object.__setattr__(self, "max_abs", max_abs)
+
+    @property
+    def N(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def j_max(self) -> int:
+        return self.data.shape[1] - 1
 
     def log_max_abs(self, j: int) -> float:
         """log(max_i |c_{ij}|) evaluated without leaving the log domain.
 
         Returns -inf when the order-j column vanishes identically.
         """
-        m = float(np.max(np.abs(self.data[:, j])))
+        m = float(self.max_abs[j])
         if m == 0.0:
             return -math.inf
         return math.log(m) - j * math.log(self.scale)
@@ -179,7 +191,7 @@ def compute_coefficients(config: RingConfig) -> CoefficientTable:
             composed = np.einsum("kn,kn->n", fk[1:], pow_u[1:, r])
             c[j] = (s / j) * (interaction + composed)
 
-    return CoefficientTable(N=N, L=config.L, j_max=J, scale=s, data=np.ascontiguousarray(c.T))
+    return CoefficientTable(L=config.L, scale=s, data=np.ascontiguousarray(c.T))
 
 
 def ordered_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -249,7 +261,7 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
                         prod *= s * c[jp] / (jp + 1)
                     acc += (s / j) * (f * prod)
             c[j] = finite(acc, j)
-    return CoefficientTable(N=N, L=config.L, j_max=J, scale=s, data=np.ascontiguousarray(c.T))
+    return CoefficientTable(L=config.L, scale=s, data=np.ascontiguousarray(c.T))
 
 
 def explicit_c3(config: RingConfig) -> np.ndarray:
@@ -272,15 +284,6 @@ def evaluate_velocity(table: CoefficientTable, t: float) -> np.ndarray:
     for j in range(table.j_max, 0, -1):
         acc = acc * tau + table.data[:, j]
     return acc * tau
-
-
-def evaluate_position(table: CoefficientTable, config: RingConfig, t: float) -> np.ndarray:
-    """All particle positions at time t, unwrapped (termwise-integrated velocity series)."""
-    tau = t / table.scale
-    acc = np.zeros(table.N)
-    for j in range(table.j_max, 0, -1):
-        acc = acc * tau + table.data[:, j] / (j + 1.0)
-    return initial_positions(config) + table.scale * acc * tau**2
 
 
 def table_csv(table: CoefficientTable) -> str:

@@ -25,7 +25,7 @@ def geometric_table(rho, N=6, j_max=16):
     data = np.zeros((N, j_max + 1))
     for j in range(1, j_max + 1):
         data[:, j] = rho ** (-j)
-    return CoefficientTable(N=N, L=1.0, j_max=j_max, scale=1.0, data=data)
+    return CoefficientTable(L=1.0, scale=1.0, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_radius_sparse_zeros_no_nan():
     data = np.zeros((4, 17))
     for j in range(1, 17):
         data[:, j] = 0.0 if j % 3 == 0 else 2.0 ** (-j)
-    table = CoefficientTable(N=4, L=1.0, j_max=16, scale=1.0, data=data)
+    table = CoefficientTable(L=1.0, scale=1.0, data=data)
     est = estimate_radius(table)
     assert math.isfinite(est.r_hat)
     assert est.r_hat == pytest.approx(2.0, rel=1e-6)

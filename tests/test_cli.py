@@ -362,6 +362,40 @@ def test_format_override(tmp_path):
     assert not (out / "coeffs_N8.json").exists()
 
 
+def test_radius_sweep_and_compare_report_one_radius(tmp_path):
+    obj = copy.deepcopy(SINE_CONFIG)
+    obj["ring"] = {"N": [8, 16, 32, 64], "L": 1.0, "J_max": 9, "scale": "auto"}
+    cfg = write_config(tmp_path, obj)
+    for cmd in ("radius", "sweep", "compare"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == 0
+    radius = json.loads((tmp_path / "radius" / "radius.json").read_text())
+    sweep = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    compare = json.loads((tmp_path / "compare" / "compare.json").read_text())
+    csv_bytes = (tmp_path / "radius" / "radius.csv").read_bytes()
+    assert csv_bytes == (tmp_path / "sweep" / "radius.csv").read_bytes()
+    assert {key: sweep[key] for key in ("radius", "trend")} == radius
+    r_hats = [e["R_hat"] for e in radius["radius"]]
+    assert all(r > 0 for r in r_hats)
+    assert [e["R_hat"] for e in compare["per_N"]] == r_hats
+
+
+@pytest.mark.parametrize("blocker, out", [
+    ("taken", "taken"),  # --out names an existing file
+    ("taken", "taken/sub"),  # --out lies below a file
+    ("out/coeffs_N8.csv/", "out"),  # a directory stands where a table goes
+])
+def test_unwritable_output_directory_is_a_config_error(tmp_path, capsys, blocker, out):
+    if blocker.endswith("/"):
+        (tmp_path / blocker).mkdir(parents=True)
+    else:
+        (tmp_path / blocker).write_text("")
+    cfg = write_config(tmp_path, SINE_CONFIG)
+    assert main(["coeffs", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output.directory: cannot write ") and str(tmp_path / out) in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize(
     "exc, code",
     [

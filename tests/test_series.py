@@ -16,11 +16,9 @@ from coulomb_chain import (
     RingConfig,
     auto_scale,
     compute_coefficients,
-    evaluate_position,
     evaluate_velocity,
     explicit_c3,
     force_grid,
-    initial_positions,
     oracle_coefficients,
     ordered_compositions,
     table_csv,
@@ -109,7 +107,7 @@ def dense_reference(config):
                 composed = 0.0
             c[j] = (s / j) * (interaction + composed)
 
-    return CoefficientTable(N=N, L=config.L, j_max=J, scale=s, data=np.ascontiguousarray(c.T))
+    return CoefficientTable(L=config.L, scale=s, data=np.ascontiguousarray(c.T))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +258,7 @@ def test_writers_match_reference_renderers_on_edge_values(j_max):
     n = -(-len(EDGE_VALUES) // j_max)
     data = np.zeros((n, j_max + 1))
     data[:, 1:] = np.resize(EDGE_VALUES, (n, j_max))
-    table = CoefficientTable(N=n, L=1.5e20, j_max=j_max, scale=2.5e-7, data=data)
+    table = CoefficientTable(L=1.5e20, scale=2.5e-7, data=data)
     assert table_csv(table) == reference_csv(table)
     assert table_json(table, SEED7_TWO) == reference_json(table, SEED7_TWO)
 
@@ -270,17 +268,53 @@ def test_writers_match_reference_renderers_on_random_bits(rng):
     values = bits.view(np.float64)
     values[~np.isfinite(values)] = 0.0
     data = np.hstack([np.zeros((64, 1)), values])
-    table = CoefficientTable(N=64, L=3.0e-9, j_max=9, scale=1e-100, data=data)
+    table = CoefficientTable(L=3.0e-9, scale=1e-100, data=data)
     assert table_csv(table) == reference_csv(table)
     assert table_json(table, SEED7_TWO) == reference_json(table, SEED7_TWO)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_table_json_rejects_values_set_after_construction(bad):
-    table = CoefficientTable(N=4, L=1.0, j_max=3, scale=0.5, data=np.zeros((4, 4)))
+    table = CoefficientTable(L=1.0, scale=0.5, data=np.zeros((4, 4)))
     table.data[2, 3] = bad
     with pytest.raises(ValueError, match="non-finite"):
         table_json(table, SEED7_TWO)
+
+
+def test_max_abs_is_the_column_max_of_magnitudes():
+    # Negatives, signed zeros and subnormals: the profile equals the per-column
+    # max of |c| bit for bit, so every log read from it is unchanged.
+    data = np.array([
+        [0.0, -3.0, -0.0, 5e-324, 1e300, -2.2250738585072014e-308],
+        [-0.0, 2.0, -0.0, -1e-310, -2e300, 1e-320],
+        [0.0, -1.5, 0.0, 0.0, 7.0, -0.0],
+    ])
+    table = CoefficientTable(L=1.0, scale=0.5, data=data)
+    expected = np.array([np.max(np.abs(data[:, j])) for j in range(data.shape[1])])
+    assert table.max_abs.tobytes() == expected.tobytes()
+    assert table.log_max_abs(2) == -math.inf
+    assert table.log_max_abs(3) == math.log(1e-310) - 3 * math.log(0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_in_a_later_row_names_its_order(bad):
+    data = np.ones((5, 7))
+    data[4, 3] = bad
+    data[1, 5] = bad
+    with pytest.raises(OverflowError, match="at order 3:"):
+        CoefficientTable(L=1.0, scale=1.0, data=data)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (7, 4), (3, 10)])
+def test_table_dimensions_follow_the_data(shape):
+    table = CoefficientTable(L=1.0, scale=1.0, data=np.zeros(shape))
+    assert (table.N, table.j_max) == (shape[0], shape[1] - 1)
+
+
+@pytest.mark.parametrize("shape", [(4,), (0, 3), (4, 1), (2, 2, 2)])
+def test_table_rejects_data_without_particles_or_orders(shape):
+    with pytest.raises(ConfigError, match="shape"):
+        CoefficientTable(L=1.0, scale=1.0, data=np.zeros(shape))
 
 
 def test_overflow_raises(sine_force):
@@ -448,7 +482,6 @@ def test_evaluation_at_zero(sine_force):
     config = RingConfig(N=8, L=1.0, force=sine_force, j_max=8)
     table = compute_coefficients(config)
     np.testing.assert_array_equal(evaluate_velocity(table, 0.0), np.zeros(8))
-    np.testing.assert_array_equal(evaluate_position(table, config, 0.0), initial_positions(config))
 
 
 def test_constant_force_evaluation():
@@ -457,19 +490,12 @@ def test_constant_force_evaluation():
     table = compute_coefficients(config)
     t = 0.3
     np.testing.assert_allclose(evaluate_velocity(table, t), np.full(4, f0 * t), rtol=1e-14)
-    np.testing.assert_allclose(
-        evaluate_position(table, config, t),
-        initial_positions(config) + 0.5 * f0 * t**2,
-        rtol=1e-14,
-    )
 
 
 def test_partial_sum_tail_identity(sine_force):
     config = RingConfig(N=8, L=1.0, force=sine_force, j_max=12, scale=1.0)
     table = compute_coefficients(config)
-    shorter = CoefficientTable(
-        N=8, L=1.0, j_max=10, scale=1.0, data=table.data[:, :11].copy()
-    )
+    shorter = CoefficientTable(L=1.0, scale=1.0, data=table.data[:, :11].copy())
     t = 0.05
     v_long = evaluate_velocity(table, t)
     diff = np.abs(v_long - evaluate_velocity(shorter, t))
