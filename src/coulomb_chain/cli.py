@@ -34,7 +34,7 @@ import numpy as np
 
 from . import analysis as ana
 from . import ode, series
-from .errors import CollisionError, ConfigError, StiffnessError, check_int
+from .errors import CollisionError, ConfigError, StiffnessError, check_int, check_keys
 from .force import ForceSpec, c_f_bound
 from .ring import RingConfig
 
@@ -97,13 +97,18 @@ def _need(obj: dict, field: str, path: str):
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
-    """Build the force and every ring; ``ForceSpec`` and ``RingConfig`` check their values."""
+    """Build the force and every ring; ``ForceSpec`` and ``RingConfig`` check their values.
+
+    A key that nothing reads, at any level, is an error named by its JSON path.
+    """
     if not isinstance(obj, dict):
         raise ConfigError("config: top level must be a JSON object")
+    check_keys(obj, ("ring", "force", "ode", "analysis", "output"))
 
     ring = _need(obj, "ring", "config")
     if not isinstance(ring, dict):
         raise ConfigError("ring: expected an object")
+    check_keys(ring, ("N", "L", "J_max", "scale"), "ring")
     n_raw = _need(ring, "N", "ring")
     grid = isinstance(n_raw, list)
     if grid and not n_raw:
@@ -137,6 +142,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     ode_obj = obj.get("ode", {})
     if not isinstance(ode_obj, dict):
         raise ConfigError("ode: expected an object")
+    check_keys(ode_obj, ("t_end", "rel_tol", "abs_tol", "sample_count"), "ode")
     try:
         t_end, rel_tol, abs_tol = ode.check_settings(
             ode_obj.get("t_end", 0.05),
@@ -150,16 +156,18 @@ def parse_config(obj: dict) -> ExperimentConfig:
     ana_obj = obj.get("analysis", {})
     if not isinstance(ana_obj, dict):
         raise ConfigError("analysis: expected an object")
+    if "n_grid" in ana_obj:
+        raise ConfigError("analysis.n_grid: no longer supported; give the N grid as ring.N")
+    check_keys(ana_obj, ("tail_fraction",), "analysis")
     try:
         tail_fraction = ana.check_tail_fraction(ana_obj.get("tail_fraction", 0.5))
     except ConfigError as exc:
         raise exc.within("analysis") from None
-    if "n_grid" in ana_obj:
-        raise ConfigError("analysis.n_grid: no longer supported; give the N grid as ring.N")
 
     out_obj = obj.get("output", {})
     if not isinstance(out_obj, dict):
         raise ConfigError("output: expected an object")
+    check_keys(out_obj, ("directory", "formats"), "output")
     out_dir = out_obj.get("directory", "out")
     if not isinstance(out_dir, str):
         raise ConfigError(f"output.directory: expected a string, got {out_dir!r}")

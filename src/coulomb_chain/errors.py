@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the value checks that raise them."""
 
+import math
+import numbers
 import sys
 
 
@@ -28,19 +30,31 @@ class StiffnessError(RuntimeError):
 
 
 def check_int(value, field: str, minimum: int) -> int:
-    """``value``, which must be an int (not a bool) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """``value`` as an int: an integral number (numpy's too, not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"expected an integer, got {value!r}", field)
     if value < minimum:
         raise ConfigError(f"must be >= {minimum}, got {value!r}", field)
-    return value
+    return int(value)
 
 
 def check_real(value, field: str, positive: bool = False) -> float:
-    """``value`` as a float; it must be a finite (if asked, positive) number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """``value`` as a float; it must be a finite (if asked, positive) real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"expected a number, got {value!r}", field)
-    if not abs(value) <= sys.float_info.max or (positive and not value > 0):  # NaN fails too
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond double range
+        number = math.inf
+    if not abs(number) <= sys.float_info.max or (positive and not number > 0):  # NaN fails too
         need = "positive and finite" if positive else "finite"
         raise ConfigError(f"must be {need}, got {value!r}", field)
-    return float(value)
+    return number
+
+
+def check_keys(obj: dict, known: tuple[str, ...], path: str | None = None) -> None:
+    """Reject the first key of ``obj`` outside ``known``, named by its path under ``path``."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"unknown key; expected one of {', '.join(known)}",
+                              f"{path}.{key}" if path else key)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_int, check_real
+from .errors import ConfigError, check_int, check_keys, check_real
 
 __all__ = [
     "Harmonic",
@@ -46,7 +46,7 @@ class Harmonic:
     b: float = 0.0
 
     def __post_init__(self):
-        check_int(self.k, "k", minimum=1)
+        object.__setattr__(self, "k", check_int(self.k, "k", minimum=1))
         object.__setattr__(self, "a", check_real(self.a, "a"))
         object.__setattr__(self, "b", check_real(self.b, "b"))
 
@@ -86,9 +86,13 @@ class ForceSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ForceSpec":
-        """Parse ``{"L", "a0"?, "harmonics"?: [{"k", "a"?, "b"?}]}``; errors name the JSON path."""
+        """Parse ``{"L", "a0"?, "harmonics"?: [{"k", "a"?, "b"?}]}`` and no other key.
+
+        Errors name the JSON path.
+        """
         if not isinstance(obj, dict):
             raise ConfigError(f"expected an object, got {obj!r}")
+        check_keys(obj, ("L", "a0", "harmonics"))
         raw = obj.get("harmonics", [])
         if not isinstance(raw, list):
             raise ConfigError("expected a list", "harmonics")
@@ -97,6 +101,7 @@ class ForceSpec:
             try:
                 if not isinstance(h, dict):
                     raise ConfigError("expected an object")
+                check_keys(h, ("k", "a", "b"))
                 harmonics.append(Harmonic(h.get("k"), h.get("a", 0.0), h.get("b", 0.0)))
             except ConfigError as exc:
                 raise exc.within(f"harmonics[{i}]") from None

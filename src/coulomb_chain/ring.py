@@ -56,9 +56,9 @@ class RingConfig:
     scale: float | None = None
 
     def __post_init__(self):
-        check_int(self.N, "N", minimum=2)
+        object.__setattr__(self, "N", check_int(self.N, "N", minimum=2))
         object.__setattr__(self, "L", check_real(self.L, "L", positive=True))
-        check_int(self.j_max, "j_max", minimum=1)
+        object.__setattr__(self, "j_max", check_int(self.j_max, "j_max", minimum=1))
         if self.force.L != self.L:
             raise ConfigError(f"{self.force.L} differs from the ring's L = {self.L}", "force.L")
         scale = auto_scale(self.N) if self.scale is None else self.scale

@@ -39,7 +39,10 @@ zero; no series value is ever a divisor, and the final
 (scale/j) * (interaction + composed) never yields -0.0.
 
 Those series rows are stored only for even m (row r holds order m = 2r),
-so u, gap, recip, w and pow_u hold (j_max+1)//2 rows each.
+so gap, recip and each power pow_u[k] hold (j_max+1)//2 rows; u is
+pow_u[1], and w is formed per order, since only its newest row is read.
+The table c is filled order-major, one row per order, and
+``CoefficientTable`` receives its transpose as a view, not a copy.
 
 The reciprocal and square cost O(N * j_max**2); the table of powers u**k
 for the force composition dominates at O(N * j_max**3), about
@@ -96,8 +99,10 @@ class CoefficientTable:
 
     ``data[i, j]`` holds c_{ij} * scale**j for j = 0..j_max (column 0 is
     identically zero: the particles start at rest); ``N`` and ``j_max`` are
-    read from its shape.  ``max_abs[j]`` = max_i |data[i, j]| is taken once,
-    at construction, and does not follow later writes to ``data``.
+    read from its shape.  ``data`` may have any memory layout: the engines
+    pass the transpose of their order-major array, whose columns
+    ``data[:, j]`` are contiguous.  ``max_abs[j]`` = max_i |data[i, j]| is
+    taken once, at construction, and does not follow later writes to ``data``.
     """
 
     L: float
@@ -156,18 +161,17 @@ def compute_coefficients(config: RingConfig) -> CoefficientTable:
         fk[k] /= math.factorial(k)
 
     # Only odd orders j (even integrand orders m) are nonzero, and only even
-    # rows of u, gap, recip, w and pow_u are ever read, so those arrays keep
-    # row r for series order m = 2r.
+    # rows of the series are ever read, so gap, recip and pow_u keep row r
+    # for series order m = 2r.  pow_u[k] = u**k, and row 1 is the
+    # displacement series u itself (allocated at J <= 2 too, k_cap = 0).
     rows = (J + 1) // 2
     c = np.zeros((J + 1, N))  # rescaled velocity coefficients, order-major
-    u = np.zeros((rows, N))  # displacement series
     recip = np.zeros((rows, N))  # 1 / (delta + R)
-    w = np.zeros((rows, N))  # (delta + R)**(-2)
     gap = np.zeros((rows, N))  # R = forward difference of u over the ring
     recip[0] = 1.0 / delta
-    w[0] = 1.0 / delta**2
-    pow_u = np.zeros((k_cap + 1, rows, N))  # pow_u[k] = u**k
-    # Order 1 is the force sample; w[0] is constant, so no interaction term.
+    pow_u = np.zeros((max(k_cap, 1) + 1, rows, N))
+    u = pow_u[1]
+    # Order 1 is the force sample; w starts constant, so no interaction term.
     c[1] = s * fk[0]
 
     # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
@@ -180,18 +184,17 @@ def compute_coefficients(config: RingConfig) -> CoefficientTable:
             u[r] = s * c[m - 1] / m
             gap[r] = np.roll(u[r], -1) - u[r]
             recip[r] = -(gap[1 : r + 1] * recip[r - 1 :: -1]).sum(axis=0) / delta
-            w[r] = (recip[: r + 1] * recip[r::-1]).sum(axis=0)
-            pow_u[1, r] = u[r]
+            w = (recip[: r + 1] * recip[r::-1]).sum(axis=0)  # order m of (delta + R)**(-2)
             for k in range(2, r + 1):
                 # u starts at order 2 and u**(k-1) at order 2k-2.
                 band = u[1 : r - k + 2] * pow_u[k - 1, r - 1 : k - 2 : -1]
                 pow_u[k, r] = band.sum(axis=0)
 
-            interaction = np.roll(w[r], 1) - w[r]  # w_{i-1} - w_i
+            interaction = np.roll(w, 1) - w  # w_{i-1} - w_i
             composed = np.einsum("kn,kn->n", fk[1:], pow_u[1:, r])
             c[j] = (s / j) * (interaction + composed)
 
-    return CoefficientTable(L=config.L, scale=s, data=np.ascontiguousarray(c.T))
+    return CoefficientTable(L=config.L, scale=s, data=c.T)
 
 
 def ordered_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -261,7 +264,7 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
                         prod *= s * c[jp] / (jp + 1)
                     acc += (s / j) * (f * prod)
             c[j] = finite(acc, j)
-    return CoefficientTable(L=config.L, scale=s, data=np.ascontiguousarray(c.T))
+    return CoefficientTable(L=config.L, scale=s, data=c.T)
 
 
 def explicit_c3(config: RingConfig) -> np.ndarray:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import os
@@ -45,6 +46,69 @@ def test_coeffs_deterministic(tmp_path):
     assert main(["coeffs", "--config", str(cfg), "--out", str(out_a)]) == 0  # overwrite
     for name in ("coeffs_N8.csv", "coeffs_N8.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# sha256 of every file each command writes on one small config, and verify's
+# stdout.  The determinism tests compare two runs of the same code; these pins
+# catch a change of any byte in any artifact.  Like the table pins in
+# test_series.py they hold for one numpy build and CPU family.
+PINNED_CONFIG = {
+    **SINE_CONFIG,
+    "ring": {"N": [8, 16, 32, 64], "L": 1.0, "J_max": 12, "scale": "auto"},
+    "ode": {**SINE_CONFIG["ode"], "t_end": 1e-3},
+}
+PINNED_ARTIFACTS = {
+    "coeffs": {
+        "coeffs_N8.csv": "9942cdb7a3e5d1be8f5a5b1e24d8d78929b2f841673720feb9d7b561ca4abea5",
+        "coeffs_N8.json": "aa6a981c88334c5f831de6110c7067672c3fbb8b11de20f0206ccb3fa3beeef6",
+        "coeffs_N16.csv": "2a3e5869a867c746e944b0545d18a5fe68b818adfadfce92c93353d7d27b2ede",
+        "coeffs_N16.json": "111db8c4a2446b2a6e290de88c9b9a726a52bcc87efa67ed6daf869d3134b13d",
+        "coeffs_N32.csv": "cba7c3b0462caab0f40b648a60f32ee10a398f060a34c78b235c7f8194e749b6",
+        "coeffs_N32.json": "c0a5f27023ca17d07cbaf1a25fa227ab18c772f32971851fde920f12ad7c65e1",
+        "coeffs_N64.csv": "315e2c46867f29385c359b4895716113828d06c264bf51b2d8053d142d35e69e",
+        "coeffs_N64.json": "69b07a1c12260f885b999854ed7efb48b1b0de1852f85b50702d409acead76d1",
+    },
+    "simulate": {
+        "simulate.json": "1a9f003f3e4ae19090b4fe156b4e5b06183cfc530d57a37d380e93872756d77a",
+        "trajectory_N8.csv": "78ca6510833242fcaa2a48b17aea471d0a0b3d43cb804e62d61f75c08609ce8a",
+        "trajectory_N16.csv": "bfa804e10203afc7c39a7c9a1fbb8ed6f61fdfd9c1c06d2d37cb31678a8e078e",
+        "trajectory_N32.csv": "dbb6ef6fdbdc3bed42ded32d05d5b7334c3cb8abf468c0bcac310c712bc943ea",
+        "trajectory_N64.csv": "b35cd23bc4ae7ac601ac34144f65ae9e2a758ba580ad4300d93d79309ae3890e",
+    },
+    "compare": {
+        "compare.json": "080045499227ed54bff71b39c96608140d27907fe8e3caa612c1f39c09fb3b5a",
+    },
+    "radius": {
+        "radius.csv": "0b74145201ec333c89837df137a1d54f88b47112a2dc75b094f08030a6954e85",
+        "radius.json": "5100422f01ef1f1a86a5453e5e9293a9276af15bd8f525a463852164e40cc316",
+    },
+    "verify": {
+        "verify.json": "4b0c19d1f927aa5e132b08f29f3d97b988430872211c5ed54585bdcfd4c0eb51",
+    },
+    "sweep": {
+        "exponents.csv": "84fa73f3a820a804a30eb616edb199c95f9239787794ccd99f3e47e22347006a",
+        "radius.csv": "0b74145201ec333c89837df137a1d54f88b47112a2dc75b094f08030a6954e85",
+        "sweep.json": "352ae58afa2c5fa201ff80c7433fc031d4ca09a21dc8ce3c04c486bc0beeb07c",
+    },
+}
+PINNED_VERIFY_STDOUT = (
+    "PASS  order-3 magnitude bound\n"
+    "PASS  composition-sum cross-check  (max rel err 2.00e-14)\n"
+)
+
+
+def test_every_command_artifact_is_pinned(tmp_path, capsys):
+    cfg = write_config(tmp_path, PINNED_CONFIG)
+    digests, stdout = {}, {}
+    for command in PINNED_ARTIFACTS:
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+        stdout[command] = capsys.readouterr().out
+        digests[command] = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
+        }
+    assert digests == PINNED_ARTIFACTS
+    assert stdout == {**dict.fromkeys(PINNED_ARTIFACTS, ""), "verify": PINNED_VERIFY_STDOUT}
 
 
 def test_coeffs_constant_force_zero_columns(tmp_path):
@@ -162,6 +226,31 @@ def test_config_error_names_field(tmp_path, capsys, section, key, value, path):
     code, out = run("coeffs", tmp_path, obj)
     assert code == 2
     assert f"error: {path}:" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize(
+    "section, key, path",
+    [
+        ((), "odes", "odes"),
+        (("ring",), "n", "ring.n"),
+        (("force",), "b1", "force.b1"),
+        (("force", "harmonics", 0), "amp", "force.harmonics[0].amp"),
+        (("ode",), "rtol", "ode.rtol"),
+        (("analysis",), "tail", "analysis.tail"),
+        (("output",), "dir", "output.dir"),
+    ],
+)
+def test_unknown_key_is_a_config_error(tmp_path, capsys, section, key, path):
+    # a misspelled setting must not run silently at its default
+    obj = copy.deepcopy(SINE_CONFIG)
+    target = obj
+    for step in section:
+        target = target[step]
+    target[key] = 1e-13
+    code, out = run("coeffs", tmp_path, obj)
+    assert code == 2
+    assert f"error: {path}: unknown key" in capsys.readouterr().err
     assert not out.exists()  # rejected before any work
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -126,6 +127,18 @@ def test_invalid_specs_rejected():
         ForceSpec(L=1.0, a0=math.inf)
     with pytest.raises(ConfigError, match="^b: "):
         Harmonic(1, 0.0, math.nan)
+    with pytest.raises(ConfigError, match="^a: "):
+        Harmonic(1, np.bool_(True))
+    with pytest.raises(ConfigError, match="^a: "):
+        Harmonic(1, np.float32(np.inf))
+    # numpy scalars are numbers too, stored as Python int and float
+    h = Harmonic(np.int64(1), np.float32(0.5), np.float64(-0.25))
+    assert (h.k, h.a, h.b) == (1, 0.5, -0.25)
+    assert [type(v) for v in (h.k, h.a, h.b)] == [int, float, float]
+    spec = ForceSpec(L=np.float32(1.0), a0=np.int64(0), harmonics=(h,))
+    assert json.dumps(spec.to_json()) == json.dumps(
+        ForceSpec(L=1.0, harmonics=(Harmonic(1, 0.5, -0.25),)).to_json()
+    )
 
 
 @pytest.mark.parametrize(
@@ -134,6 +147,7 @@ def test_invalid_specs_rejected():
         ({"k": 1.7}, "harmonics[0].k"),
         ({"k": True}, "harmonics[0].k"),
         ({"k": 1, "b": "0.5"}, "harmonics[0].b"),
+        ({"k": 1, "amp": 0.5}, "harmonics[0].amp"),
     ],
 )
 def test_from_json_rejects_bad_values(harmonic, field):

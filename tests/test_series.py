@@ -166,6 +166,20 @@ def test_invalid_configs_rejected(sine_force):
         RingConfig(N=4, L=1.0, force=sine_force, j_max=True)
     with pytest.raises(ConfigError, match="^N: "):
         RingConfig(N=True, L=1.0, force=sine_force, j_max=4)
+    with pytest.raises(ConfigError, match="^N: "):
+        RingConfig(N=np.bool_(True), L=1.0, force=sine_force, j_max=4)
+    with pytest.raises(ConfigError, match="^N: "):
+        RingConfig(N=np.float64(8.0), L=1.0, force=sine_force, j_max=4)
+    # numpy scalars are numbers too, stored as Python int and float, so the
+    # table and its artifacts are those of the plain values
+    numpy_config = RingConfig(N=np.int64(8), L=np.float32(1.0), force=sine_force,
+                              j_max=np.int32(9), scale=np.float32(0.5))
+    values = (numpy_config.N, numpy_config.L, numpy_config.j_max, numpy_config.scale)
+    assert values == (8, 1.0, 9, 0.5)
+    assert [type(v) for v in values] == [int, float, int, float]
+    table = compute_coefficients(numpy_config)
+    plain = compute_coefficients(RingConfig(N=8, L=1.0, force=sine_force, j_max=9, scale=0.5))
+    assert table_csv(table) == table_csv(plain)
 
 
 def test_matches_dense_reference(sine_force):
@@ -268,9 +282,11 @@ def test_writers_match_reference_renderers_on_random_bits(rng):
     values = bits.view(np.float64)
     values[~np.isfinite(values)] = 0.0
     data = np.hstack([np.zeros((64, 1)), values])
-    table = CoefficientTable(L=3.0e-9, scale=1e-100, data=data)
-    assert table_csv(table) == reference_csv(table)
-    assert table_json(table, SEED7_TWO) == reference_json(table, SEED7_TWO)
+    # row-major, and the transposed order-major layout the engine hands over
+    for layout in (data, np.ascontiguousarray(data.T).T):
+        table = CoefficientTable(L=3.0e-9, scale=1e-100, data=layout)
+        assert table_csv(table) == reference_csv(table)
+        assert table_json(table, SEED7_TWO) == reference_json(table, SEED7_TWO)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -289,11 +305,13 @@ def test_max_abs_is_the_column_max_of_magnitudes():
         [-0.0, 2.0, -0.0, -1e-310, -2e300, 1e-320],
         [0.0, -1.5, 0.0, 0.0, 7.0, -0.0],
     ])
-    table = CoefficientTable(L=1.0, scale=0.5, data=data)
     expected = np.array([np.max(np.abs(data[:, j])) for j in range(data.shape[1])])
-    assert table.max_abs.tobytes() == expected.tobytes()
-    assert table.log_max_abs(2) == -math.inf
-    assert table.log_max_abs(3) == math.log(1e-310) - 3 * math.log(0.5)
+    # row-major, and the transposed order-major layout the engine hands over
+    for layout in (data, np.ascontiguousarray(data.T).T):
+        table = CoefficientTable(L=1.0, scale=0.5, data=layout)
+        assert table.max_abs.tobytes() == expected.tobytes()
+        assert table.log_max_abs(2) == -math.inf
+        assert table.log_max_abs(3) == math.log(1e-310) - 3 * math.log(0.5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
