@@ -13,8 +13,8 @@ top angular frequency.
 One kernel, ``force_jet``, evaluates every derivative: it takes one cos and
 one sin per harmonic and point and applies each quarter turn as an exact
 rotation of the pair (a cos + b sin, b cos - a sin), then scales by w**n.
-``eval_force`` reads its row 0, and ``ring.force_grid`` reads rows
-0..k_max on the rest lattice at the cost of one trig pass.  Points are
+``eval_force`` reads its row 0; ``ring.force_grid`` and the coefficient
+engine read rows 0..k_max on the rest lattice at the cost of one trig pass.  Points are
 reduced modulo L only when one lies outside [0, L).
 """
 

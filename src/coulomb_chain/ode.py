@@ -31,7 +31,9 @@ A trial Runge-Kutta stage whose gaps reach the floor is not physical: the
 right-hand side returns NaN for it, DOP853's error norm is then not below
 one, and the controller rejects the step and retries with a shorter one.
 Only an accepted step that breaks the particle ordering raises
-CollisionError.  Rejected attempts are counted from the RHS calls of each
+CollisionError.  The right-hand side and the ordering check form their
+cyclic neighbour differences, sums and products by slice arithmetic into
+rows allocated once per integration.  Rejected attempts are counted from the RHS calls of each
 step (DOP853 spends ``n_stages`` per attempt).  scipy is imported inside
 ``integrate``, so importing this module (and the CLI) does not pay for
 loading ``scipy.integrate``.
@@ -105,14 +107,18 @@ def _gaps(x: np.ndarray, L: float) -> np.ndarray:
     return g
 
 
-def _forward_diff(u: np.ndarray) -> np.ndarray:
-    """Cyclic forward difference u[i+1] - u[i]."""
-    return np.concatenate((u[1:], u[:1])) - u
+def _forward_diff(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the cyclic forward difference a[i+1] - a[i] into ``out``."""
+    np.subtract(a[1:], a[:-1], out=out[:-1])
+    out[-1] = a[0] - a[-1]
+    return out
 
 
-def _left(a: np.ndarray) -> np.ndarray:
-    """Cyclic left neighbor a[i-1]."""
-    return np.concatenate((a[-1:], a[:-1]))
+def _with_left(op, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write op(a[i], a[i-1]) into ``out``, with a[-1] the left neighbour of a[0]."""
+    op(a[1:], a[:-1], out=out[1:])
+    out[0] = op(a[0], a[-1])
+    return out
 
 
 def _check_floor(config: RingConfig, g: np.ndarray) -> None:
@@ -133,11 +139,13 @@ def _acceleration(
     dg0: np.ndarray,
     u: np.ndarray,
     out: np.ndarray,
+    work: np.ndarray,
 ) -> None:
     """Write the net acceleration at positions ``x0 + u`` into ``out``.
 
-    ``g0`` are the cyclic gaps of ``x0`` and ``dg0[i] = g0[i] - g0[i-1]``.
-    With g_i = g0_i + (u_{i+1} - u_i) the interaction is formed as
+    ``g0`` are the cyclic gaps of ``x0`` and ``dg0[i] = g0[i] - g0[i-1]``;
+    ``work`` is scratch of shape (3, N).  With g_i = g0_i + (u_{i+1} - u_i)
+    the interaction is formed as
 
         g_{i-1}**-2 - g_i**-2 = (g_i - g_{i-1}) (g_i + g_{i-1}) / (g_i g_{i-1})**2,
         g_i - g_{i-1} = dg0_i + (u_{i+1} - 2 u_i + u_{i-1}),
@@ -146,17 +154,18 @@ def _acceleration(
     terms, enters it.  Raises CollisionError when any gap is at or below the
     collision floor.
     """
-    du = _forward_diff(u)
-    g = g0 + du
+    du, g, dg = work
+    _forward_diff(u, du)
+    np.add(g0, du, out=g)
     _check_floor(config, g)
-    g_left = _left(g)
-    dg = du - _left(du)
+    _with_left(np.subtract, du, dg)
     dg += dg0
-    np.multiply(dg, g + g_left, out=out)
-    g *= g_left
-    out /= g
-    out /= g
-    out += eval_force(config.force, x0 + u)
+    _with_left(np.add, g, out)
+    out *= dg
+    g_prod = _with_left(np.multiply, g, du)
+    out /= g_prod
+    out /= g_prod
+    out += eval_force(config.force, np.add(x0, u, out=dg))
 
 
 def initial_state(config: RingConfig) -> TrajectoryState:
@@ -172,7 +181,8 @@ def acceleration(config: RingConfig, state: TrajectoryState) -> np.ndarray:
     x = np.asarray(state.x, dtype=float)
     g = _gaps(x, config.L)
     out = np.empty_like(x)
-    _acceleration(config, x, g, g - _left(g), np.zeros_like(x), out)
+    dg = _with_left(np.subtract, g, np.empty_like(x))
+    _acceleration(config, x, g, dg, np.zeros_like(x), out, np.empty((3,) + x.shape))
     return out
 
 
@@ -215,7 +225,9 @@ def integrate(
         x0, v0 = np.asarray(initial.x, float), np.asarray(initial.v, float)
         g0 = _gaps(x0, config.L)
     _check_floor(config, g0)  # only trial stages may cross the floor
-    dg0 = g0 - _left(g0)
+    dg0 = _with_left(np.subtract, g0, np.empty(N))
+    work = np.empty((3, N))
+    gaps = np.empty(N)
     y0 = np.concatenate([np.zeros(N), v0])
 
     if t_eval is None:
@@ -236,7 +248,7 @@ def integrate(
         dy = np.empty(2 * N)
         dy[:N] = y[N:]
         try:
-            _acceleration(config, x0, g0, dg0, y[:N], dy[N:])
+            _acceleration(config, x0, g0, dg0, y[:N], dy[N:], work)
         except CollisionError:
             dy[N:] = np.nan  # non-physical trial stage: DOP853 rejects the step
         return dy
@@ -274,7 +286,9 @@ def integrate(
         shortest, longest = min(shortest, h), max(longest, h)
         err_bound += rel_tol * float(np.max(np.abs(solver.y))) + abs_tol
         # Ordering must survive every accepted step, not just the samples.
-        if np.any(g0 + _forward_diff(solver.y[:N]) <= 0.0):
+        _forward_diff(solver.y[:N], gaps)
+        gaps += g0
+        if (gaps <= 0.0).any():
             raise CollisionError(f"particle ordering violated at t={solver.t:.6e}")
         if next_idx < t_eval.size and t_eval[next_idx] <= solver.t:
             dense = solver.dense_output()

@@ -20,8 +20,9 @@ table fills in strictly increasing order j = 1, 2, ..., j_max:
   * c_{ij} = [w_{i-1} - w_i + F(x_i(0)+u_i)]_{j-1} / j.
 
 Everything is stored pre-multiplied by scale**j (the coefficient of tau**j
-in v_i(scale*tau)), which keeps magnitudes bounded for large N.  All
-particles advance together one order at a time as vectorized array rows.
+in v_i(scale*tau)), which keeps magnitudes bounded for large N.  The
+particles of one slab (below) advance together one order at a time as
+vectorized array rows.
 
 Only structurally nonzero terms are computed.  From rest every even order
 vanishes (the velocities are odd in t), so u, R, 1/(delta+R), w and every
@@ -44,12 +45,30 @@ pow_u[1], and w is formed per order, since only its newest row is read.
 The table c is filled order-major, one row per order, and
 ``CoefficientTable`` receives its transpose as a view, not a copy.
 
+The loop walks the ring in slabs of 16384 particles, so the rows it
+sweeps once per order stay in cache.  Order j at particle i reads order
+j-2 only at i-1..i+1 (the forward difference of u, the backward difference
+of w), so the top order reaches H = (j_max-1)//2 particles to each side of
+order 1.  Each slab is extended by a halo of H particles on both sides,
+indices taken mod N, and the loop runs unchanged on the extended slab with
+its cyclic shifts inside the slab: the false wrap at the slab's ends moves
+in by one particle per odd order and never reaches the central columns,
+which alone are kept.  A slab's force jet is ``force.force_jet`` at
+idx * delta, the bits of ``ring.initial_positions``, so every table is
+bit-identical to one loop over the whole ring.  A ring of at most one
+slab is that slab, with H = 0: its shifts are the ring's own wrap, and the
+engine's array is the table.  The shifts subtract slices, and the force
+composition at order m sums k <= m/2 only, since u**k is zero below
+order 2k.
+
 The reciprocal and square cost O(N * j_max**2); the table of powers u**k
 for the force composition dominates at O(N * j_max**3), about
-N * j_max**3 / 48 multiply-adds.  The force jet F^(k)(x_i(0)) for
-k = 0..(j_max-1)//2 comes from one ``ring.force_grid`` call per table: one
-cos and one sin per harmonic and particle, plus O(N * j_max * K)
-multiplies for K force harmonics.
+N * j_max**3 / 48 multiply-adds, and the halo adds 2H particles per slab.
+The force jet F^(k)(x_i(0)) for k = 0..(j_max-1)//2 costs one cos and one
+sin per harmonic and particle, plus O(N * j_max * K) multiplies for K
+force harmonics.  Peak memory is the table, the |c| its magnitude profile
+takes, and one slab's series rows: at N = 2**17 about 2.1 times the
+table's bytes for j_max = 9 and for j_max = 24.
 
 The writers ``table_csv`` and ``table_json`` return the artifact text and
 cost one float format per value each (``%.17g`` and ``float.__repr__``);
@@ -73,7 +92,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError
-from .force import ForceSpec
+from .force import ForceSpec, force_jet
 from .ring import RingConfig, force_grid, nabla_minus, nabla_plus
 
 __all__ = [
@@ -91,6 +110,10 @@ __all__ = [
 #: it as exact zeros, and relative errors (``verify``'s oracle cross-check,
 #: ``compare``'s velocity error) never divide by less than it.
 TINY = 1e-300
+
+#: Particles per slab of ``compute_coefficients``, chosen by measurement:
+#: at j_max = 9, 16384 beat 8192 and 32768.
+_SLAB = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,13 +173,39 @@ def compute_coefficients(config: RingConfig) -> CoefficientTable:
     Raises OverflowError if any rescaled coefficient leaves double range
     (the rescale is too large for this N and truncation depth).
     """
-    N, J, s = config.N, config.j_max, config.scale
-    delta = config.delta
+    N, J = config.N, config.j_max
+    # Order j at particle i reads order j-2 only at i-1..i+1, so the top order
+    # reaches (J-1)//2 particles to each side of order 1.  A ring that fits in
+    # one slab is that slab, with the ring's own wrap and no halo.
+    halo = 0 if N <= _SLAB else (J - 1) // 2
+    c = np.zeros((J + 1, N))  # rescaled velocity coefficients, order-major
+    # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, N, _SLAB):
+            stop = min(start + _SLAB, N)
+            if halo:
+                slab = np.zeros((J + 1, stop - start + 2 * halo))
+                _fill_slab(config, np.arange(start - halo, stop + halo) % N, slab)
+                c[1::2, start:stop] = slab[1::2, halo:-halo]
+            else:
+                _fill_slab(config, np.arange(start, stop), c[:, start:stop])
+    return CoefficientTable(L=config.L, scale=config.scale, data=c.T)
+
+
+def _fill_slab(config: RingConfig, idx: np.ndarray, c: np.ndarray) -> None:
+    """Fill the odd rows of ``c`` for the particles ``idx``, read as a ring.
+
+    ``c`` is zero and has shape (j_max+1, len(idx)).  Column l's neighbours
+    are columns l-1 and l+1 (cyclically within the slab), so a column at
+    distance h from the slab's ends is exact up to order 2h+1.
+    """
+    J, s, delta = config.j_max, config.scale, config.delta
 
     # Exact force Taylor data at the rest positions: fk[k] = F^(k)(x_i(0))/k!.
     # Only k <= (J-1)//2 can contribute below order J because u starts at t^2.
+    # idx * delta has the bits of ``initial_positions``.
     k_cap = (J - 1) // 2
-    fk = force_grid(config, k_cap)
+    fk = force_jet(config.force, idx * delta, k_cap)
     for k in range(2, k_cap + 1):
         fk[k] /= math.factorial(k)
 
@@ -164,37 +213,39 @@ def compute_coefficients(config: RingConfig) -> CoefficientTable:
     # rows of the series are ever read, so gap, recip and pow_u keep row r
     # for series order m = 2r.  pow_u[k] = u**k, and row 1 is the
     # displacement series u itself (allocated at J <= 2 too, k_cap = 0).
-    rows = (J + 1) // 2
-    c = np.zeros((J + 1, N))  # rescaled velocity coefficients, order-major
-    recip = np.zeros((rows, N))  # 1 / (delta + R)
-    gap = np.zeros((rows, N))  # R = forward difference of u over the ring
+    rows, width = (J + 1) // 2, idx.size
+    recip = np.zeros((rows, width))  # 1 / (delta + R)
+    gap = np.zeros((rows, width))  # R = forward difference of u over the ring
     recip[0] = 1.0 / delta
-    pow_u = np.zeros((max(k_cap, 1) + 1, rows, N))
+    pow_u = np.zeros((max(k_cap, 1) + 1, rows, width))
     u = pow_u[1]
     # Order 1 is the force sample; w starts constant, so no interaction term.
-    c[1] = s * fk[0]
+    np.multiply(fk[0], s, out=c[1])
 
-    # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(3, J + 1, 2):
-            m = j - 1  # integrand order being extracted
-            r = m // 2
-            # Newest velocity order read here is j-2; orders j-1 and j are
-            # never touched, which is what makes the recursion well founded.
-            u[r] = s * c[m - 1] / m
-            gap[r] = np.roll(u[r], -1) - u[r]
-            recip[r] = -(gap[1 : r + 1] * recip[r - 1 :: -1]).sum(axis=0) / delta
-            w = (recip[: r + 1] * recip[r::-1]).sum(axis=0)  # order m of (delta + R)**(-2)
-            for k in range(2, r + 1):
-                # u starts at order 2 and u**(k-1) at order 2k-2.
-                band = u[1 : r - k + 2] * pow_u[k - 1, r - 1 : k - 2 : -1]
-                pow_u[k, r] = band.sum(axis=0)
+    for j in range(3, J + 1, 2):
+        m = j - 1  # integrand order being extracted
+        r = m // 2
+        # Newest velocity order read here is j-2; orders j-1 and j are
+        # never touched, which is what makes the recursion well founded.
+        np.multiply(c[m - 1], s, out=u[r])
+        u[r] /= m
+        np.subtract(u[r, 1:], u[r, :-1], out=gap[r, :-1])
+        gap[r, -1] = u[r, 0] - u[r, -1]
+        np.add.reduce(gap[1 : r + 1] * recip[r - 1 :: -1], axis=0, out=recip[r])
+        recip[r] /= -delta
+        w = (recip[: r + 1] * recip[r::-1]).sum(axis=0)  # order m of (delta + R)**(-2)
+        for k in range(2, r + 1):
+            # u starts at order 2 and u**(k-1) at order 2k-2.
+            band = u[1 : r - k + 2] * pow_u[k - 1, r - 1 : k - 2 : -1]
+            np.add.reduce(band, axis=0, out=pow_u[k, r])
 
-            interaction = np.roll(w, 1) - w  # w_{i-1} - w_i
-            composed = np.einsum("kn,kn->n", fk[1:], pow_u[1:, r])
-            c[j] = (s / j) * (interaction + composed)
-
-    return CoefficientTable(L=config.L, scale=s, data=c.T)
+        # c_j = (s/j) (w_{i-1} - w_i + sum_k fk[k] u**k); u**k is zero at
+        # order m for k > r.
+        out = c[j]
+        np.subtract(w[:-1], w[1:], out=out[1:])
+        out[0] = w[-1] - w[0]
+        out += np.einsum("kn,kn->n", fk[1 : r + 1], pow_u[1 : r + 1, r])
+        out *= s / j
 
 
 def ordered_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from coulomb_chain import (
     force_grid,
     oracle_coefficients,
     ordered_compositions,
+    series,
     table_csv,
     table_json,
 )
@@ -207,6 +209,58 @@ def test_matches_dense_reference(sine_force):
         dense_reference(config)
     with pytest.raises(OverflowError, match=f"^{re.escape(str(dense_error.value))}$"):
         compute_coefficients(config)
+
+
+def assert_same_bits(config):
+    fast = compute_coefficients(config).data
+    dense = dense_reference(config).data
+    np.testing.assert_array_equal(fast.view(np.uint64), dense.view(np.uint64), err_msg=str(config))
+
+
+MIXED = ForceSpec(L=1.0, a0=0.2, harmonics=(Harmonic(1, 0.1, 0.3), Harmonic(3, -0.05, 0.02)))
+
+
+@pytest.mark.parametrize("j_max", [1, 2, 9])
+@pytest.mark.parametrize("force", ["sine", "mixed"])
+def test_slabs_match_dense_reference(force, j_max, sine_force):
+    # Three slabs, the last one uneven: the halo and the per-slab force jet
+    # leave every bit of the whole-ring recursion unchanged.
+    force = sine_force if force == "sine" else MIXED
+    assert_same_bits(RingConfig(N=2 * series._SLAB + 7, L=1.0, force=force, j_max=j_max))
+
+
+@pytest.mark.parametrize("n", [3, 8, 64])
+@pytest.mark.parametrize("j_max", [9, 24])
+def test_halo_wider_than_slab_and_ring(monkeypatch, sine_force, n, j_max):
+    # With 3-particle slabs the halo of (j_max-1)//2 particles spans several
+    # slabs and, at N = 8, wraps around the whole ring.
+    monkeypatch.setattr(series, "_SLAB", 3)
+    for force in (sine_force, MIXED):
+        for scale in ({}, {"scale": 1.0}):
+            assert_same_bits(RingConfig(N=n, L=1.0, force=force, j_max=j_max, **scale))
+
+
+def test_overflow_message_is_the_same_across_slabs(monkeypatch, sine_force):
+    config = RingConfig(N=16, L=1.0, force=sine_force, j_max=24, scale=1e40)
+    with pytest.raises(OverflowError) as dense_error:
+        dense_reference(config)
+    monkeypatch.setattr(series, "_SLAB", 3)
+    with pytest.raises(OverflowError, match=f"^{re.escape(str(dense_error.value))}$"):
+        compute_coefficients(config)
+
+
+@pytest.mark.parametrize("j_max", [9, 24])
+def test_engine_peak_memory_is_a_small_multiple_of_the_table(j_max):
+    # The series rows of one slab, not of the whole ring, are live at once;
+    # the rest of the peak is the table and its magnitude profile's |c|.
+    config = RingConfig(N=2**17, L=1.0, force=SEED7_TWO, j_max=j_max)
+    tracemalloc.start()
+    try:
+        table = compute_coefficients(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table.data.nbytes
 
 
 def reference_csv(table):

@@ -9,9 +9,13 @@ It writes the configs of every benchmark workload for seed 7 with
 ``bench/workloads.build``, runs each of the six commands on each config
 through ``coulomb_chain.cli.main`` in process, and prints one line per run
 (exit code, sha256 of stdout and stderr) followed by one line per written
-file (its path under the output directory and its sha256).  Two checkouts
-give byte-identical artifacts exactly when a plain ``diff`` of their digests
-is empty.  The script takes no arguments.
+file (its path under the output directory and its sha256).  One extra
+config, the wide-N grid's force and J_max at N = 20011 and 40009, runs
+``coeffs`` and ``radius``: those rings span two and three of the engine's
+16384-particle slabs, the last one uneven, which the power-of-two workload
+grids never reach.  Two checkouts give byte-identical artifacts exactly
+when a plain ``diff`` of their digests is empty.  The script takes no
+arguments.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +41,7 @@ COMMANDS = ("coeffs", "simulate", "compare", "radius", "verify", "sweep")
 # wide-N configs are not simulated; compare integrates them only up to a
 # short horizon and stays in the digest.
 SKIP = {("wide-N", "simulate")}
+UNEVEN_N = [20011, 40009]
 
 
 def sha256(data: bytes) -> str:
@@ -53,22 +59,30 @@ def run(command: str, config: Path, out: Path) -> tuple[str, bytes, bytes]:
     return code, stdout.getvalue().encode(), stderr.getvalue().encode()
 
 
+def digest(config: Path, commands, work: Path) -> None:
+    """Run each command on ``config`` and print its digest lines."""
+    for command in commands:
+        out = work / "out" / config.stem / command
+        code, stdout, stderr = run(command, config, out)
+        print(f"{config.stem} {command} exit={code} "
+              f"stdout={sha256(stdout)} stderr={sha256(stderr)}", flush=True)
+        files = sorted(p for p in out.rglob("*") if p.is_file()) if out.exists() else []
+        for path in files:
+            print(f"  {path.relative_to(out)} {sha256(path.read_bytes())}", flush=True)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name in WORKLOADS:
             wl = workloads.build(name, SEED, work)
             for config in dict.fromkeys(op.config for op in wl.ops):
-                for command in COMMANDS:
-                    if (name, command) in SKIP:
-                        continue
-                    out = work / "out" / config.stem / command
-                    code, stdout, stderr = run(command, config, out)
-                    print(f"{config.stem} {command} exit={code} "
-                          f"stdout={sha256(stdout)} stderr={sha256(stderr)}", flush=True)
-                    files = sorted(p for p in out.rglob("*") if p.is_file()) if out.exists() else []
-                    for path in files:
-                        print(f"  {path.relative_to(out)} {sha256(path.read_bytes())}", flush=True)
+                digest(config, [c for c in COMMANDS if (name, c) not in SKIP], work)
+        uneven = workloads.build("wide-N", SEED, work).configs["grid"]
+        uneven["ring"]["N"] = UNEVEN_N
+        config = work / "wide-N_uneven.json"
+        config.write_text(json.dumps(uneven, indent=2, sort_keys=True) + "\n")
+        digest(config, ("coeffs", "radius"), work)
 
 
 if __name__ == "__main__":
