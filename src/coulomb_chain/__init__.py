@@ -6,77 +6,22 @@ uniform rest start the velocities are analytic in time; this package
 computes their Taylor coefficients by truncated power-series arithmetic,
 validates them against direct high-order integration, and measures how the
 coefficients and the convergence radius scale with N.
+
+Each library module's ``__all__`` is the one list of its public names; the
+package re-exports those of ``analysis``, ``force``, ``ode``, ``ring`` and
+``series``, plus the three error classes of ``errors``.  ``cli`` is the
+command-line front end and is not re-exported.
 """
 
-from .analysis import (
-    BoundReport,
-    ExponentFit,
-    LemmaReport,
-    RadiusEstimate,
-    RadiusTrend,
-    bound_check,
-    estimate_radius,
-    exponent_fit,
-    majorant,
-    majorant_lemma_check,
-    radius_trend,
-)
+from . import analysis, force, ode, ring, series
+from .analysis import *  # noqa: F403
 from .errors import CollisionError, ConfigError, StiffnessError
-from .force import ForceSpec, Harmonic, c_f_bound, eval_force, eval_potential, force_jet
-from .ode import ODESolution, TrajectoryState, acceleration, energy, initial_state, integrate
-from .ring import RingConfig, auto_scale, force_grid, initial_positions, nabla_minus, nabla_plus
-from .series import (
-    CoefficientTable,
-    compute_coefficients,
-    evaluate_velocity,
-    explicit_c3,
-    oracle_coefficients,
-    ordered_compositions,
-    table_csv,
-    table_json,
-)
+from .force import *  # noqa: F403
+from .ode import *  # noqa: F403
+from .ring import *  # noqa: F403
+from .series import *  # noqa: F403
 
-__all__ = [
-    "BoundReport",
-    "ExponentFit",
-    "LemmaReport",
-    "RadiusEstimate",
-    "RadiusTrend",
-    "bound_check",
-    "estimate_radius",
-    "exponent_fit",
-    "majorant",
-    "majorant_lemma_check",
-    "radius_trend",
-    "CollisionError",
-    "ConfigError",
-    "StiffnessError",
-    "ForceSpec",
-    "Harmonic",
-    "c_f_bound",
-    "eval_force",
-    "eval_potential",
-    "force_jet",
-    "ODESolution",
-    "TrajectoryState",
-    "acceleration",
-    "energy",
-    "initial_state",
-    "integrate",
-    "RingConfig",
-    "auto_scale",
-    "force_grid",
-    "initial_positions",
-    "nabla_minus",
-    "nabla_plus",
-    "CoefficientTable",
-    "compute_coefficients",
-    "evaluate_velocity",
-    "explicit_c3",
-    "oracle_coefficients",
-    "ordered_compositions",
-    "table_csv",
-    "table_json",
-]
+__all__ = [*analysis.__all__, *force.__all__, *ode.__all__, *ring.__all__, *series.__all__,
+           "CollisionError", "ConfigError", "StiffnessError"]
 
 __version__ = "0.1.0"

@@ -61,9 +61,6 @@ EXIT_VERIFY = 5
 _EXIT_CODES = {ConfigError: EXIT_CONFIG, OverflowError: EXIT_OVERFLOW,
                CollisionError: EXIT_COLLISION, StiffnessError: EXIT_STIFFNESS}
 
-_FORMATS = ("csv", "json", "both")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description: one ring per grid N, built at load."""
@@ -172,8 +169,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if not isinstance(out_dir, str):
         raise ConfigError(f"output.directory: expected a string, got {out_dir!r}")
     formats_raw = out_obj.get("formats", ["csv", "json"])
-    if isinstance(formats_raw, str):
-        formats_raw = [formats_raw]
     if not isinstance(formats_raw, list) or not formats_raw:
         raise ConfigError("output.formats: expected a non-empty list")
     for f in formats_raw:
@@ -196,8 +191,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
@@ -452,7 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config JSON")
     common.add_argument("--out", default=None, help="override output directory")
-    common.add_argument("--format", default=None, choices=_FORMATS, help="override output formats")
 
     parser = argparse.ArgumentParser(
         prog="coulomb-chain",
@@ -474,19 +468,12 @@ _COMMANDS = {
 }
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.out is not None:
-        updates["out_dir"] = Path(args.out)
-    if args.format is not None:
-        updates["formats"] = ("csv", "json") if args.format == "both" else (args.format,)
-    return replace(cfg, **updates)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config)
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=Path(args.out))
         if args.command == "verify":
             return EXIT_OK if cmd_verify(cfg) else EXIT_VERIFY
         _COMMANDS[args.command](cfg)

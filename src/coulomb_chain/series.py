@@ -66,9 +66,10 @@ for the force composition dominates at O(N * j_max**3), about
 N * j_max**3 / 48 multiply-adds, and the halo adds 2H particles per slab.
 The force jet F^(k)(x_i(0)) for k = 0..(j_max-1)//2 costs one cos and one
 sin per harmonic and particle, plus O(N * j_max * K) multiplies for K
-force harmonics.  Peak memory is the table, the |c| its magnitude profile
-takes, and one slab's series rows: at N = 2**17 about 2.1 times the
-table's bytes for j_max = 9 and for j_max = 24.
+force harmonics.  Peak memory is the table and one slab's series rows (the
+magnitude profile takes column maxima and minima, not a copy of |c|): at
+N = 2**17 about 1.7 times the table's bytes for j_max = 9 and 2.1 times
+for j_max = 24.
 
 The writers ``table_csv`` and ``table_json`` return the artifact text and
 cost one float format per value each (``%.17g`` and ``float.__repr__``);
@@ -138,8 +139,9 @@ class CoefficientTable:
             raise ConfigError(
                 f"coefficient data must have shape (N >= 1, j_max+1 >= 2), got {self.data.shape}"
             )
-        # max carries NaN and inf through, so this is also the finiteness check.
-        max_abs = np.abs(self.data).max(axis=0)
+        # max |c| without a copy of |c|; + 0.0 turns -0.0 into +0.0.  max and
+        # min carry NaN and inf through, so this is also the finiteness check.
+        max_abs = np.maximum(self.data.max(axis=0), -self.data.min(axis=0)) + 0.0
         finite = np.isfinite(max_abs)
         if not finite.all():
             raise OverflowError(

@@ -148,6 +148,11 @@ def test_exponent_fit_validation(sine_force):
         exponent_fit(four, 11)  # beyond truncation
     with pytest.raises(ConfigError):
         exponent_fit(four, 2)  # identically-zero column
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        exponent_fit(tables + tables[-1:], 3)  # N = 64 twice
+    other_L = CoefficientTable(L=2.0, scale=four[-1].scale, data=four[-1].data)
+    with pytest.raises(ConfigError, match="circumference"):
+        exponent_fit(tables + [other_L], 3)
 
 
 # ---------------------------------------------------------------------------

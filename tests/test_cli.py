@@ -202,6 +202,7 @@ def test_schema_rejects_bad_harmonic(tmp_path, capsys):
     [
         ("ring", "N", 1, "ring.N"),
         ("ring", "N", [8, 1], "ring.N[1]"),
+        ("ring", "N", [], "ring.N"),
         ("ring", "L", -1.0, "ring.L"),
         ("ring", "L", math.nan, "ring.L"),
         ("ring", "J_max", 0, "ring.J_max"),
@@ -218,6 +219,10 @@ def test_schema_rejects_bad_harmonic(tmp_path, capsys):
         ("ode", "t_end", 0, "ode.t_end"),
         ("analysis", "tail_fraction", 1.5, "analysis.tail_fraction"),
         ("analysis", "tail_fraction", 0.0, "analysis.tail_fraction"),
+        ("output", "directory", 3, "output.directory"),
+        ("output", "formats", "csv", "output.formats"),  # a list, not a bare string
+        ("output", "formats", [], "output.formats"),
+        ("output", "formats", ["xml"], "output.formats"),
     ],
 )
 def test_config_error_names_field(tmp_path, capsys, section, key, value, path):
@@ -227,6 +232,32 @@ def test_config_error_names_field(tmp_path, capsys, section, key, value, path):
     assert code == 2
     assert f"error: {path}:" in capsys.readouterr().err
     assert not out.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(b"[1, 2]", "config: top level must be a JSON object", id="top-level-list"),
+        *(
+            pytest.param(json.dumps({**SINE_CONFIG, section: value}).encode(),
+                         f"{section}: expected an object", id=f"{section}-not-an-object")
+            for section, value in [("ring", 3), ("ode", []), ("analysis", "x"), ("output", None)]
+        ),
+        pytest.param(json.dumps({k: v for k, v in SINE_CONFIG.items() if k != "force"}).encode(),
+                     "config.force: missing required field", id="no-force"),
+        pytest.param(json.dumps({**SINE_CONFIG, "ring": {"N": 8, "L": 1.0}}).encode(),
+                     "ring.J_max: missing required field", id="no-J_max"),
+        pytest.param(b'{"ring": ', "config: invalid JSON in ", id="invalid-json"),
+        pytest.param(b'{"ring": \xff}', "config: cannot read ", id="not-utf-8"),
+    ],
+)
+def test_malformed_config_document_is_a_config_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(text)
+    out = tmp_path / "out"
+    assert main(["coeffs", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -390,6 +421,17 @@ def test_sweep_report(tmp_path):
     assert len(rad_rows) == 5
 
 
+def test_sweep_skips_columns_that_vanish(tmp_path):
+    # A constant force moves the ring rigidly, so only order 1 is nonzero:
+    # the fits of the zero columns 3..9 are skipped, not failed.
+    obj = dict(SINE_CONFIG)
+    obj["ring"] = {"N": [16, 32, 64, 128], "L": 1.0, "J_max": 9, "scale": "auto"}
+    obj["force"] = {"L": 1.0, "a0": 2.0, "harmonics": []}
+    code, out = run("sweep", tmp_path, obj)
+    assert code == 0
+    assert [e["j"] for e in json.loads((out / "sweep.json").read_text())["exponents"]] == [1]
+
+
 @pytest.mark.parametrize("j_max", [1, 2])
 def test_sweep_and_verify_below_order_three(tmp_path, capsys, monkeypatch, j_max):
     # Without an order-3 column there is no order-3 bound to check, and the
@@ -444,11 +486,12 @@ def test_trajectory_csv_matches_reference_rendering(tmp_path):
 
 
 def test_format_override(tmp_path):
-    cfg = write_config(tmp_path, SINE_CONFIG)
-    out = tmp_path / "csvonly"
-    assert main(["coeffs", "--config", str(cfg), "--out", str(out), "--format", "csv"]) == 0
-    assert (out / "coeffs_N8.csv").exists()
-    assert not (out / "coeffs_N8.json").exists()
+    # output.formats is the one place to choose the formats
+    obj = copy.deepcopy(SINE_CONFIG)
+    obj["output"]["formats"] = ["csv"]
+    code, out = run("coeffs", tmp_path, obj)
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["coeffs_N8.csv"]
 
 
 def test_radius_sweep_and_compare_report_one_radius(tmp_path):
@@ -501,6 +544,27 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, exc, code):
     monkeypatch.setitem(cli._COMMANDS, "coeffs", failing)
     assert run("coeffs", tmp_path, SINE_CONFIG)[0] == code
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def nan_acceleration(config, x0, g0, dg0, u, out, work):
+    out.fill(np.nan)  # every step fails its error test
+
+
+@pytest.mark.parametrize(
+    "attr, value, message",
+    [
+        # the first accepted step is below the floor
+        pytest.param("MIN_STEP_FRACTION", 1.0, "accepted step ", id="step-below-floor"),
+        pytest.param("_acceleration", nan_acceleration, "step-size control failed: ",
+                     id="nan-right-hand-side"),
+    ],
+)
+def test_step_underflow_exits_1(tmp_path, monkeypatch, capsys, attr, value, message):
+    monkeypatch.setattr(cli.ode, attr, value)
+    code, out = run("simulate", tmp_path, SINE_CONFIG)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (out / "simulate.json").exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

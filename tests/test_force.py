@@ -148,11 +148,25 @@ def test_invalid_specs_rejected():
         ({"k": True}, "harmonics[0].k"),
         ({"k": 1, "b": "0.5"}, "harmonics[0].b"),
         ({"k": 1, "amp": 0.5}, "harmonics[0].amp"),
+        (3, "harmonics[0]"),  # not an object
     ],
 )
 def test_from_json_rejects_bad_values(harmonic, field):
     with pytest.raises(ConfigError) as info:
         ForceSpec.from_json({"L": 1.0, "harmonics": [harmonic]})
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ([1.0], None),  # the force itself is not an object
+        ({"L": 1.0, "harmonics": {"k": 1}}, "harmonics"),
+    ],
+)
+def test_from_json_rejects_bad_structure(obj, field):
+    with pytest.raises(ConfigError, match="expected a") as info:
+        ForceSpec.from_json(obj)
     assert info.value.field == field
 
 

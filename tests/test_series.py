@@ -252,7 +252,7 @@ def test_overflow_message_is_the_same_across_slabs(monkeypatch, sine_force):
 @pytest.mark.parametrize("j_max", [9, 24])
 def test_engine_peak_memory_is_a_small_multiple_of_the_table(j_max):
     # The series rows of one slab, not of the whole ring, are live at once;
-    # the rest of the peak is the table and its magnitude profile's |c|.
+    # the rest of the peak is the table.
     config = RingConfig(N=2**17, L=1.0, force=SEED7_TWO, j_max=j_max)
     tracemalloc.start()
     try:
@@ -261,6 +261,18 @@ def test_engine_peak_memory_is_a_small_multiple_of_the_table(j_max):
     finally:
         tracemalloc.stop()
     assert peak < 3 * table.data.nbytes
+
+
+def test_magnitude_profile_takes_no_copy_of_the_table():
+    # the engine's layout: the transpose of an order-major array
+    data = np.random.default_rng(3).standard_normal((10, 2**17)).T
+    tracemalloc.start()
+    try:
+        CoefficientTable(L=1.0, scale=1.0, data=data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * data.nbytes
 
 
 def reference_csv(table):

@@ -13,7 +13,9 @@ file (its path under the output directory and its sha256).  One extra
 config, the wide-N grid's force and J_max at N = 20011 and 40009, runs
 ``coeffs`` and ``radius``: those rings span two and three of the engine's
 16384-particle slabs, the last one uneven, which the power-of-two workload
-grids never reach.  Two checkouts give byte-identical artifacts exactly
+grids never reach.  The first line lists the package's public names,
+``coulomb_chain.__all__`` sorted, so the digest also pins the API.  Two
+checkouts give byte-identical artifacts and the same public names exactly
 when a plain ``diff`` of their digests is empty.  The script takes no
 arguments.
 """
@@ -32,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402  (bench/workloads.py)
+import coulomb_chain  # noqa: E402
 from coulomb_chain import cli  # noqa: E402
 
 SEED = 7
@@ -72,6 +75,7 @@ def digest(config: Path, commands, work: Path) -> None:
 
 
 def main() -> None:
+    print("api", *sorted(coulomb_chain.__all__), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name in WORKLOADS:
