@@ -1,4 +1,4 @@
-"""Quantitative diagnostics of coefficient tables.
+"""Quantitative diagnostics of coefficient magnitude profiles.
 
 Three kinds of checks:
 
@@ -14,7 +14,9 @@ Three kinds of checks:
     normalization is reported alongside).
 
 They read coefficient magnitudes and bounds as logarithms only, so deep
-tails and strong forces never overflow.  ``check_tail_fraction`` is the one
+tails and strong forces never overflow.  Each takes
+``series.CoefficientProfile`` objects, max_i |c_{ij}| per order, and a
+``CoefficientTable`` is one.  ``check_tail_fraction`` is the one
 check of the radius fit's run setting; the CLI applies it to the config
 before any work.
 
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import ConfigError, check_real
 
 # Unused here, but the benchmark's tracer rebinds analysis.ordered_compositions.
-from .series import TINY, CoefficientTable, ordered_compositions  # noqa: F401
+from .series import TINY, CoefficientProfile, ordered_compositions  # noqa: F401
 
 __all__ = [
     "RadiusEstimate",
@@ -125,7 +127,7 @@ def _tail_window(j_max: int, tail_fraction: float) -> tuple[int, int]:
     return j_lo, j_max
 
 
-def _usable_tail(table: CoefficientTable, window: tuple[int, int]) -> tuple[list[int], list[float]]:
+def _usable_tail(table: CoefficientProfile, window: tuple[int, int]) -> tuple[list[int], list[float]]:
     js, logs = [], []
     for j in range(window[0], window[1] + 1):
         la = table.log_max_abs(j)
@@ -143,7 +145,7 @@ def check_tail_fraction(tail_fraction) -> float:
     return tail_fraction
 
 
-def estimate_radius(table: CoefficientTable, tail_fraction: float = 0.5) -> RadiusEstimate:
+def estimate_radius(table: CoefficientProfile, tail_fraction: float = 0.5) -> RadiusEstimate:
     """Estimate the convergence radius of the velocity series from its tail.
 
     Root test: a least-squares fit log a_j ~ -j log R + const, with
@@ -202,7 +204,7 @@ def radius_trend(estimates: list[RadiusEstimate]) -> RadiusTrend:
     return RadiusTrend(Ns=Ns, r_hats=rs, alpha=alpha, monotone_ok=monotone_ok)
 
 
-def exponent_fit(tables: list[CoefficientTable], j: int) -> ExponentFit:
+def exponent_fit(tables: list[CoefficientProfile], j: int) -> ExponentFit:
     """Least-squares slope of log max_i |c_{ij}| against log N.
 
     Needs at least 4 tables over increasing N with a common circumference
@@ -277,7 +279,7 @@ def log_c3_bound(c_f: float, N: int, L: float) -> float:
     return 3.0 * math.log(c_f) + math.log((N / L + 0.5) / 3.0)
 
 
-def bound_check(tables: list[CoefficientTable], c_f: float) -> BoundReport:
+def bound_check(tables: list[CoefficientProfile], c_f: float) -> BoundReport:
     """Check the hard order-3 bound and the growth-ratio boundedness at odd orders.
 
     The hard bound compares logs of magnitudes, so neither the raw

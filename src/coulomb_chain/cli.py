@@ -224,8 +224,9 @@ def _write_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _tables(cfg: ExperimentConfig) -> list[series.CoefficientTable]:
-    return [series.compute_coefficients(rc) for rc in cfg.rings]
+def _profiles(cfg: ExperimentConfig) -> list[series.CoefficientProfile]:
+    """One magnitude profile per grid N, which is all the radius and bound reports read."""
+    return [series.coefficient_profile(rc) for rc in cfg.rings]
 
 
 def cmd_coeffs(cfg: ExperimentConfig) -> list[Path]:
@@ -280,11 +281,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _radius_estimates(cfg: ExperimentConfig, tables) -> list[ana.RadiusEstimate]:
-    """One root-test estimate per table; none when J_max is too short to fit a tail."""
+def _radius_estimates(cfg: ExperimentConfig, profiles) -> list[ana.RadiusEstimate]:
+    """One root-test estimate per profile; none when J_max is too short to fit a tail."""
     if cfg.j_max < ana.MIN_RADIUS_ORDER:
         return []
-    return [ana.estimate_radius(t, tail_fraction=cfg.tail_fraction) for t in tables]
+    return [ana.estimate_radius(p, tail_fraction=cfg.tail_fraction) for p in profiles]
 
 
 def _radius_report(cfg: ExperimentConfig, estimates) -> dict:
@@ -346,31 +347,31 @@ def cmd_compare(cfg: ExperimentConfig) -> Path:
 
 def cmd_radius(cfg: ExperimentConfig) -> Path:
     """Radius estimates for every grid N plus the cross-N trend."""
-    if cfg.j_max < ana.MIN_RADIUS_ORDER:  # fail before computing any table
+    if cfg.j_max < ana.MIN_RADIUS_ORDER:  # fail before computing any coefficient
         raise ConfigError(
             f"radius estimation needs J_max >= {ana.MIN_RADIUS_ORDER}, got {cfg.j_max}", "ring.J_max"
         )
     path = cfg.out_dir / "radius.json"
-    _write_json(path, _radius_report(cfg, _radius_estimates(cfg, _tables(cfg))))
+    _write_json(path, _radius_report(cfg, _radius_estimates(cfg, _profiles(cfg))))
     return path
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> Path:
     """Exponent fits, radius trend and bound checks."""
-    tables = _tables(cfg)
+    profiles = _profiles(cfg)
     exponents = []
-    if len(tables) >= 4:
+    if len(profiles) >= 4:
         for j in (1, 3, 5, 7, 9):
             if j > cfg.j_max:
                 continue
             try:
-                exponents.append(ana.exponent_fit(tables, j).to_json())
+                exponents.append(ana.exponent_fit(profiles, j).to_json())
             except ConfigError:
                 continue  # identically-zero column (e.g. constant force)
     payload = {
-        **_radius_report(cfg, _radius_estimates(cfg, tables)),
+        **_radius_report(cfg, _radius_estimates(cfg, profiles)),
         "exponents": exponents,
-        "bounds": ana.bound_check(tables, c_f_bound(cfg.force)).to_json(),
+        "bounds": ana.bound_check(profiles, c_f_bound(cfg.force)).to_json(),
     }
     path = cfg.out_dir / "sweep.json"
     _write_json(path, payload)
@@ -422,8 +423,7 @@ def cmd_verify(cfg: ExperimentConfig) -> bool:
         suffix = f"  ({detail})" if detail else ""
         print(f"{word}  {name}{suffix}")
 
-    tables = _tables(cfg)
-    report = ana.bound_check(tables, c_f_bound(cfg.force))
+    report = ana.bound_check(_profiles(cfg), c_f_bound(cfg.force))
     check("order-3 magnitude bound", report.hard_c3_ok,
           "J_max < 3" if report.hard_c3_ok is None else "")
 

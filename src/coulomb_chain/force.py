@@ -117,27 +117,36 @@ def eval_force(spec: ForceSpec, x):
     return _as_input_shape(force_jet(spec, x, 0)[0], x)
 
 
-def force_jet(spec: ForceSpec, x, k_max: int) -> np.ndarray:
+def force_jet(spec: ForceSpec, x, k_max: int, *, out: np.ndarray | None = None) -> np.ndarray:
     """Rows F^(k)(x) for k = 0..k_max, one cos and one sin per harmonic.
 
     Row k has the shape of ``x``; ``k_max`` must be >= 0.  With theta = w x,
     p = a cos(theta) + b sin(theta) is the harmonic and
     q = b cos(theta) - a sin(theta) its quarter turn, so the k-th derivative
     is w**k * (p, q, -p, -q)[k mod 4]: an exact rotation, where the phase
-    sum theta + k pi/2 would round.  Row 0 is accumulated exactly as
+    sum theta + k pi/2 would round.  The last two turns are subtracted, not
+    negated and added; IEEE negation is exact and rounding is symmetric in
+    sign, so the bits are the same.  Row 0 is accumulated exactly as
     ``out += a cos(theta) + b sin(theta)`` per harmonic, then ``+ a0``; the
     constant part appears in no other row.  ``x`` is reduced with
     ``np.mod`` only when some entry lies outside [0, L) (a NaN fails both
     tests).  ``np.mod`` is exact and returns the entries inside unchanged
     except -0.0, which it maps to +0.0; row 0 starts from +0.0, which
     absorbs that sign, so skipping the reduction changes no bit of it.
+
+    The rows are written into ``out`` when it is given (shape
+    ``(k_max+1,) + x.shape``; its contents are not read) and returned.
     """
     if k_max < 0:
         raise ConfigError(f"derivative order must be >= 0, got {k_max}")
     x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty((k_max + 1,) + x.shape)
+    elif out.shape != (k_max + 1,) + x.shape:
+        raise ConfigError(f"jet rows must have shape {(k_max + 1,) + x.shape}, got {out.shape}")
     if x.size and not (x.min() >= 0.0 and x.max() < spec.L):
         x = np.mod(x, spec.L)
-    out = np.zeros((k_max + 1,) + x.shape)
+    out[...] = 0.0
     for h in spec.harmonics:
         w = 2.0 * np.pi * h.k / spec.L
         theta = w * x
@@ -146,9 +155,12 @@ def force_jet(spec: ForceSpec, x, k_max: int) -> np.ndarray:
         out[0] += p
         if k_max >= 1:
             q = h.b * cos - h.a * sin
-            turns = (p, q, -p, -q)
             for k in range(1, k_max + 1):
-                out[k] += w**k * turns[k % 4]
+                turn = w**k * (q if k % 2 else p)
+                if k % 4 < 2:
+                    out[k] += turn
+                else:
+                    out[k] -= turn
     if spec.a0 != 0.0:
         out[0] += spec.a0
     return out

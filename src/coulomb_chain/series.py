@@ -32,18 +32,16 @@ The loop therefore runs c_{i1} = scale * F(x_i(0)) and then odd j only
 of its band: the reciprocal sums gap[2, 4, .., m] * recip[m-2, .., 0], the
 square recip[0, 2, .., m] * recip[m, .., 0], and u**k at order m sums
 u[i] * (u**(k-1))[m-i] for i = 2, 4, .., m-2k+2 and k <= m/2.  Even
-columns stay the exact +0.0 they are allocated with.  The result is
-bit-identical to the dense loop over all orders and all rows (kept in the
-tests as the reference): every sum keeps its ascending row order and only
-drops addends that are exactly zero, which can at most flip the sign of a
-zero; no series value is ever a divisor, and the final
+columns of the table are the exact +0.0.  The result is bit-identical to
+the dense loop over all orders and all rows (kept in the tests as the
+reference): every sum keeps its ascending row order and only drops
+addends that are exactly zero, which can at most flip the sign of a zero;
+no series value is ever a divisor, and the final
 (scale/j) * (interaction + composed) never yields -0.0.
 
 Those series rows are stored only for even m (row r holds order m = 2r),
 so gap, recip and each power pow_u[k] hold (j_max+1)//2 rows; u is
 pow_u[1], and w is formed per order, since only its newest row is read.
-The table c is filled order-major, one row per order, and
-``CoefficientTable`` receives its transpose as a view, not a copy.
 
 The loop walks the ring in slabs of 16384 particles, so the rows it
 sweeps once per order stay in cache.  Order j at particle i reads order
@@ -56,26 +54,43 @@ in by one particle per odd order and never reaches the central columns,
 which alone are kept.  A slab's force jet is ``force.force_jet`` at
 idx * delta, the bits of ``ring.initial_positions``, so every table is
 bit-identical to one loop over the whole ring.  A ring of at most one
-slab is that slab, with H = 0: its shifts are the ring's own wrap, and the
-engine's array is the table.  The shifts subtract slices, and the force
-composition at order m sums k <= m/2 only, since u**k is zero below
-order 2k.
+slab is that slab, with H = 0: its shifts are the ring's own wrap.  The
+shifts subtract slices, and the force composition at order m sums
+k <= m/2 only, since u**k is zero below order 2k.
+
+Each call allocates one workspace, sized to the widest slab: the slab's
+coefficient rows, the force jet rows, recip, gap, pow_u, w and one scratch
+for the products of a convolution band, all uninitialized, and every slab
+writes each row it reads before reading it.  The products go into the
+scratch (``out=``) and the jet into its rows, so the walk allocates only
+the jet's per-harmonic rows and a slab's indices.  One slab walk feeds two
+consumers.  ``compute_coefficients`` copies each slab's odd rows into
+the table, filled order-major with +0.0 in its even rows, and
+``CoefficientTable`` receives its transpose as a view, not a copy.
+``coefficient_profile`` reduces each slab's odd rows to running column
+maxima and minima while they are in cache and keeps no table; max and
+min are exact and carry NaN and inf, so its profile and overflow error
+are those of the table bit for bit.
 
 The reciprocal and square cost O(N * j_max**2); the table of powers u**k
 for the force composition dominates at O(N * j_max**3), about
 N * j_max**3 / 48 multiply-adds, and the halo adds 2H particles per slab.
 The force jet F^(k)(x_i(0)) for k = 0..(j_max-1)//2 costs one cos and one
 sin per harmonic and particle, plus O(N * j_max * K) multiplies for K
-force harmonics.  Peak memory is the table and one slab's series rows (the
-magnitude profile takes column maxima and minima, not a copy of |c|): at
-N = 2**17 about 1.7 times the table's bytes for j_max = 9 and 2.1 times
-for j_max = 24.
+force harmonics.  Peak memory of ``compute_coefficients`` is the table and
+the workspace (the table's magnitude profile takes column maxima and
+minima, not a copy of |c|): at N = 2**17 about 1.8 times the table's bytes
+for j_max = 9 and 2.2 times for j_max = 24.  ``coefficient_profile`` holds
+the workspace alone, which does not grow with N: 8.4 MiB at j_max = 9 and
+29 MiB at j_max = 24 for any N above one slab (traced by ``tracemalloc``).
 
 The writers ``table_csv`` and ``table_json`` return the artifact text and
-cost one float format per value each (``%.17g`` and ``float.__repr__``);
-at j_max = 9 that is far more than the engine's own time.  A table takes
-its magnitude profile max_i |c_{ij}|, which every report reads, in one
-reduction; ``evaluate_velocity`` sums the velocity series.
+cost one float format per value each (``%.17g`` and ``float.__repr__``),
+except in a column of +0.0 only, the structurally zero even orders, which
+they print as a literal zero; at j_max = 9 that is far more than the
+engine's own time.  A table takes its magnitude profile max_i |c_{ij}|,
+which every report reads, in one reduction; ``evaluate_velocity`` sums
+the velocity series.
 
 A literal composition-sum evaluation of the same recursion
 (``oracle_coefficients``) is kept as an independent cross-check for small
@@ -97,7 +112,9 @@ from .force import ForceSpec, force_jet
 from .ring import RingConfig, force_grid, nabla_minus, nabla_plus
 
 __all__ = [
+    "CoefficientProfile",
     "CoefficientTable",
+    "coefficient_profile",
     "compute_coefficients",
     "oracle_coefficients",
     "ordered_compositions",
@@ -112,51 +129,37 @@ __all__ = [
 #: ``compare``'s velocity error) never divide by less than it.
 TINY = 1e-300
 
-#: Particles per slab of ``compute_coefficients``, chosen by measurement:
+#: Particles per slab of the engine's slab walk, chosen by measurement:
 #: at j_max = 9, 16384 beat 8192 and 32768.
 _SLAB = 16384
 
 
 @dataclass(frozen=True, eq=False)
-class CoefficientTable:
-    """Rescaled velocity coefficients for all particles up to order j_max.
+class CoefficientProfile:
+    """Magnitude profile of the rescaled velocity coefficients of an N-particle ring.
 
-    ``data[i, j]`` holds c_{ij} * scale**j for j = 0..j_max (column 0 is
-    identically zero: the particles start at rest); ``N`` and ``j_max`` are
-    read from its shape.  ``data`` may have any memory layout: the engines
-    pass the transpose of their order-major array, whose columns
-    ``data[:, j]`` are contiguous.  ``max_abs[j]`` = max_i |data[i, j]| is
-    taken once, at construction, and does not follow later writes to ``data``.
+    ``max_abs[j]`` = max_i |c_{ij}| * scale**j for j = 0..j_max, the one
+    statistic the radius, exponent and bound reports read; ``j_max`` is read
+    from its length.  Raises OverflowError at the first order that is not
+    finite (the rescale is too large for this N and truncation depth).
     """
 
+    N: int
     L: float
     scale: float
-    data: np.ndarray
-    max_abs: np.ndarray = field(init=False, repr=False)
+    max_abs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 2:
-            raise ConfigError(
-                f"coefficient data must have shape (N >= 1, j_max+1 >= 2), got {self.data.shape}"
-            )
-        # max |c| without a copy of |c|; + 0.0 turns -0.0 into +0.0.  max and
-        # min carry NaN and inf through, so this is also the finiteness check.
-        max_abs = np.maximum(self.data.max(axis=0), -self.data.min(axis=0)) + 0.0
-        finite = np.isfinite(max_abs)
+        finite = np.isfinite(self.max_abs)
         if not finite.all():
             raise OverflowError(
                 f"coefficient overflow at order {int(np.argmin(finite))}: rescale "
                 f"{self.scale} too large for N={self.N}, j_max={self.j_max}"
             )
-        object.__setattr__(self, "max_abs", max_abs)
-
-    @property
-    def N(self) -> int:
-        return self.data.shape[0]
 
     @property
     def j_max(self) -> int:
-        return self.data.shape[1] - 1
+        return self.max_abs.size - 1
 
     def log_max_abs(self, j: int) -> float:
         """log(max_i |c_{ij}|) evaluated without leaving the log domain.
@@ -169,85 +172,150 @@ class CoefficientTable:
         return math.log(m) - j * math.log(self.scale)
 
 
+@dataclass(frozen=True, eq=False)
+class CoefficientTable(CoefficientProfile):
+    """Rescaled velocity coefficients for all particles up to order j_max.
+
+    A profile plus its table: ``data[i, j]`` holds c_{ij} * scale**j for
+    j = 0..j_max (column 0 is identically zero: the particles start at
+    rest); ``N`` and ``j_max`` are read from its shape.  ``data`` may have
+    any memory layout: the engines pass the transpose of their order-major
+    array, whose columns ``data[:, j]`` are contiguous.  ``max_abs`` is
+    taken once, at construction, and does not follow later writes to ``data``.
+    """
+
+    # The profile's fields, taken from ``data``; the constructor is (L, scale, data).
+    N: int = field(init=False)
+    max_abs: np.ndarray = field(init=False, repr=False)
+    data: np.ndarray
+
+    def __post_init__(self):
+        if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 2:
+            raise ConfigError(
+                f"coefficient data must have shape (N >= 1, j_max+1 >= 2), got {self.data.shape}"
+            )
+        object.__setattr__(self, "N", self.data.shape[0])
+        object.__setattr__(self, "max_abs", _magnitude(self.data.max(axis=0), self.data.min(axis=0)))
+        super().__post_init__()
+
+
+def _magnitude(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """max |c| from the column maxima and minima, without a copy of |c|.
+
+    + 0.0 turns -0.0 into +0.0.  max and min carry NaN and inf through, so
+    the profile's finiteness check sees every overflow.
+    """
+    return np.maximum(high, -low) + 0.0
+
+
 def compute_coefficients(config: RingConfig) -> CoefficientTable:
     """Fill the coefficient table order by order via series arithmetic.
 
     Raises OverflowError if any rescaled coefficient leaves double range
     (the rescale is too large for this N and truncation depth).
     """
-    N, J = config.N, config.j_max
+    c = np.empty((config.j_max + 1, config.N))  # rescaled velocity coefficients, order-major
+    c[::2] = 0.0  # the even orders vanish from rest
+    # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, core in _slabs(config):
+            c[1::2, start : start + core.shape[1]] = core[1::2]
+    return CoefficientTable(L=config.L, scale=config.scale, data=c.T)
+
+
+def coefficient_profile(config: RingConfig) -> CoefficientProfile:
+    """The magnitude profile of ``compute_coefficients(config)``, bit for bit, without its table.
+
+    Each slab's odd orders are reduced to running column maxima and minima
+    while they are in cache, so memory does not grow with N.  Raises the
+    same OverflowError as ``compute_coefficients``.
+    """
+    high = np.full((config.j_max + 1) // 2, -np.inf)
+    low = np.full_like(high, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, core in _slabs(config):
+            np.maximum(high, core[1::2].max(axis=1), out=high)
+            np.minimum(low, core[1::2].min(axis=1), out=low)
+    max_abs = np.zeros(config.j_max + 1)
+    max_abs[1::2] = _magnitude(high, low)
+    return CoefficientProfile(N=config.N, L=config.L, scale=config.scale, max_abs=max_abs)
+
+
+def _slabs(config: RingConfig) -> Iterator[tuple[int, np.ndarray]]:
+    """Run the recursion slab by slab in one workspace; yield each slab's own columns.
+
+    Yields ``(start, core)``: ``core`` is the (j_max+1, width) view of the
+    coefficients of particles start..start+width-1, of which only the odd
+    rows are written, and the next slab overwrites it.  The caller sets the
+    floating-point error state.  Column l of the extended slab has
+    neighbours l-1 and l+1 (cyclically within the slab), so a column at
+    distance h from the slab's ends is exact up to order 2h+1.
+    """
+    N, J, s, delta = config.N, config.j_max, config.scale, config.delta
     # Order j at particle i reads order j-2 only at i-1..i+1, so the top order
     # reaches (J-1)//2 particles to each side of order 1.  A ring that fits in
     # one slab is that slab, with the ring's own wrap and no halo.
     halo = 0 if N <= _SLAB else (J - 1) // 2
-    c = np.zeros((J + 1, N))  # rescaled velocity coefficients, order-major
-    # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, N, _SLAB):
-            stop = min(start + _SLAB, N)
-            if halo:
-                slab = np.zeros((J + 1, stop - start + 2 * halo))
-                _fill_slab(config, np.arange(start - halo, stop + halo) % N, slab)
-                c[1::2, start:stop] = slab[1::2, halo:-halo]
-            else:
-                _fill_slab(config, np.arange(start, stop), c[:, start:stop])
-    return CoefficientTable(L=config.L, scale=config.scale, data=c.T)
+    # Only k <= (J-1)//2 of the force Taylor data can contribute below order
+    # J because u starts at t^2.  Only odd orders j (even integrand orders m)
+    # are nonzero, and only even rows of the series are ever read, so gap,
+    # recip and pow_u keep row r for series order m = 2r.  pow_u[k] = u**k,
+    # and row 1 is the displacement series u itself (allocated at J <= 2 too,
+    # k_cap = 0).  The workspace is sized to the widest slab and every row
+    # of it is written before it is read.
+    k_cap, rows, width = (J - 1) // 2, (J + 1) // 2, min(N, _SLAB) + 2 * halo
+    workspace = (
+        np.empty((J + 1, width)),  # the slab's coefficients, order-major
+        np.empty((k_cap + 1, width)),  # fk[k] = F^(k)(x_i(0))/k!
+        np.empty((rows, width)),  # 1 / (delta + R)
+        np.empty((rows, width)),  # R = forward difference of u over the ring
+        np.empty((max(k_cap, 1) + 1, rows, width)),  # u**k
+        np.empty((rows, width)),  # the products of one convolution
+        np.empty(width),  # the newest order of w = (delta + R)**(-2)
+    )
 
+    for start in range(0, N, _SLAB):
+        stop = min(start + _SLAB, N)
+        idx = np.arange(start - halo, stop + halo) % N
+        c, fk, recip, gap, pow_u, prod, w = (a[..., : idx.size] for a in workspace)
+        u = pow_u[1]
+        # Exact force Taylor data at the rest positions; idx * delta has the
+        # bits of ``initial_positions``.
+        force_jet(config.force, idx * delta, k_cap, out=fk)
+        for k in range(2, k_cap + 1):
+            fk[k] /= math.factorial(k)
+        recip[0] = 1.0 / delta
+        # Order 1 is the force sample; w starts constant, so no interaction term.
+        np.multiply(fk[0], s, out=c[1])
 
-def _fill_slab(config: RingConfig, idx: np.ndarray, c: np.ndarray) -> None:
-    """Fill the odd rows of ``c`` for the particles ``idx``, read as a ring.
+        for j in range(3, J + 1, 2):
+            m = j - 1  # integrand order being extracted
+            r = m // 2
+            # Newest velocity order read here is j-2; orders j-1 and j are
+            # never touched, which is what makes the recursion well founded.
+            np.multiply(c[m - 1], s, out=u[r])
+            u[r] /= m
+            np.subtract(u[r, 1:], u[r, :-1], out=gap[r, :-1])
+            gap[r, -1] = u[r, 0] - u[r, -1]
+            np.multiply(gap[1 : r + 1], recip[r - 1 :: -1], out=prod[:r])
+            np.add.reduce(prod[:r], axis=0, out=recip[r])
+            recip[r] /= -delta
+            np.multiply(recip[: r + 1], recip[r::-1], out=prod[: r + 1])
+            np.add.reduce(prod[: r + 1], axis=0, out=w)  # order m of (delta + R)**(-2)
+            for k in range(2, r + 1):
+                # u starts at order 2 and u**(k-1) at order 2k-2.
+                band = prod[: r - k + 1]
+                np.multiply(u[1 : r - k + 2], pow_u[k - 1, r - 1 : k - 2 : -1], out=band)
+                np.add.reduce(band, axis=0, out=pow_u[k, r])
 
-    ``c`` is zero and has shape (j_max+1, len(idx)).  Column l's neighbours
-    are columns l-1 and l+1 (cyclically within the slab), so a column at
-    distance h from the slab's ends is exact up to order 2h+1.
-    """
-    J, s, delta = config.j_max, config.scale, config.delta
-
-    # Exact force Taylor data at the rest positions: fk[k] = F^(k)(x_i(0))/k!.
-    # Only k <= (J-1)//2 can contribute below order J because u starts at t^2.
-    # idx * delta has the bits of ``initial_positions``.
-    k_cap = (J - 1) // 2
-    fk = force_jet(config.force, idx * delta, k_cap)
-    for k in range(2, k_cap + 1):
-        fk[k] /= math.factorial(k)
-
-    # Only odd orders j (even integrand orders m) are nonzero, and only even
-    # rows of the series are ever read, so gap, recip and pow_u keep row r
-    # for series order m = 2r.  pow_u[k] = u**k, and row 1 is the
-    # displacement series u itself (allocated at J <= 2 too, k_cap = 0).
-    rows, width = (J + 1) // 2, idx.size
-    recip = np.zeros((rows, width))  # 1 / (delta + R)
-    gap = np.zeros((rows, width))  # R = forward difference of u over the ring
-    recip[0] = 1.0 / delta
-    pow_u = np.zeros((max(k_cap, 1) + 1, rows, width))
-    u = pow_u[1]
-    # Order 1 is the force sample; w starts constant, so no interaction term.
-    np.multiply(fk[0], s, out=c[1])
-
-    for j in range(3, J + 1, 2):
-        m = j - 1  # integrand order being extracted
-        r = m // 2
-        # Newest velocity order read here is j-2; orders j-1 and j are
-        # never touched, which is what makes the recursion well founded.
-        np.multiply(c[m - 1], s, out=u[r])
-        u[r] /= m
-        np.subtract(u[r, 1:], u[r, :-1], out=gap[r, :-1])
-        gap[r, -1] = u[r, 0] - u[r, -1]
-        np.add.reduce(gap[1 : r + 1] * recip[r - 1 :: -1], axis=0, out=recip[r])
-        recip[r] /= -delta
-        w = (recip[: r + 1] * recip[r::-1]).sum(axis=0)  # order m of (delta + R)**(-2)
-        for k in range(2, r + 1):
-            # u starts at order 2 and u**(k-1) at order 2k-2.
-            band = u[1 : r - k + 2] * pow_u[k - 1, r - 1 : k - 2 : -1]
-            np.add.reduce(band, axis=0, out=pow_u[k, r])
-
-        # c_j = (s/j) (w_{i-1} - w_i + sum_k fk[k] u**k); u**k is zero at
-        # order m for k > r.
-        out = c[j]
-        np.subtract(w[:-1], w[1:], out=out[1:])
-        out[0] = w[-1] - w[0]
-        out += np.einsum("kn,kn->n", fk[1 : r + 1], pow_u[1 : r + 1, r])
-        out *= s / j
+            # c_j = (s/j) (w_{i-1} - w_i + sum_k fk[k] u**k); u**k is zero at
+            # order m for k > r.
+            out = c[j]
+            np.subtract(w[:-1], w[1:], out=out[1:])
+            out[0] = w[-1] - w[0]
+            out += np.einsum("kn,kn->n", fk[1 : r + 1], pow_u[1 : r + 1, r], out=prod[0])
+            out *= s / j
+        yield start, c[:, halo : idx.size - halo]
 
 
 def ordered_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -342,17 +410,29 @@ def evaluate_velocity(table: CoefficientTable, t: float) -> np.ndarray:
     return acc * tau
 
 
+def _live_orders(table: CoefficientTable) -> list[int]:
+    """The orders j >= 1 whose column holds a value other than +0.0, read from the bits.
+
+    The writers print the other columns, the structurally zero even orders,
+    as a literal zero and format no float for them.  ``max_abs`` cannot tell
+    them: it folds -0.0 into +0.0 and does not follow later writes to ``data``.
+    """
+    return [j for j in range(1, table.j_max + 1) if table.data[:, j].view(np.uint64).any()]
+
+
 def table_csv(table: CoefficientTable) -> str:
     """CSV rendering, one row per (i, j), i-major, 17 significant digits.
 
     One printf template spans the j_max lines of a particle and is applied
-    to (i, c_i1, i, c_i2, ...), so the cost is one float format per value.
+    to (i, c_i1, i, c_i2, ...), so the cost is one float format per value;
+    a column of +0.0 only is the literal ``0`` in the template.
     """
-    J = table.j_max
+    J, live = table.j_max, _live_orders(table)
     tail = f",{table.scale:.17g},{table.N},{table.L:.17g},{J}\n"
-    row = "".join(f"%d,{j},%.17g{tail}" for j in range(1, J + 1))
+    row = "".join(f"%d,{j},{'%.17g' if j in live else '0'}{tail}" for j in range(1, J + 1))
     index = range(table.N)
-    args = zip(*[arg for column in table.data[:, 1:].T.tolist() for arg in (index, column)])
+    args = zip(*[arg for j in range(1, J + 1)
+                 for arg in ((index, table.data[:, j].tolist()) if j in live else (index,))])
     return "i,j,c_scaled,scale,N,L,J_max\n" + "".join(map(row.__mod__, args))
 
 
@@ -362,17 +442,21 @@ def table_json(table: CoefficientTable, force: ForceSpec) -> str:
     The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True,
     allow_nan=False) + "\n"`` for the payload with keys ``config``, ``scale``
     and ``coefficients``.  Only the small header goes through ``json``; the
-    coefficients take one ``float.__repr__`` each, the encoder's float form.
-    Raises ValueError on a non-finite value, as ``allow_nan=False`` does.
+    coefficients take one ``float.__repr__`` each, the encoder's float form,
+    through one template per particle in which a column of +0.0 only is the
+    literal ``0.0``.  Raises ValueError on a non-finite value, as
+    ``allow_nan=False`` does.
     """
-    values = table.data[:, 1:].ravel()
-    if not np.isfinite(values).all():
+    if not np.isfinite(table.data[:, 1:]).all():
         raise ValueError(f"coefficient table N={table.N}: non-finite values are not valid JSON")
     header = json.dumps(
         {"config": {"N": table.N, "L": table.L, "J_max": table.j_max, "force": force.to_json()},
          "scale": table.scale},
         indent=2, sort_keys=True, allow_nan=False,
     )
-    items = ",\n    ".join(map(float.__repr__, values.tolist()))
+    live = _live_orders(table)
+    row = ",\n    ".join("%r" if j in live else "0.0" for j in range(1, table.j_max + 1))
+    columns = [table.data[:, j].tolist() for j in live]
+    items = ",\n    ".join(map(row.__mod__, zip(*columns)) if columns else [row] * table.N)
     # "coefficients" sorts before "config" and "scale", so it opens the object.
     return f'{{\n  "coefficients": [\n    {items}\n  ],\n{header[2:]}\n'

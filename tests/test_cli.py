@@ -6,12 +6,15 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import coulomb_chain
+from conftest import SEED7_TWO
 from coulomb_chain import CollisionError, ConfigError, StiffnessError, cli
 from coulomb_chain.cli import main
 
@@ -338,13 +341,29 @@ def test_radius_degenerate_for_constant_force(tmp_path):
 
 def test_radius_rejects_shallow_truncation_before_any_table(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli.series, "compute_coefficients", lambda rc: calls.append(rc.N))
+    for engine in ("compute_coefficients", "coefficient_profile"):
+        monkeypatch.setattr(cli.series, engine, lambda rc: calls.append(rc.N))
     obj = copy.deepcopy(SINE_CONFIG)
     obj["ring"]["J_max"] = 5
     code, out = run("radius", tmp_path, obj)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ring.J_max: ")
     assert calls == [] and not out.exists()
+
+
+def test_sweep_peak_memory_on_the_wide_grid(tmp_path):
+    # sweep reads one magnitude profile per N and keeps no table; holding the
+    # tables of N = 2**8..2**18 at J_max = 9 alone would take 40 MiB.
+    obj = {**SINE_CONFIG, "force": SEED7_TWO.to_json(),
+           "ring": {"N": [2**p for p in range(8, 19)], "L": 1.0, "J_max": 9, "scale": "auto"}}
+    cfg = replace(cli.parse_config(obj), out_dir=tmp_path / "out")
+    tracemalloc.start()
+    try:
+        cli.cmd_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_radius_report_shape(tmp_path):

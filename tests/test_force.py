@@ -248,6 +248,30 @@ def test_jet_against_mpmath(spec, n):
         assert err <= 3e-15, (k, err)
 
 
+def test_jet_subtraction_is_negation_and_fills_the_given_rows(rng):
+    # out[k] -= w**k * p has the bits of out[k] += w**k * (-p); given out=,
+    # the jet writes every row of it without reading it.
+    spec = ForceSpec(L=1.5, a0=0.2, harmonics=SEED7_THREE.harmonics + (Harmonic(5, -0.0, 0.3),))
+    xs = np.concatenate([[0.0, -0.0, 0.75], rng.uniform(0.0, 1.5, size=300)])
+    k_max = 11
+    expected = np.zeros((k_max + 1, xs.size))
+    for h in spec.harmonics:
+        w = 2.0 * np.pi * h.k / spec.L
+        cos, sin = np.cos(w * xs), np.sin(w * xs)
+        p, q = h.a * cos + h.b * sin, h.b * cos - h.a * sin
+        expected[0] += p
+        for k in range(1, k_max + 1):
+            expected[k] += w**k * (p, q, -p, -q)[k % 4]
+    expected[0] += spec.a0
+    out = np.full((k_max + 1, xs.size), np.nan)
+    assert force_jet(spec, xs, k_max, out=out) is out
+    np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(force_jet(spec, xs, k_max).view(np.uint64),
+                                  expected.view(np.uint64))
+    with pytest.raises(ConfigError, match="shape"):
+        force_jet(spec, xs, k_max - 1, out=out)
+
+
 def test_derivative_equals_jet_row(rng):
     spec = ForceSpec(L=1.0, a0=0.2, harmonics=SEED7_THREE.harmonics)
     config = RingConfig(N=96, L=1.0, force=spec, j_max=24)

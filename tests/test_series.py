@@ -10,12 +10,14 @@ import sympy as sp
 
 from conftest import SEED7_TWO, assert_columns_close
 from coulomb_chain import (
+    CoefficientProfile,
     CoefficientTable,
     ConfigError,
     ForceSpec,
     Harmonic,
     RingConfig,
     auto_scale,
+    coefficient_profile,
     compute_coefficients,
     evaluate_velocity,
     explicit_c3,
@@ -198,34 +200,51 @@ def test_matches_dense_reference(sine_force):
             for j_max in (1, 2, 3, 4, 5, 6, 9, 24, 47):
                 for scale in ({}, {"scale": 1.0}):
                     config = RingConfig(N=n, L=1.0, force=force, j_max=j_max, **scale)
-                    fast = compute_coefficients(config).data
+                    table = compute_coefficients(config)
                     dense = dense_reference(config).data
                     np.testing.assert_array_equal(
-                        fast.view(np.uint64), dense.view(np.uint64),
+                        table.data.view(np.uint64), dense.view(np.uint64),
                         err_msg=f"N={n} j_max={j_max} {scale} {force}",
                     )
+                    assert_profile_of(config, table)
     config = RingConfig(N=16, L=1.0, force=sine_force, j_max=24, scale=1e40)
     with pytest.raises(OverflowError) as dense_error:
         dense_reference(config)
-    with pytest.raises(OverflowError, match=f"^{re.escape(str(dense_error.value))}$"):
-        compute_coefficients(config)
+    for engine in (compute_coefficients, coefficient_profile):
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(dense_error.value))}$"):
+            engine(config)
+
+
+def assert_profile_of(config, table):
+    """``coefficient_profile`` gives the table's magnitude profile bit for bit."""
+    profile = coefficient_profile(config)
+    assert type(profile) is CoefficientProfile
+    assert (profile.N, profile.L, profile.scale, profile.j_max) == (
+        table.N, table.L, table.scale, table.j_max)
+    assert np.array_equal(profile.max_abs, table.max_abs), str(config)
+    assert np.array_equal(np.signbit(profile.max_abs), np.signbit(table.max_abs)), str(config)
 
 
 def assert_same_bits(config):
-    fast = compute_coefficients(config).data
+    table = compute_coefficients(config)
     dense = dense_reference(config).data
-    np.testing.assert_array_equal(fast.view(np.uint64), dense.view(np.uint64), err_msg=str(config))
+    np.testing.assert_array_equal(
+        table.data.view(np.uint64), dense.view(np.uint64), err_msg=str(config))
+    assert_profile_of(config, table)
 
 
 MIXED = ForceSpec(L=1.0, a0=0.2, harmonics=(Harmonic(1, 0.1, 0.3), Harmonic(3, -0.05, 0.02)))
 
 
+CONSTANT = ForceSpec(L=1.0, a0=-0.3)
+
+
 @pytest.mark.parametrize("j_max", [1, 2, 9])
-@pytest.mark.parametrize("force", ["sine", "mixed"])
+@pytest.mark.parametrize("force", ["sine", "mixed", "constant"])
 def test_slabs_match_dense_reference(force, j_max, sine_force):
     # Three slabs, the last one uneven: the halo and the per-slab force jet
     # leave every bit of the whole-ring recursion unchanged.
-    force = sine_force if force == "sine" else MIXED
+    force = {"sine": sine_force, "mixed": MIXED, "constant": CONSTANT}[force]
     assert_same_bits(RingConfig(N=2 * series._SLAB + 7, L=1.0, force=force, j_max=j_max))
 
 
@@ -235,7 +254,7 @@ def test_halo_wider_than_slab_and_ring(monkeypatch, sine_force, n, j_max):
     # With 3-particle slabs the halo of (j_max-1)//2 particles spans several
     # slabs and, at N = 8, wraps around the whole ring.
     monkeypatch.setattr(series, "_SLAB", 3)
-    for force in (sine_force, MIXED):
+    for force in (sine_force, MIXED, CONSTANT):
         for scale in ({}, {"scale": 1.0}):
             assert_same_bits(RingConfig(N=n, L=1.0, force=force, j_max=j_max, **scale))
 
@@ -245,8 +264,9 @@ def test_overflow_message_is_the_same_across_slabs(monkeypatch, sine_force):
     with pytest.raises(OverflowError) as dense_error:
         dense_reference(config)
     monkeypatch.setattr(series, "_SLAB", 3)
-    with pytest.raises(OverflowError, match=f"^{re.escape(str(dense_error.value))}$"):
-        compute_coefficients(config)
+    for engine in (compute_coefficients, coefficient_profile):
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(dense_error.value))}$"):
+            engine(config)
 
 
 @pytest.mark.parametrize("j_max", [9, 24])
@@ -261,6 +281,20 @@ def test_engine_peak_memory_is_a_small_multiple_of_the_table(j_max):
     finally:
         tracemalloc.stop()
     assert peak < 3 * table.data.nbytes
+
+
+def test_profile_peak_memory_does_not_grow_with_n():
+    # One slab's workspace is live at a time and no table is kept.
+    peaks = []
+    for n in (2**15, 2**18):
+        config = RingConfig(N=n, L=1.0, force=SEED7_TWO, j_max=9)
+        tracemalloc.start()
+        try:
+            coefficient_profile(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_magnitude_profile_takes_no_copy_of_the_table():
@@ -353,6 +387,26 @@ def test_writers_match_reference_renderers_on_random_bits(rng):
         table = CoefficientTable(L=3.0e-9, scale=1e-100, data=layout)
         assert table_csv(table) == reference_csv(table)
         assert table_json(table, SEED7_TWO) == reference_json(table, SEED7_TWO)
+
+
+@pytest.mark.parametrize("even_entry, written", [
+    (None, None), (0.0, "before"), (-0.0, "before"), (-0.0, "after"), (2.5, "before"), (2.5, "after"),
+])
+def test_writers_match_reference_renderers_on_zero_columns(even_entry, written):
+    # The writers print a column of +0.0 only as a literal zero: every column
+    # of a zero table, and the even columns of an engine table.  A -0.0 or a
+    # nonzero value in an even column, also one written after construction,
+    # which ``max_abs`` does not see, must still print as its float.
+    data = np.zeros((4, 7))
+    if even_entry is not None:
+        data[:, 1::2] = [[0.5, -1e-300, 7.0]] * 4
+    if written == "before":
+        data[2, 4] = even_entry
+    table = CoefficientTable(L=1.0, scale=0.25, data=data)
+    if written == "after":
+        table.data[2, 4] = even_entry
+    assert table_csv(table) == reference_csv(table)
+    assert table_json(table, SEED7_TWO) == reference_json(table, SEED7_TWO)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
