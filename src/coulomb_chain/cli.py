@@ -224,17 +224,11 @@ def _write_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _profiles(cfg: ExperimentConfig) -> list[series.CoefficientProfile]:
-    """One magnitude profile per grid N, which is all the radius and bound reports read."""
-    return [series.coefficient_profile(rc) for rc in cfg.rings]
-
-
 def cmd_coeffs(cfg: ExperimentConfig) -> list[Path]:
     """Write one coefficient table per grid N; returns the written paths."""
     written = []
-    for rc in cfg.rings:  # one table and its text in memory at a time
-        table = series.compute_coefficients(rc)
-        base = cfg.out_dir / f"coeffs_N{rc.N}"
+    for table in series.coefficient_tables(cfg.rings):  # one table and its text at a time
+        base = cfg.out_dir / f"coeffs_N{table.N}"
         if "csv" in cfg.formats:
             path = base.with_suffix(".csv")
             _atomic_write(path, series.table_csv(table))
@@ -303,8 +297,7 @@ def _radius_report(cfg: ExperimentConfig, estimates) -> dict:
     }
 
 
-def _compare_one(cfg: ExperimentConfig, rc: RingConfig) -> dict:
-    table = series.compute_coefficients(rc)
+def _compare_one(cfg: ExperimentConfig, rc: RingConfig, table: series.CoefficientTable) -> dict:
     estimates = _radius_estimates(cfg, [table])
     r_hat = estimates[0].r_hat if estimates else math.inf
     horizon = cfg.t_end if not math.isfinite(r_hat) else min(cfg.t_end, 0.5 * r_hat)
@@ -335,7 +328,8 @@ def _compare_one(cfg: ExperimentConfig, rc: RingConfig) -> dict:
 
 def cmd_compare(cfg: ExperimentConfig) -> Path:
     """Series-vs-integration report: max relative velocity error per N."""
-    per_n = [_compare_one(cfg, rc) for rc in cfg.rings]
+    per_n = [_compare_one(cfg, rc, table)
+             for rc, table in zip(cfg.rings, series.coefficient_tables(cfg.rings))]
     payload = {
         "per_N": per_n,
         "max_rel_velocity_error": max(r["max_rel_velocity_error"] for r in per_n),
@@ -351,14 +345,15 @@ def cmd_radius(cfg: ExperimentConfig) -> Path:
         raise ConfigError(
             f"radius estimation needs J_max >= {ana.MIN_RADIUS_ORDER}, got {cfg.j_max}", "ring.J_max"
         )
+    estimates = _radius_estimates(cfg, series.coefficient_profiles(cfg.rings))
     path = cfg.out_dir / "radius.json"
-    _write_json(path, _radius_report(cfg, _radius_estimates(cfg, _profiles(cfg))))
+    _write_json(path, _radius_report(cfg, estimates))
     return path
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> Path:
     """Exponent fits, radius trend and bound checks."""
-    profiles = _profiles(cfg)
+    profiles = series.coefficient_profiles(cfg.rings)
     exponents = []
     if len(profiles) >= 4:
         for j in (1, 3, 5, 7, 9):
@@ -397,9 +392,8 @@ def _oracle_max_rel_err(cfg: ExperimentConfig) -> float | None:
     if j_cap < 3:
         return None
     max_err = 0.0
-    for N in (3, 4, 8):
-        rc = replace(cfg.rings[0], N=N, j_max=j_cap, scale=cfg.scale)
-        fast = series.compute_coefficients(rc)
+    rings = [replace(cfg.rings[0], N=N, j_max=j_cap, scale=cfg.scale) for N in (3, 4, 8)]
+    for rc, fast in zip(rings, series.coefficient_tables(rings)):
         slow = series.oracle_coefficients(rc)
         for j in range(1, j_cap + 1):
             col_scale = max(float(slow.max_abs[j]), series.TINY)
@@ -423,7 +417,7 @@ def cmd_verify(cfg: ExperimentConfig) -> bool:
         suffix = f"  ({detail})" if detail else ""
         print(f"{word}  {name}{suffix}")
 
-    report = ana.bound_check(_profiles(cfg), c_f_bound(cfg.force))
+    report = ana.bound_check(series.coefficient_profiles(cfg.rings), c_f_bound(cfg.force))
     check("order-3 magnitude bound", report.hard_c3_ok,
           "J_max < 3" if report.hard_c3_ok is None else "")
 

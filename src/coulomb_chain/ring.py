@@ -10,8 +10,8 @@ forward and backward differences on that lattice; they commute, obey the
 product rule nabla_plus(g*f)(i) = f(i+1)*nabla_plus(g)(i) + g(i)*nabla_plus(f)(i),
 and telescope to zero over a full period.  ``force_grid`` is the force jet
 F^(k)(x_i(0)) on the whole rest lattice; the composition-sum oracle and the
-order-3 closed form read it, while the coefficient engine takes its jet
-slab by slab from ``force.force_jet``.
+tests read it, while the coefficient engine takes its jet slab by slab
+from ``force.force_jet``.
 """
 
 from __future__ import annotations

@@ -43,34 +43,51 @@ Those series rows are stored only for even m (row r holds order m = 2r),
 so gap, recip and each power pow_u[k] hold (j_max+1)//2 rows; u is
 pow_u[1], and w is formed per order, since only its newest row is read.
 
-The loop walks the ring in slabs of 16384 particles, so the rows it
-sweeps once per order stay in cache.  Order j at particle i reads order
-j-2 only at i-1..i+1 (the forward difference of u, the backward difference
-of w), so the top order reaches H = (j_max-1)//2 particles to each side of
-order 1.  Each slab is extended by a halo of H particles on both sides,
-indices taken mod N, and the loop runs unchanged on the extended slab with
-its cyclic shifts inside the slab: the false wrap at the slab's ends moves
-in by one particle per odd order and never reaches the central columns,
-which alone are kept.  A slab's force jet is ``force.force_jet`` at
-idx * delta, the bits of ``ring.initial_positions``, so every table is
-bit-identical to one loop over the whole ring.  A ring of at most one
-slab is that slab, with H = 0: its shifts are the ring's own wrap.  The
-shifts subtract slices, and the force composition at order m sums
-k <= m/2 only, since u**k is zero below order 2k.
+One walk serves a grid of rings that share the force and j_max, in slabs
+of at most 16384 columns, so the rows it sweeps once per order stay in
+cache.  Rings of at most one slab are packed whole, side by side in grid
+order, until the next would not fit.  Each shift subtracts slices across
+the whole slab; one fancy-indexed assignment per shift then overwrites the
+differences across two rings with every ring's wrap column,
+gap[r, last] = u[r, first] - u[r, last] and c[j][first] = w[last] - w[first],
+so each ring keeps its own wrap.  A slab of several rings takes one row
+each of delta, -delta and scale, one value per column (a slab of one ring
+broadcasts its own), which keeps the bits of every elementwise operation.
+A larger ring walks alone, in slabs of 16384 particles.  Order j at
+particle i reads order j-2 only at i-1..i+1 (the forward difference of u,
+the backward difference of w), so the top order reaches H = (j_max-1)//2
+particles to each side of order 1.  Each of its slabs is extended by a
+halo of H particles on both sides, indices taken mod N, and the loop runs
+unchanged on the extended slab with its cyclic shifts inside the slab:
+the false wrap at the slab's ends moves in by one particle per odd order
+and never reaches the central columns, which alone are kept.  A slab's
+force jet is ``force.force_jet`` at idx * delta, the bits of
+``ring.initial_positions``, so every table is bit-identical to one loop
+over its whole ring.  The force composition at order m sums k <= m/2
+only, since u**k is zero below order 2k.
+
+Packing pays at deep j_max and small N, where numpy dispatch, not
+arithmetic, sets the cost: about 2,800 calls per slab at j_max = 96, 2,160
+of them in the u**k loop.  At j_max = 96 one ring takes about 9 ms at
+N = 2 and 10 ms at N = 128; the grid N = 16, 32, 64, 128 takes 14 ms as
+one slab against 38 ms ring by ring (one core of a 2-vCPU x86-64 host,
+numpy 2.4).
 
 Each call allocates one workspace, sized to the widest slab: the slab's
 coefficient rows, the force jet rows, recip, gap, pow_u, w and one scratch
 for the products of a convolution band, all uninitialized, and every slab
 writes each row it reads before reading it.  The products go into the
 scratch (``out=``) and the jet into its rows, so the walk allocates only
-the jet's per-harmonic rows and a slab's indices.  One slab walk feeds two
-consumers.  ``compute_coefficients`` copies each slab's odd rows into
-the table, filled order-major with +0.0 in its even rows, and
-``CoefficientTable`` receives its transpose as a view, not a copy.
-``coefficient_profile`` reduces each slab's odd rows to running column
-maxima and minima while they are in cache and keeps no table; max and
-min are exact and carry NaN and inf, so its profile and overflow error
-are those of the table bit for bit.
+the jet's per-harmonic rows and a slab's indices and parameter rows.  One
+slab walk feeds two grid consumers.  ``coefficient_tables`` copies each
+slab's odd rows of a ring into that ring's table, filled order-major with
++0.0 in its even rows, and hands ``CoefficientTable`` its transpose, a
+view, not a copy, as soon as the ring's last slab is done;
+``compute_coefficients`` is its one-ring case.  ``coefficient_profiles``
+reduces each slab's odd rows to running column maxima and minima per ring
+while they are in cache and keeps no table; max and min are exact and
+carry NaN and inf, so its profiles and overflow error are those of the
+tables bit for bit.
 
 The reciprocal and square cost O(N * j_max**2); the table of powers u**k
 for the force composition dominates at O(N * j_max**3), about
@@ -80,9 +97,10 @@ sin per harmonic and particle, plus O(N * j_max * K) multiplies for K
 force harmonics.  Peak memory of ``compute_coefficients`` is the table and
 the workspace (the table's magnitude profile takes column maxima and
 minima, not a copy of |c|): at N = 2**17 about 1.8 times the table's bytes
-for j_max = 9 and 2.2 times for j_max = 24.  ``coefficient_profile`` holds
-the workspace alone, which does not grow with N: 8.4 MiB at j_max = 9 and
-29 MiB at j_max = 24 for any N above one slab (traced by ``tracemalloc``).
+for j_max = 9 and 2.2 times for j_max = 24.  ``coefficient_profiles``
+holds the workspace alone, which does not grow with N: 8.5 MiB at
+j_max = 9 and 29 MiB at j_max = 24 for any N above one slab (traced by
+``tracemalloc``).
 
 The writers ``table_csv`` and ``table_json`` return the artifact text and
 cost one float format per value each (``%.17g`` and ``float.__repr__``),
@@ -103,7 +121,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -114,11 +132,11 @@ from .ring import RingConfig, force_grid, nabla_minus, nabla_plus
 __all__ = [
     "CoefficientProfile",
     "CoefficientTable",
-    "coefficient_profile",
+    "coefficient_profiles",
+    "coefficient_tables",
     "compute_coefficients",
     "oracle_coefficients",
     "ordered_compositions",
-    "explicit_c3",
     "evaluate_velocity",
     "table_csv",
     "table_json",
@@ -208,54 +226,85 @@ def _magnitude(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return np.maximum(high, -low) + 0.0
 
 
+def coefficient_tables(rings: Iterable[RingConfig]) -> Iterator[CoefficientTable]:
+    """The coefficient table of each ring, in grid order, as soon as its last slab is done.
+
+    The rings share force and j_max (ConfigError otherwise) and walk
+    together through one workspace.  Raises OverflowError for the first ring
+    whose table leaves double range, after the tables before it.
+    """
+    for ring, start, core in _slabs(list(rings)):
+        if start == 0:
+            c = np.empty((ring.j_max + 1, ring.N))  # rescaled velocity coefficients, order-major
+            c[::2] = 0.0  # the even orders vanish from rest
+        c[1::2, start : start + core.shape[1]] = core[1::2]
+        if start + core.shape[1] == ring.N:
+            # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
+            yield CoefficientTable(L=ring.L, scale=ring.scale, data=c.T)
+
+
+def coefficient_profiles(rings: Iterable[RingConfig]) -> list[CoefficientProfile]:
+    """The magnitude profile of each ring's table, bit for bit, without its table.
+
+    Each slab's odd orders are reduced to running column maxima and minima
+    while they are in cache, so memory does not grow with N.  Raises the
+    OverflowError of ``coefficient_tables`` for the first ring that overflows.
+    """
+    profiles = []
+    for ring, start, core in _slabs(list(rings)):
+        if start == 0:
+            high = np.full((ring.j_max + 1) // 2, -np.inf)
+            low = np.full_like(high, np.inf)
+        np.maximum(high, core[1::2].max(axis=1), out=high)
+        np.minimum(low, core[1::2].min(axis=1), out=low)
+        if start + core.shape[1] == ring.N:
+            max_abs = np.zeros(ring.j_max + 1)
+            max_abs[1::2] = _magnitude(high, low)
+            profiles.append(CoefficientProfile(N=ring.N, L=ring.L, scale=ring.scale, max_abs=max_abs))
+    return profiles
+
+
 def compute_coefficients(config: RingConfig) -> CoefficientTable:
     """Fill the coefficient table order by order via series arithmetic.
 
     Raises OverflowError if any rescaled coefficient leaves double range
     (the rescale is too large for this N and truncation depth).
     """
-    c = np.empty((config.j_max + 1, config.N))  # rescaled velocity coefficients, order-major
-    c[::2] = 0.0  # the even orders vanish from rest
-    # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, core in _slabs(config):
-            c[1::2, start : start + core.shape[1]] = core[1::2]
-    return CoefficientTable(L=config.L, scale=config.scale, data=c.T)
+    (table,) = coefficient_tables([config])
+    return table
 
 
-def coefficient_profile(config: RingConfig) -> CoefficientProfile:
-    """The magnitude profile of ``compute_coefficients(config)``, bit for bit, without its table.
+def _slabs(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, int, np.ndarray]]:
+    """Run the recursion slab by slab in one workspace; yield each ring's columns of a slab.
 
-    Each slab's odd orders are reduced to running column maxima and minima
-    while they are in cache, so memory does not grow with N.  Raises the
-    same OverflowError as ``compute_coefficients``.
+    Yields ``(ring, start, core)`` in grid order: ``core`` is the
+    (j_max+1, width) view of the coefficients of the ring's particles
+    start..start+width-1, of which only the odd rows are written, and the
+    next slab overwrites it.  Column l of a slab has neighbours l-1 and l+1,
+    except at each ring's first and last column, which are each other's
+    neighbours; in a haloed slab these are the slab's ends, so a column at
+    distance h from them is exact up to order 2h+1.
     """
-    high = np.full((config.j_max + 1) // 2, -np.inf)
-    low = np.full_like(high, np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, core in _slabs(config):
-            np.maximum(high, core[1::2].max(axis=1), out=high)
-            np.minimum(low, core[1::2].min(axis=1), out=low)
-    max_abs = np.zeros(config.j_max + 1)
-    max_abs[1::2] = _magnitude(high, low)
-    return CoefficientProfile(N=config.N, L=config.L, scale=config.scale, max_abs=max_abs)
-
-
-def _slabs(config: RingConfig) -> Iterator[tuple[int, np.ndarray]]:
-    """Run the recursion slab by slab in one workspace; yield each slab's own columns.
-
-    Yields ``(start, core)``: ``core`` is the (j_max+1, width) view of the
-    coefficients of particles start..start+width-1, of which only the odd
-    rows are written, and the next slab overwrites it.  The caller sets the
-    floating-point error state.  Column l of the extended slab has
-    neighbours l-1 and l+1 (cyclically within the slab), so a column at
-    distance h from the slab's ends is exact up to order 2h+1.
-    """
-    N, J, s, delta = config.N, config.j_max, config.scale, config.delta
-    # Order j at particle i reads order j-2 only at i-1..i+1, so the top order
-    # reaches (J-1)//2 particles to each side of order 1.  A ring that fits in
-    # one slab is that slab, with the ring's own wrap and no halo.
-    halo = 0 if N <= _SLAB else (J - 1) // 2
+    if not rings:
+        return
+    force, J = rings[0].force, rings[0].j_max  # the force fixes L
+    if any((ring.force, ring.j_max) != (force, J) for ring in rings):
+        raise ConfigError("the rings of one grid must share force and j_max")
+    # Rings of at most one slab are packed whole, in grid order, with no halo.
+    # A larger ring walks alone: order j at particle i reads order j-2 only
+    # at i-1..i+1, so the top order reaches (J-1)//2 particles to each side
+    # of order 1, and each of its slabs takes that halo.
+    slabs, pack = [], []  # (halo, [(ring, start, stop), ...])
+    for ring in rings:
+        if pack and sum(r.N for r, _, _ in pack) + ring.N > _SLAB:
+            slabs.append((0, pack))
+            pack = []
+        if ring.N > _SLAB:
+            slabs += [((J - 1) // 2, [(ring, start, min(start + _SLAB, ring.N))])
+                      for start in range(0, ring.N, _SLAB)]
+        else:
+            pack.append((ring, 0, ring.N))
+    slabs += [(0, pack)] if pack else []
     # Only k <= (J-1)//2 of the force Taylor data can contribute below order
     # J because u starts at t^2.  Only odd orders j (even integrand orders m)
     # are nonzero, and only even rows of the series are ever read, so gap,
@@ -263,7 +312,8 @@ def _slabs(config: RingConfig) -> Iterator[tuple[int, np.ndarray]]:
     # and row 1 is the displacement series u itself (allocated at J <= 2 too,
     # k_cap = 0).  The workspace is sized to the widest slab and every row
     # of it is written before it is read.
-    k_cap, rows, width = (J - 1) // 2, (J + 1) // 2, min(N, _SLAB) + 2 * halo
+    k_cap, rows = (J - 1) // 2, (J + 1) // 2
+    width = max(sum(stop - start + 2 * halo for _, start, stop in pieces) for halo, pieces in slabs)
     workspace = (
         np.empty((J + 1, width)),  # the slab's coefficients, order-major
         np.empty((k_cap + 1, width)),  # fk[k] = F^(k)(x_i(0))/k!
@@ -274,48 +324,62 @@ def _slabs(config: RingConfig) -> Iterator[tuple[int, np.ndarray]]:
         np.empty(width),  # the newest order of w = (delta + R)**(-2)
     )
 
-    for start in range(0, N, _SLAB):
-        stop = min(start + _SLAB, N)
-        idx = np.arange(start - halo, stop + halo) % N
+    for halo, pieces in slabs:
+        sizes = np.array([stop - start + 2 * halo for _, start, stop in pieces])
+        last = np.cumsum(sizes) - 1  # each ring's last column in the slab
+        first = last - sizes + 1
+        # Particle indices.  Only a split ring's end slabs leave 0..N-1, and
+        # only they pay for the integer modulo (about 80 us per 16384 particles).
+        spans = [(np.arange(start - halo, stop + halo), ring.N) for ring, start, stop in pieces]
+        idx = np.concatenate([i % n if i[0] < 0 or i[-1] >= n else i for i, n in spans])
         c, fk, recip, gap, pow_u, prod, w = (a[..., : idx.size] for a in workspace)
         u = pow_u[1]
-        # Exact force Taylor data at the rest positions; idx * delta has the
-        # bits of ``initial_positions``.
-        force_jet(config.force, idx * delta, k_cap, out=fk)
-        for k in range(2, k_cap + 1):
-            fk[k] /= math.factorial(k)
-        recip[0] = 1.0 / delta
-        # Order 1 is the force sample; w starts constant, so no interaction term.
-        np.multiply(fk[0], s, out=c[1])
+        # Each column's ring parameters; a slab of one ring broadcasts its own.
+        delta, s = (np.repeat(v, sizes) if len(pieces) > 1 else v for v in (
+            np.array([ring.delta for ring, _, _ in pieces]),
+            np.array([ring.scale for ring, _, _ in pieces])))
+        neg_delta = -delta
+        # Overflow runs on as inf/nan, which the consumers report; the error
+        # state is not held across a yield.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Exact force Taylor data at the rest positions; idx * delta has
+            # the bits of ``initial_positions``.
+            force_jet(force, idx * delta, k_cap, out=fk)
+            for k in range(2, k_cap + 1):
+                fk[k] /= math.factorial(k)
+            np.divide(1.0, delta, out=recip[0])
+            # Order 1 is the force sample; w starts constant, so no interaction term.
+            np.multiply(fk[0], s, out=c[1])
 
-        for j in range(3, J + 1, 2):
-            m = j - 1  # integrand order being extracted
-            r = m // 2
-            # Newest velocity order read here is j-2; orders j-1 and j are
-            # never touched, which is what makes the recursion well founded.
-            np.multiply(c[m - 1], s, out=u[r])
-            u[r] /= m
-            np.subtract(u[r, 1:], u[r, :-1], out=gap[r, :-1])
-            gap[r, -1] = u[r, 0] - u[r, -1]
-            np.multiply(gap[1 : r + 1], recip[r - 1 :: -1], out=prod[:r])
-            np.add.reduce(prod[:r], axis=0, out=recip[r])
-            recip[r] /= -delta
-            np.multiply(recip[: r + 1], recip[r::-1], out=prod[: r + 1])
-            np.add.reduce(prod[: r + 1], axis=0, out=w)  # order m of (delta + R)**(-2)
-            for k in range(2, r + 1):
-                # u starts at order 2 and u**(k-1) at order 2k-2.
-                band = prod[: r - k + 1]
-                np.multiply(u[1 : r - k + 2], pow_u[k - 1, r - 1 : k - 2 : -1], out=band)
-                np.add.reduce(band, axis=0, out=pow_u[k, r])
+            for j in range(3, J + 1, 2):
+                m = j - 1  # integrand order being extracted
+                r = m // 2
+                # Newest velocity order read here is j-2; orders j-1 and j are
+                # never touched, which is what makes the recursion well founded.
+                np.multiply(c[m - 1], s, out=u[r])
+                u[r] /= m
+                np.subtract(u[r, 1:], u[r, :-1], out=gap[r, :-1])
+                gap[r, last] = u[r, first] - u[r, last]  # each ring's own wrap
+                np.multiply(gap[1 : r + 1], recip[r - 1 :: -1], out=prod[:r])
+                np.add.reduce(prod[:r], axis=0, out=recip[r])
+                recip[r] /= neg_delta
+                np.multiply(recip[: r + 1], recip[r::-1], out=prod[: r + 1])
+                np.add.reduce(prod[: r + 1], axis=0, out=w)  # order m of (delta + R)**(-2)
+                for k in range(2, r + 1):
+                    # u starts at order 2 and u**(k-1) at order 2k-2.
+                    band = prod[: r - k + 1]
+                    np.multiply(u[1 : r - k + 2], pow_u[k - 1, r - 1 : k - 2 : -1], out=band)
+                    np.add.reduce(band, axis=0, out=pow_u[k, r])
 
-            # c_j = (s/j) (w_{i-1} - w_i + sum_k fk[k] u**k); u**k is zero at
-            # order m for k > r.
-            out = c[j]
-            np.subtract(w[:-1], w[1:], out=out[1:])
-            out[0] = w[-1] - w[0]
-            out += np.einsum("kn,kn->n", fk[1 : r + 1], pow_u[1 : r + 1, r], out=prod[0])
-            out *= s / j
-        yield start, c[:, halo : idx.size - halo]
+                # c_j = (s/j) (w_{i-1} - w_i + sum_k fk[k] u**k); u**k is zero
+                # at order m for k > r.
+                out = c[j]
+                np.subtract(w[:-1], w[1:], out=out[1:])
+                out[first] = w[last] - w[first]
+                out += np.einsum("kn,kn->n", fk[1 : r + 1], pow_u[1 : r + 1, r], out=prod[0])
+                out *= s / j
+        for (ring, start, stop), lo in zip(pieces, first):
+            yield ring, start, c[:, lo + halo : lo + halo + stop - start]
 
 
 def ordered_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -386,19 +450,6 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
                     acc += (s / j) * (f * prod)
             c[j] = finite(acc, j)
     return CoefficientTable(L=config.L, scale=s, data=c.T)
-
-
-def explicit_c3(config: RingConfig) -> np.ndarray:
-    """Closed form of the order-3 coefficient (unscaled).
-
-    c_{i3} = (1/3) delta**(-3) (nabla_minus nabla_plus F)(i) + (1/6) F_i F'_i,
-    the j=3 instance of the recursion, which only the m=1 and k=1 terms
-    reach.  Agrees with direct third-order differentiation of the equations
-    of motion at t=0.
-    """
-    delta = config.delta
-    f0, f1 = force_grid(config, 1)
-    return nabla_minus(nabla_plus(f0)) / (3.0 * delta**3) + f0 * f1 / 6.0
 
 
 def evaluate_velocity(table: CoefficientTable, t: float) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_columns_close
+from oracles import explicit_c3
 from coulomb_chain import (
     ForceSpec,
     Harmonic,
@@ -21,7 +22,6 @@ from coulomb_chain import (
     energy,
     estimate_radius,
     evaluate_velocity,
-    explicit_c3,
     exponent_fit,
     initial_state,
     integrate,

@@ -341,8 +341,8 @@ def test_radius_degenerate_for_constant_force(tmp_path):
 
 def test_radius_rejects_shallow_truncation_before_any_table(tmp_path, capsys, monkeypatch):
     calls = []
-    for engine in ("compute_coefficients", "coefficient_profile"):
-        monkeypatch.setattr(cli.series, engine, lambda rc: calls.append(rc.N))
+    for engine in ("coefficient_profiles", "coefficient_tables"):
+        monkeypatch.setattr(cli.series, engine, lambda rings: calls.append(rings))
     obj = copy.deepcopy(SINE_CONFIG)
     obj["ring"]["J_max"] = 5
     code, out = run("radius", tmp_path, obj)

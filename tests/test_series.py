@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from conftest import SEED7_TWO, assert_columns_close
+from conftest import SEED7_THREE, SEED7_TWO, assert_columns_close
+from oracles import explicit_c3
 from coulomb_chain import (
     CoefficientProfile,
     CoefficientTable,
@@ -17,11 +18,12 @@ from coulomb_chain import (
     Harmonic,
     RingConfig,
     auto_scale,
-    coefficient_profile,
+    coefficient_profiles,
+    coefficient_tables,
     compute_coefficients,
     evaluate_velocity,
-    explicit_c3,
     force_grid,
+    force_jet,
     oracle_coefficients,
     ordered_compositions,
     series,
@@ -210,14 +212,20 @@ def test_matches_dense_reference(sine_force):
     config = RingConfig(N=16, L=1.0, force=sine_force, j_max=24, scale=1e40)
     with pytest.raises(OverflowError) as dense_error:
         dense_reference(config)
-    for engine in (compute_coefficients, coefficient_profile):
+    for engine in (compute_coefficients, one_profile):
         with pytest.raises(OverflowError, match=f"^{re.escape(str(dense_error.value))}$"):
             engine(config)
 
 
+def one_profile(config):
+    """The one-ring case of ``coefficient_profiles``."""
+    (profile,) = coefficient_profiles([config])
+    return profile
+
+
 def assert_profile_of(config, table):
-    """``coefficient_profile`` gives the table's magnitude profile bit for bit."""
-    profile = coefficient_profile(config)
+    """``coefficient_profiles`` gives the table's magnitude profile bit for bit."""
+    profile = one_profile(config)
     assert type(profile) is CoefficientProfile
     assert (profile.N, profile.L, profile.scale, profile.j_max) == (
         table.N, table.L, table.scale, table.j_max)
@@ -264,9 +272,96 @@ def test_overflow_message_is_the_same_across_slabs(monkeypatch, sine_force):
     with pytest.raises(OverflowError) as dense_error:
         dense_reference(config)
     monkeypatch.setattr(series, "_SLAB", 3)
-    for engine in (compute_coefficients, coefficient_profile):
+    for engine in (compute_coefficients, one_profile):
         with pytest.raises(OverflowError, match=f"^{re.escape(str(dense_error.value))}$"):
             engine(config)
+
+
+def assert_grid_matches_one_ring_walks(rings):
+    """The grid walk gives every ring's table and profile of its own walk, bit for bit."""
+    tables = list(coefficient_tables(rings))
+    profiles = coefficient_profiles(rings)
+    assert [t.N for t in tables] == [p.N for p in profiles] == [r.N for r in rings]
+    for ring, table, profile in zip(rings, tables, profiles):
+        alone = compute_coefficients(ring)
+        assert (table.L, table.scale, profile.L, profile.scale) == (ring.L, ring.scale) * 2
+        np.testing.assert_array_equal(
+            table.data.view(np.uint64), alone.data.view(np.uint64), err_msg=str(ring))
+        for got in (table, profile):
+            np.testing.assert_array_equal(
+                got.max_abs.view(np.uint64), alone.max_abs.view(np.uint64), err_msg=str(ring))
+            assert np.array_equal(np.signbit(got.max_abs), np.signbit(alone.max_abs)), str(ring)
+
+
+# (slab width or None for ``_SLAB``, grid): several whole rings in one slab;
+# packing boundaries at 8 and 3 columns; packed rings followed by a split ring.
+PACKINGS = {
+    "one-slab": (None, (2, 3, 8, 64, 5)),
+    "slab-8": (8, (3, 4, 2, 8, 5, 3, 20)),
+    "slab-3": (3, (2, 5, 3, 2, 2, 9)),
+    "packed-then-split": (None, (3, 8, 100, series._SLAB + 5)),
+}
+
+
+@pytest.mark.parametrize("j_max", [1, 2, 3, 9, 24])
+@pytest.mark.parametrize("force", ["sine", "mixed", "constant"])
+@pytest.mark.parametrize("packing", sorted(PACKINGS))
+def test_grid_walk_matches_one_ring_walks(monkeypatch, sine_force, packing, force, j_max):
+    slab, grid = PACKINGS[packing]
+    if slab is not None:
+        monkeypatch.setattr(series, "_SLAB", slab)
+    force = {"sine": sine_force, "mixed": MIXED, "constant": CONSTANT}[force]
+    for scale in ({}, {"scale": 1.0}):
+        assert_grid_matches_one_ring_walks(
+            [RingConfig(N=n, L=1.0, force=force, j_max=j_max, **scale) for n in grid])
+
+
+def test_overflow_in_the_middle_of_a_packed_slab(sine_force):
+    # The three rings share one slab; the middle one overflows.
+    rings = [RingConfig(N=8, L=1.0, force=sine_force, j_max=24),
+             RingConfig(N=16, L=1.0, force=sine_force, j_max=24, scale=1e40),
+             RingConfig(N=4, L=1.0, force=sine_force, j_max=24)]
+    with pytest.raises(OverflowError) as dense_error:
+        dense_reference(rings[1])
+    message = f"^{re.escape(str(dense_error.value))}$"
+    tables = coefficient_tables(rings)
+    first = next(tables)
+    np.testing.assert_array_equal(
+        first.data.view(np.uint64), compute_coefficients(rings[0]).data.view(np.uint64))
+    with pytest.raises(OverflowError, match=message):
+        next(tables)
+    with pytest.raises(OverflowError, match=message):
+        coefficient_profiles(rings)
+    # The overflowing ring's inf and nan do not reach its neighbours' columns.
+    for ring, start, core in series._slabs(rings):
+        if ring is not rings[1]:
+            alone = compute_coefficients(ring).data.T
+            np.testing.assert_array_equal(core[1::2].view(np.uint64), alone[1::2].view(np.uint64))
+
+
+def test_deep_grid_takes_one_force_jet(monkeypatch):
+    # The deep-truncation grid N = 16..128 packs into one slab: one jet, not four.
+    calls = []
+
+    def counted(spec, x, k_max, **kwargs):
+        calls.append(np.size(x))
+        return force_jet(spec, x, k_max, **kwargs)
+
+    monkeypatch.setattr(series, "force_jet", counted)
+    rings = [RingConfig(N=n, L=1.0, force=SEED7_THREE, j_max=96) for n in (16, 32, 64, 128)]
+    coefficient_profiles(rings)
+    assert calls == [240]
+    list(coefficient_tables(rings))
+    assert calls == [240, 240]
+
+
+def test_grid_rings_share_force_and_depth(sine_force):
+    ring = RingConfig(N=8, L=1.0, force=sine_force, j_max=9)
+    assert coefficient_profiles([]) == [] and list(coefficient_tables([])) == []
+    for other in (RingConfig(N=4, L=1.0, force=MIXED, j_max=9),
+                  RingConfig(N=4, L=1.0, force=sine_force, j_max=8)):
+        with pytest.raises(ConfigError, match="share force and j_max"):
+            coefficient_profiles([ring, other])
 
 
 @pytest.mark.parametrize("j_max", [9, 24])
@@ -290,7 +385,7 @@ def test_profile_peak_memory_does_not_grow_with_n():
         config = RingConfig(N=n, L=1.0, force=SEED7_TWO, j_max=9)
         tracemalloc.start()
         try:
-            coefficient_profile(config)
+            one_profile(config)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

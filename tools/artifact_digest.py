@@ -13,7 +13,12 @@ file (its path under the output directory and its sha256).  One extra
 config, the wide-N grid's force and J_max at N = 20011 and 40009, runs
 ``coeffs`` and ``radius``: those rings span two and three of the engine's
 16384-particle slabs, the last one uneven, which the power-of-two workload
-grids never reach.  The first line lists the package's public names,
+grids never reach.  Another, the same force and J_max at N = 3, 100,
+5000, 9000, 12000 and 20011, runs ``coeffs``, ``radius``, ``sweep`` and
+``verify``: the engine packs the first four rings into one slab, the fifth
+into the next, and splits the last, so it crosses a packing boundary and
+ends in a split ring, which neither the workload grids nor the uneven
+config reach.  The first line lists the package's public names,
 ``coulomb_chain.__all__`` sorted, so the digest also pins the API.  Two
 checkouts give byte-identical artifacts and the same public names exactly
 when a plain ``diff`` of their digests is empty.  The script takes no
@@ -45,6 +50,7 @@ COMMANDS = ("coeffs", "simulate", "compare", "radius", "verify", "sweep")
 # short horizon and stays in the digest.
 SKIP = {("wide-N", "simulate")}
 UNEVEN_N = [20011, 40009]
+PACKED_N = [3, 100, 5000, 9000, 12000, 20011]
 
 
 def sha256(data: bytes) -> str:
@@ -82,11 +88,13 @@ def main() -> None:
             wl = workloads.build(name, SEED, work)
             for config in dict.fromkeys(op.config for op in wl.ops):
                 digest(config, [c for c in COMMANDS if (name, c) not in SKIP], work)
-        uneven = workloads.build("wide-N", SEED, work).configs["grid"]
-        uneven["ring"]["N"] = UNEVEN_N
-        config = work / "wide-N_uneven.json"
-        config.write_text(json.dumps(uneven, indent=2, sort_keys=True) + "\n")
-        digest(config, ("coeffs", "radius"), work)
+        for stem, grid, commands in (("uneven", UNEVEN_N, ("coeffs", "radius")),
+                                     ("packed", PACKED_N, ("coeffs", "radius", "sweep", "verify"))):
+            obj = workloads.build("wide-N", SEED, work).configs["grid"]
+            obj["ring"]["N"] = grid
+            config = work / f"wide-N_{stem}.json"
+            config.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+            digest(config, commands, work)
 
 
 if __name__ == "__main__":
