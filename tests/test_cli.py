@@ -114,6 +114,37 @@ def test_every_command_artifact_is_pinned(tmp_path, capsys):
     assert stdout == {**dict.fromkeys(PINNED_ARTIFACTS, ""), "verify": PINNED_VERIFY_STDOUT}
 
 
+# The pins above use a pure sine, whose force values keep the same bits in
+# either form of a harmonic; these pin the integrator's path for a general
+# harmonic (a and b both nonzero), where one sine per harmonic rounds
+# differently from a*cos + b*sin.
+TWO_HARMONIC_CONFIG = {**PINNED_CONFIG, "force": SEED7_TWO.to_json()}
+TWO_HARMONIC_ARTIFACTS = {
+    "simulate": {
+        "simulate.json": "02d7573286b8312f00e2e57aff0c0f6c20a504882bfe479b57f8e5ece0696101",
+        "trajectory_N8.csv": "3d831dece95e4057df18aee4a4a8ef8a76cb2f014edbf1b1e318d8eccbf3430f",
+        "trajectory_N16.csv": "614ac92a07140741655ea519758ea449f2499ab2ee255265669da549705ccf51",
+        "trajectory_N32.csv": "e010eaeb99802ef00be8b6a1114129177c87a29e9a62e93a5bcaf0c980ee29fa",
+        "trajectory_N64.csv": "b839ad8da6541644ed9398f07748d54b6bb1bcfd1441be0a7546f36927423a7e",
+    },
+    "compare": {
+        "compare.json": "52d0c32dda06b62b1ed7ab404148b1814e1b3060113242b5c2af3e41874fffe8",
+    },
+}
+
+
+def test_two_harmonic_integration_is_pinned(tmp_path):
+    cfg = write_config(tmp_path, TWO_HARMONIC_CONFIG)
+    digests = {}
+    for command in TWO_HARMONIC_ARTIFACTS:
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+        digests[command] = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
+        }
+    assert digests == TWO_HARMONIC_ARTIFACTS
+
+
 def test_coeffs_constant_force_zero_columns(tmp_path):
     obj = dict(SINE_CONFIG)
     obj["force"] = {"L": 1.0, "a0": 2.0, "harmonics": []}

@@ -19,6 +19,43 @@ from coulomb_chain import (
 )
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
+
+
+def amplitude_sum(spec):
+    return abs(spec.a0) + sum(abs(h.a) + abs(h.b) for h in spec.harmonics)
+
+
+def forms_bound(spec):
+    """How far the value kernel and the jet's row 0 may lie from the force, and apart."""
+    return 8 * EPS * amplitude_sum(spec)
+
+
+def reference_force(spec, x):
+    """The force formula the jet's row 0 must reproduce bit for bit: reduce
+    every entry with np.mod, add a*cos + b*sin per harmonic, then a0."""
+    xm = np.mod(np.asarray(x, dtype=float), spec.L)
+    out = np.zeros_like(xm)
+    for h in spec.harmonics:
+        theta = 2.0 * np.pi * h.k / spec.L * xm
+        out += h.a * np.cos(theta) + h.b * np.sin(theta)
+    if spec.a0 != 0.0:
+        out += spec.a0
+    return out
+
+
+def phase_force(spec, x):
+    """The value kernel's formula: reduce every entry with np.mod, add
+    R sin(w x + phi) per harmonic with R = hypot(a, b), phi = atan2(a, b),
+    then a0."""
+    xm = np.mod(np.asarray(x, dtype=float), spec.L)
+    out = np.zeros_like(xm)
+    for h in spec.harmonics:
+        w = 2.0 * np.pi * h.k / spec.L
+        out += math.hypot(h.a, h.b) * np.sin(w * xm + math.atan2(h.a, h.b))
+    if spec.a0 != 0.0:
+        out += spec.a0
+    return out
 
 
 def test_eval_force_pure_sine_at_zero():
@@ -42,9 +79,12 @@ def test_first_derivative_of_sine_at_zero():
 
 
 def test_order_zero_is_the_force(rng):
+    # The value kernel has its own bits (one sine per harmonic); the jet's
+    # row 0 is the same force to within the rounding of either form.
     spec = ForceSpec(L=2.0, a0=-0.3, harmonics=(Harmonic(1, 0.4, -0.2), Harmonic(3, 0.0, 1.1)))
     for x in rng.uniform(-5, 5, size=20):
-        assert force_jet(spec, x, 0)[0] == eval_force(spec, x)
+        assert eval_force(spec, x) == phase_force(spec, x)
+        assert abs(force_jet(spec, x, 0)[0] - eval_force(spec, x)) <= forms_bound(spec)
 
 
 def test_second_derivative_against_finite_difference():
@@ -178,19 +218,58 @@ def test_from_json_stores_floats():
 
 
 # ---------------------------------------------------------------------------
-# the jet kernel
+# the value kernel and the jet kernel
 
-def reference_force(spec, x):
-    """The force formula the jet's row 0 must reproduce bit for bit: reduce
-    every entry with np.mod, add a*cos + b*sin per harmonic, then a0."""
-    xm = np.mod(np.asarray(x, dtype=float), spec.L)
-    out = np.zeros_like(xm)
-    for h in spec.harmonics:
-        theta = 2.0 * np.pi * h.k / spec.L * xm
-        out += h.a * np.cos(theta) + h.b * np.sin(theta)
-    if spec.a0 != 0.0:
-        out += spec.a0
-    return out
+@pytest.mark.parametrize("spec", [SEED7_TWO, SEED7_THREE], ids=["two", "three"])
+def test_eval_force_against_mpmath(spec, rng):
+    # 40-digit evaluation at the same double points: the lattice of N=4096,
+    # random points in [0, L) and points outside it (reduced with np.mod).
+    # Measured: 3.6 and 4.7 eps times the amplitude sum.
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([np.arange(4096) / 4096, rng.uniform(0.0, 1.0, size=500),
+                         rng.uniform(-3.0, 3.0, size=200), [-0.0, np.nextafter(1.0, 0.0)]])
+    exact = np.empty_like(xs)
+    with mpmath.workdps(40):
+        for i, x in enumerate(xs.tolist()):
+            exact[i] = float(sum(h.a * mpmath.cos(2 * mpmath.pi * h.k * mpmath.mpf(x))
+                                 + h.b * mpmath.sin(2 * mpmath.pi * h.k * mpmath.mpf(x))
+                                 for h in spec.harmonics))
+    assert np.max(np.abs(eval_force(spec, xs) - exact)) <= forms_bound(spec)
+
+
+def test_pure_sine_values_keep_the_cos_sin_bits(rng):
+    # With a = 0 (either sign) and b > 0, phi = +-0 and R = b, so
+    # R sin(w x + phi) has the bits of a cos(w x) + b sin(w x); the pinned
+    # trajectories of pure-sine configs rest on this.  The potential keeps
+    # (b cos(w x) - a sin(w x)) / w the same way.
+    L = 1.5
+    special = [0.0, -0.0, L, -L, np.nextafter(L, 0.0), 1e6, np.inf, np.nan]
+    xs = np.concatenate([special, rng.uniform(-3 * L, 3 * L, size=300)])
+    for spec in (
+        ForceSpec(L=L, harmonics=(Harmonic(1, 0.0, 0.5),)),
+        ForceSpec(L=L, a0=-0.3, harmonics=(Harmonic(1, -0.0, 0.3), Harmonic(3, 0.0, 1.1))),
+    ):
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(eval_force(spec, xs).view(np.uint64),
+                                          reference_force(spec, xs).view(np.uint64))
+        if spec.a0 == 0.0:
+            xm = np.mod(xs[np.isfinite(xs)], L)
+            expected = np.zeros_like(xm)
+            for h in spec.harmonics:
+                w = 2.0 * np.pi * h.k / L
+                expected += (-h.a * np.sin(w * xm) + h.b * np.cos(w * xm)) / w
+            np.testing.assert_array_equal(eval_potential(spec, xm).view(np.uint64),
+                                          expected.view(np.uint64))
+
+
+def test_eval_force_fills_the_given_row():
+    spec = ForceSpec(L=1.0, a0=0.2, harmonics=SEED7_THREE.harmonics)
+    xs = np.linspace(0.0, 1.0, 33)
+    out = np.full(33, np.nan)
+    assert eval_force(spec, xs, out=out) is out
+    np.testing.assert_array_equal(out.view(np.uint64), phase_force(spec, xs).view(np.uint64))
+    with pytest.raises(ConfigError, match="shape"):
+        eval_force(spec, xs, out=np.empty(32))
 
 
 def test_row_zero_is_bit_identical_to_the_force_formula(rng):
@@ -206,12 +285,14 @@ def test_row_zero_is_bit_identical_to_the_force_formula(rng):
         for spec in specs:
             config = RingConfig(N=64, L=L, force=spec, j_max=9)
             expected = reference_force(spec, xs)
-            np.testing.assert_array_equal(eval_force(spec, xs).view(np.uint64),
-                                          expected.view(np.uint64))
             np.testing.assert_array_equal(force_jet(spec, xs, 0)[0].view(np.uint64),
                                           expected.view(np.uint64))
-            for x, e in zip(xs.tolist(), expected.tolist()):
+            values = phase_force(spec, xs)
+            np.testing.assert_array_equal(eval_force(spec, xs).view(np.uint64),
+                                          values.view(np.uint64))
+            for x, e in zip(xs.tolist(), values.tolist()):
                 assert np.array_equal(eval_force(spec, x), e, equal_nan=True)
+            np.testing.assert_allclose(values, expected, rtol=0.0, atol=forms_bound(spec))
             lattice = initial_positions(config)
             np.testing.assert_array_equal(
                 force_grid(config, 4)[0].view(np.uint64),

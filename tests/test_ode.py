@@ -17,6 +17,8 @@ from coulomb_chain import (
     ode,
 )
 from coulomb_chain.cli import parse_config
+from conftest import SEED7_TWO
+from oracles import with_left_acceleration
 
 
 def make_config(N=8, force=None, j_max=4):
@@ -52,6 +54,59 @@ def test_collision_guard():
         acceleration(config, state)
     with pytest.raises(CollisionError):
         integrate(config, 0.01, 1e-10, 1e-12, initial=state)
+
+
+def padded_kernel(config, x0, g0, u):
+    g0, dg0, work = ode._kernel_rows(g0)
+    out = np.empty(config.N)
+    ode._acceleration(config, x0, g0, dg0, u, out, work)
+    return out
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 1024])
+def test_padded_kernel_is_bit_identical_to_the_unpadded_oracle(N, rng):
+    # One ufunc per neighbour op on padded rows must give the bits of the
+    # unpadded rows with a scalar op for the wrap, on the uniform start (exact
+    # gaps L/N, as integrate uses) and on a jittered one (gaps from positions).
+    config = RingConfig(N=N, L=1.0, force=SEED7_TWO, j_max=4)
+    lattice = initial_state(config).x
+    jittered = lattice + rng.uniform(0.0, 0.3 * config.delta, size=N)
+    for x0, g0 in ((lattice, np.full(N, config.delta)), (jittered, ode._gaps(jittered, 1.0))):
+        for u in (np.zeros(N), rng.normal(scale=0.05 * config.delta, size=N)):
+            expected = with_left_acceleration(config, x0, g0, u)
+            np.testing.assert_array_equal(padded_kernel(config, x0, g0, u).view(np.uint64),
+                                          expected.view(np.uint64))
+        state = TrajectoryState(t=0.0, x=x0, v=np.zeros(N))
+        np.testing.assert_array_equal(
+            acceleration(config, state).view(np.uint64),
+            with_left_acceleration(config, x0, ode._gaps(x0, 1.0), np.zeros(N)).view(np.uint64),
+        )
+
+
+@pytest.mark.parametrize("N", [3, 8, 1024])
+def test_padded_kernel_floor_and_nan_gaps(N, rng):
+    config = RingConfig(N=N, L=1.0, force=SEED7_TWO, j_max=4)
+    x0, g0 = initial_state(config).x, np.full(N, config.delta)
+    u = rng.normal(scale=0.05 * config.delta, size=N)
+    # a NaN displacement passes the floor test, like the oracle, and
+    # spreads to the same entries with the same bits
+    nan = u.copy()
+    nan[N // 2] = np.nan
+    got = padded_kernel(config, x0, g0, nan)
+    assert np.isnan(got).sum() == 3
+    np.testing.assert_array_equal(got.view(np.uint64),
+                                  with_left_acceleration(config, x0, g0, nan).view(np.uint64))
+    # the wrap gap (between particles N-1 and 0) reaching the floor raises,
+    # with or without a NaN elsewhere
+    floor = u.copy()
+    floor[0] = floor[-1] - config.delta
+    with pytest.raises(CollisionError, match=f"^gap {N - 1} shrank to "):
+        padded_kernel(config, x0, g0, floor)
+    floor[N // 2] = np.nan
+    with pytest.raises(CollisionError):
+        with_left_acceleration(config, x0, g0, floor)
+    with pytest.raises(CollisionError):
+        padded_kernel(config, x0, g0, floor)
 
 
 def test_nonphysical_trial_stage_is_rejected_not_fatal(sine_force, monkeypatch):
