@@ -14,15 +14,17 @@ Two kernels evaluate it.  ``force_jet`` gives every derivative: it takes
 one cos and one sin per harmonic and point and applies each quarter turn as
 an exact rotation of the pair (a cos + b sin, b cos - a sin), then scales by
 w**n; ``ring.force_grid`` and the coefficient engine read rows 0..k_max on
-the rest lattice at the cost of one trig pass.  ``eval_force`` gives values
-only, for the integrator's right-hand side, with one sine per harmonic: it
-writes each harmonic as R sin(w x + phi), with R = hypot(a, b) and
-phi = atan2(a, b) taken once per force.  The two agree to a few eps times
-the amplitude sum (each lies within 5 of the 40-digit force on the tested
-two- and three-harmonic forces).  For a pure sine (a = 0, b > 0), phi = 0
-and R = b, so both give the bits of b sin(w x).  ``eval_potential`` uses
-the same phase form, R cos(w x + phi) / w.  Points are reduced modulo L
-only when one lies outside [0, L).
+the rest lattice at the cost of one trig pass, and the engine's
+exponential composition takes each harmonic's (p, q) rows from that pass.
+``eval_force`` gives values only, for the integrator's right-hand side,
+with one sine per harmonic: it writes each harmonic as R sin(w x + phi),
+with R = hypot(a, b) and phi = atan2(a, b) taken once per force.  The two
+agree to a few eps times the amplitude sum (each lies within 5 of the
+40-digit force on the tested two- and three-harmonic forces).  For a pure
+sine (a = 0, b > 0), phi = 0 and R = b, so both give the bits of
+b sin(w x).  ``eval_potential`` uses the same phase form,
+R cos(w x + phi) / w.  Points are reduced modulo L only when one lies
+outside [0, L).
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ def eval_force(spec: ForceSpec, x, *, out: np.ndarray | None = None):
     return _as_input_shape(out, x)
 
 
-def force_jet(spec: ForceSpec, x, k_max: int, *, out: np.ndarray | None = None) -> np.ndarray:
+def force_jet(spec: ForceSpec, x, k_max: int, *, out: np.ndarray | None = None,
+              turns: np.ndarray | None = None) -> np.ndarray:
     """Rows F^(k)(x) for k = 0..k_max, one cos and one sin per harmonic.
 
     Row k has the shape of ``x``; ``k_max`` must be >= 0.  With theta = w x,
@@ -170,6 +173,10 @@ def force_jet(spec: ForceSpec, x, k_max: int, *, out: np.ndarray | None = None) 
 
     The rows are written into ``out`` when it is given (shape
     ``(k_max+1,) + x.shape``; its contents are not read) and returned.
+    Each harmonic's pair (p, q) is written into ``turns`` when it is given
+    (shape ``(K, 2) + x.shape`` for K harmonics, in their order), so a
+    caller that composes F(x + u) = a0 + sum (p cos(w u) + q sin(w u)) pays
+    no second trig pass.
     """
     if k_max < 0:
         raise ConfigError(f"derivative order must be >= 0, got {k_max}")
@@ -178,23 +185,30 @@ def force_jet(spec: ForceSpec, x, k_max: int, *, out: np.ndarray | None = None) 
         out = np.empty((k_max + 1,) + x.shape)
     elif out.shape != (k_max + 1,) + x.shape:
         raise ConfigError(f"jet rows must have shape {(k_max + 1,) + x.shape}, got {out.shape}")
+    shape = (len(spec.harmonics), 2) + x.shape
+    if turns is None:
+        turns = np.empty(shape)
+    elif turns.shape != shape:
+        raise ConfigError(f"harmonic turns must have shape {shape}, got {turns.shape}")
     if x.size and not (x.min() >= 0.0 and x.max() < spec.L):
         x = np.mod(x, spec.L)
     out[...] = 0.0
-    for h in spec.harmonics:
+    for i, h in enumerate(spec.harmonics):
+        p, q = turns[i, 0, ...], turns[i, 1, ...]  # views, also for scalar x
         w = 2.0 * np.pi * h.k / spec.L
         theta = w * x
         cos, sin = np.cos(theta), np.sin(theta)
-        p = h.a * cos + h.b * sin
+        np.multiply(h.a, cos, out=p)
+        p += h.b * sin
+        np.multiply(h.b, cos, out=q)
+        q -= h.a * sin
         out[0] += p
-        if k_max >= 1:
-            q = h.b * cos - h.a * sin
-            for k in range(1, k_max + 1):
-                turn = w**k * (q if k % 2 else p)
-                if k % 4 < 2:
-                    out[k] += turn
-                else:
-                    out[k] -= turn
+        for k in range(1, k_max + 1):
+            turn = w**k * (q if k % 2 else p)
+            if k % 4 < 2:
+                out[k] += turn
+            else:
+                out[k] -= turn
     if spec.a0 != 0.0:
         out[0] += spec.a0
     return out

@@ -131,10 +131,13 @@ def _padded_gaps(g0: np.ndarray, u: np.ndarray, du: np.ndarray, g: np.ndarray) -
 
 
 def _check_floor(config: RingConfig, g: np.ndarray) -> None:
-    """Raise CollisionError if any gap in ``g`` is at or below the floor."""
+    """Raise CollisionError if any gap in ``g`` is at or below the floor.
+
+    The error names the smallest gap; a NaN gap elsewhere is passed over.
+    """
     floor = GAP_FLOOR_FACTOR * config.delta
     if (g <= floor).any():
-        worst = int(np.argmin(g))
+        worst = int(np.nanargmin(g))
         raise CollisionError(
             f"gap {worst} shrank to {g[worst]:.3e} (floor {floor:.3e}); "
             "numerical fault in the integration"

@@ -14,10 +14,29 @@ table fills in strictly increasing order j = 1, 2, ..., j_max:
 
   * the gap series delta + R_i is inverted once (standard truncated
     reciprocal recurrence) and squared to get w_i;
-  * the force term is composed as sum_k F^(k)(x_i(0))/k! * u_i**k with the
-    exact derivative coefficients, where only k <= (j_max-1)//2 can reach
-    order j_max - 1 since u starts at order 2;
+  * the force term F(x_i(0) + u_i) is composed in one of two ways (below):
+    from the table of powers u_i**k, or through exp(i w u_i) per harmonic;
   * c_{ij} = [w_{i-1} - w_i + F(x_i(0)+u_i)]_{j-1} / j.
+
+The power table composes sum_k F^(k)(x_i(0))/k! * u_i**k with the exact
+derivative coefficients, where only k <= (j_max-1)//2 can reach order
+j_max - 1 since u starts at order 2.  The exponential composition writes
+each harmonic at x_i(0) as p = a cos + b sin and its quarter turn
+q = b cos - a sin, so that
+
+    F(x_i(0) + u_i) = a0 + sum_h p_h Re E_h + q_h Im E_h,   E_h = exp(i w_h u_i),
+
+and fills E_h order by order with m E_m = i w sum_{k=1..m} k u_k E_{m-k}
+(Knuth, TAOCP vol. 2, section 4.7), starting from E_0 = 1.  Order 1 is
+F(x_i(0)) either way, row 0 of the same force jet.  With R = (j_max-1)//2
+and K harmonics, the power table takes R(R+1)(R+2)/6 multiply-adds per
+column and the exponential K R (R+5); each walk takes the one with fewer,
+and a tie keeps the power table.  The wide-N grid (j_max = 9, K = 2: 20
+against 72) and the validate grid (24, 2: 286 against 352) keep the
+power table, the deep-J grid (96, 3: 18424 against 7332) composes through
+exp.  The two agree to rounding: within 8 eps column-relative on every
+exponential-side config of the tests' dense-reference grid, where the
+worst is 2.3 eps.
 
 Everything is stored pre-multiplied by scale**j (the coefficient of tau**j
 in v_i(scale*tau)), which keeps magnitudes bounded for large N.  The
@@ -25,23 +44,33 @@ particles of one slab (below) advance together one order at a time as
 vectorized array rows.
 
 Only structurally nonzero terms are computed.  From rest every even order
-vanishes (the velocities are odd in t), so u, R, 1/(delta+R), w and every
-u**k carry only even powers of t, u starts at t**2 and u**k at t**(2k).
+vanishes (the velocities are odd in t), so u, R, 1/(delta+R), w, every
+u**k and every E_h carry only even powers of t, u starts at t**2 and u**k
+at t**(2k).
 The loop therefore runs c_{i1} = scale * F(x_i(0)) and then odd j only
 (even integrand order m = j - 1), and each convolution takes the even rows
 of its band: the reciprocal sums gap[2, 4, .., m] * recip[m-2, .., 0], the
-square recip[0, 2, .., m] * recip[m, .., 0], and u**k at order m sums
-u[i] * (u**(k-1))[m-i] for i = 2, 4, .., m-2k+2 and k <= m/2.  Even
-columns of the table are the exact +0.0.  The result is bit-identical to
-the dense loop over all orders and all rows (kept in the tests as the
-reference): every sum keeps its ascending row order and only drops
+square recip[0, 2, .., m] * recip[m, .., 0], u**k at order m sums
+u[i] * (u**(k-1))[m-i] for i = 2, 4, .., m-2k+2 and k <= m/2, and E at
+order m sums (i u_i) * E[m-i] for i = 2, 4, .., m.  Even columns of the
+table are the exact +0.0.  The result is bit-identical to the dense loop
+of its composition over all orders and all rows (both kept in the tests
+as the reference): every sum keeps its ascending row order and only drops
 addends that are exactly zero, which can at most flip the sign of a zero;
-no series value is ever a divisor, and the final
-(scale/j) * (interaction + composed) never yields -0.0.
+the factors 2 between t-orders and the rows below (i u_i against
+(i/2) u_i, w/m against w/(m/2)) are exact; no series value is ever a
+divisor, and the final (scale/j) * (interaction + composed) never yields
+-0.0.
 
 Those series rows are stored only for even m (row r holds order m = 2r),
-so gap, recip and each power pow_u[k] hold (j_max+1)//2 rows; u is
-pow_u[1], and w is formed per order, since only its newest row is read.
+so gap, recip, u and each power pow_u[k] or E hold (j_max+1)//2 rows, and
+w is formed per order, since only its newest row is read.  The power
+table keeps u as pow_u[1]; the exponential path keeps r * u_r in row r
+once the gap has read u_r, and E as (rows, K, 2, width), the reduction
+axis first, so one order is one broadcast multiply of the rows of r * u_r
+by E's rows in reverse, one ``np.add.reduce`` over axis 0, one rotation
+by i w / r (the pair reversed, times (-w, w) / r) and one ``einsum``
+with the (p, q) rows.
 
 One walk serves a grid of rings that share the force and j_max, in slabs
 of at most 16384 columns, so the rows it sweeps once per order stay in
@@ -60,47 +89,59 @@ particles to each side of order 1.  Each of its slabs is extended by a
 halo of H particles on both sides, indices taken mod N, and the loop runs
 unchanged on the extended slab with its cyclic shifts inside the slab:
 the false wrap at the slab's ends moves in by one particle per odd order
-and never reaches the central columns, which alone are kept.  A slab's
-force jet is ``force.force_jet`` at idx * delta, the bits of
-``ring.initial_positions``, so every table is bit-identical to one loop
-over its whole ring.  The force composition at order m sums k <= m/2
-only, since u**k is zero below order 2k.
+and never reaches the central columns, which alone are kept (either
+composition reads u at its own particle only).  A slab's force jet is
+``force.force_jet`` at idx * delta, the bits of ``ring.initial_positions``,
+one trig pass that also hands the exponential path its (p, q) rows, so
+every table is bit-identical to one loop over its whole ring.  The power
+composition at order m sums k <= m/2 only, since u**k is zero below order
+2k.
 
 Packing pays at deep j_max and small N, where numpy dispatch, not
-arithmetic, sets the cost: about 2,800 calls per slab at j_max = 96, 2,160
-of them in the u**k loop.  At j_max = 96 one ring takes about 9 ms at
-N = 2 and 10 ms at N = 128; the grid N = 16, 32, 64, 128 takes 14 ms as
-one slab against 38 ms ring by ring (one core of a 2-vCPU x86-64 host,
-numpy 2.4).
+arithmetic, sets the cost: about 26 numpy calls per order at j_max = 96,
+1,200 per slab.  Six of them per order, 282 in all, compose the force
+through exp; the u**k table would take 2,160 calls per slab.
+At j_max = 96 and K = 3 one ring's profile takes about 3.4 ms at N = 2
+and 5.3 ms at N = 128; the grid N = 16, 32, 64, 128 takes 8.8 ms as one
+slab against 18 ms ring by ring, where the u**k table took 9.6, 15, 18
+and 48 ms (medians of 30 runs in one process, pinned to one core of a
+2-vCPU x86-64 host, numpy 2.4).  Of those 8.8 ms the broadcast multiply
+of the exponential composition takes about 2.5.
 
 Each call allocates one workspace, sized to the widest slab: the slab's
-coefficient rows, the force jet rows, recip, gap, pow_u, w and one scratch
-for the products of a convolution band, all uninitialized, and every slab
-writes each row it reads before reading it.  The products go into the
-scratch (``out=``) and the jet into its rows, so the walk allocates only
-the jet's per-harmonic rows and a slab's indices and parameter rows.  One
-slab walk feeds two grid consumers.  ``coefficient_tables`` copies each
-slab's odd rows of a ring into that ring's table, filled order-major with
-+0.0 in its even rows, and hands ``CoefficientTable`` its transpose, a
-view, not a copy, as soon as the ring's last slab is done;
+coefficient rows, recip, gap, w and one scratch for the products of a
+convolution band; for the power table the force jet rows and pow_u, for
+the exponential path row 0 of the jet, the rows of r * u_r, the (p, q)
+rows, E and one order's addends of E and their sum.  All are
+uninitialized, and every slab writes each row it reads before reading
+it.  The products go into the scratches (``out=``) and the jet into its
+rows, so the walk allocates only the jet's per-harmonic temporaries and a
+slab's indices and parameter rows.  One slab walk feeds two grid
+consumers.  ``coefficient_tables`` copies each slab's odd rows of a ring
+into that ring's table, filled order-major with +0.0 in its even rows,
+and hands ``CoefficientTable`` its transpose, a view, not a copy, as soon
+as the ring's last slab is done;
 ``compute_coefficients`` is its one-ring case.  ``coefficient_profiles``
 reduces each slab's odd rows to running column maxima and minima per ring
 while they are in cache and keeps no table; max and min are exact and
 carry NaN and inf, so its profiles and overflow error are those of the
 tables bit for bit.
 
-The reciprocal and square cost O(N * j_max**2); the table of powers u**k
-for the force composition dominates at O(N * j_max**3), about
-N * j_max**3 / 48 multiply-adds, and the halo adds 2H particles per slab.
-The force jet F^(k)(x_i(0)) for k = 0..(j_max-1)//2 costs one cos and one
-sin per harmonic and particle, plus O(N * j_max * K) multiplies for K
-force harmonics.  Peak memory of ``compute_coefficients`` is the table and
-the workspace (the table's magnitude profile takes column maxima and
-minima, not a copy of |c|): at N = 2**17 about 1.8 times the table's bytes
-for j_max = 9 and 2.2 times for j_max = 24.  ``coefficient_profiles``
-holds the workspace alone, which does not grow with N: 8.5 MiB at
-j_max = 9 and 29 MiB at j_max = 24 for any N above one slab (traced by
-``tracemalloc``).
+The reciprocal and square cost O(N * j_max**2).  The power table costs
+O(N * j_max**3), about N * j_max**3 / 48 multiply-adds, and holds
+O(j_max**2) rows per column; the exponential composition costs
+O(N * K * j_max**2) and holds O(K * j_max) rows.  The halo adds 2H
+particles per slab.  The force jet F^(k)(x_i(0)) for k = 0..(j_max-1)//2
+costs one cos and one sin per harmonic and particle, plus
+O(N * j_max * K) multiplies for K force harmonics; the exponential path
+takes row 0 and the (p, q) rows of the same pass.  Peak memory of
+``compute_coefficients`` is the table and the workspace (the table's
+magnitude profile takes column maxima and minima, not a copy of |c|): at
+N = 2**17 about 1.8 times the table's bytes for j_max = 9 and 2.2 times
+for j_max = 24.  ``coefficient_profiles`` holds the workspace alone, which
+does not grow with N: 8.5 MiB at j_max = 9 and 29 MiB at j_max = 24 for
+any N above one slab, and 27.5 MiB at j_max = 96, K = 3 and N = 4096,
+where the power table held 81.4 MiB (traced by ``tracemalloc``).
 
 The writers ``table_csv`` and ``table_json`` return the artifact text and
 cost one float format per value each (``%.17g`` and ``float.__repr__``),
@@ -308,21 +349,39 @@ def _slabs(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, int, np.ndarra
     # Only k <= (J-1)//2 of the force Taylor data can contribute below order
     # J because u starts at t^2.  Only odd orders j (even integrand orders m)
     # are nonzero, and only even rows of the series are ever read, so gap,
-    # recip and pow_u keep row r for series order m = 2r.  pow_u[k] = u**k,
-    # and row 1 is the displacement series u itself (allocated at J <= 2 too,
-    # k_cap = 0).  The workspace is sized to the widest slab and every row
-    # of it is written before it is read.
+    # recip, u and its powers or exponentials keep row r for series order
+    # m = 2r.  The power table pow_u[k] = u**k holds u itself as row 1
+    # (allocated at J <= 2 too, k_cap = 0); the exponential path keeps
+    # r * u_r in u instead and E[r, h] = (Re, Im) exp(i w_h u) per harmonic.
+    # The workspace is sized to the widest slab and every row of it is
+    # written before it is read.
     k_cap, rows = (J - 1) // 2, (J + 1) // 2
+    K = len(force.harmonics)
+    exponential = _exponential_composition(J, K)
     width = max(sum(stop - start + 2 * halo for _, start, stop in pieces) for halo, pieces in slabs)
     workspace = (
         np.empty((J + 1, width)),  # the slab's coefficients, order-major
-        np.empty((k_cap + 1, width)),  # fk[k] = F^(k)(x_i(0))/k!
         np.empty((rows, width)),  # 1 / (delta + R)
         np.empty((rows, width)),  # R = forward difference of u over the ring
-        np.empty((max(k_cap, 1) + 1, rows, width)),  # u**k
         np.empty((rows, width)),  # the products of one convolution
         np.empty(width),  # the newest order of w = (delta + R)**(-2)
     )
+    if exponential:  # so k_cap >= 1
+        workspace += (
+            np.empty((1, width)),  # F(x_i(0))
+            np.empty((rows, width)),  # r * u_r
+            np.empty((K, 2, width)),  # (p, q) of each harmonic
+            np.empty((rows, K, 2, width)),  # (Re, Im) exp(i w u) of each harmonic
+            np.empty((k_cap + 1, K, 2, width)),  # one order's sum, then its addends
+        )
+        # (Re, Im) of i w S is (-w Im S, w Re S): the pair reversed, times this.
+        freq = [2.0 * np.pi * h.k / force.L for h in force.harmonics]
+        rotate = np.array([(-f, f) for f in freq]).reshape(K, 2, 1)
+    else:
+        workspace += (
+            np.empty((k_cap + 1, width)),  # fk[k] = F^(k)(x_i(0))/k!
+            np.empty((max(k_cap, 1) + 1, rows, width)),  # u**k
+        )
 
     for halo, pieces in slabs:
         sizes = np.array([stop - start + 2 * halo for _, start, stop in pieces])
@@ -332,8 +391,12 @@ def _slabs(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, int, np.ndarra
         # only they pay for the integer modulo (about 80 us per 16384 particles).
         spans = [(np.arange(start - halo, stop + halo), ring.N) for ring, start, stop in pieces]
         idx = np.concatenate([i % n if i[0] < 0 or i[-1] >= n else i for i, n in spans])
-        c, fk, recip, gap, pow_u, prod, w = (a[..., : idx.size] for a in workspace)
-        u = pow_u[1]
+        c, recip, gap, prod, w, fk, *rest = (a[..., : idx.size] for a in workspace)
+        if exponential:
+            u, turns, E, terms = rest
+        else:
+            (pow_u,) = rest
+            u = pow_u[1]
         # Each column's ring parameters; a slab of one ring broadcasts its own.
         delta, s = (np.repeat(v, sizes) if len(pieces) > 1 else v for v in (
             np.array([ring.delta for ring, _, _ in pieces]),
@@ -344,9 +407,13 @@ def _slabs(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, int, np.ndarra
         with np.errstate(over="ignore", invalid="ignore"):
             # Exact force Taylor data at the rest positions; idx * delta has
             # the bits of ``initial_positions``.
-            force_jet(force, idx * delta, k_cap, out=fk)
-            for k in range(2, k_cap + 1):
-                fk[k] /= math.factorial(k)
+            if exponential:
+                force_jet(force, idx * delta, 0, out=fk, turns=turns)
+                E[0] = [[1.0], [0.0]]  # exp(0)
+            else:
+                force_jet(force, idx * delta, k_cap, out=fk)
+                for k in range(2, k_cap + 1):
+                    fk[k] /= math.factorial(k)
             np.divide(1.0, delta, out=recip[0])
             # Order 1 is the force sample; w starts constant, so no interaction term.
             np.multiply(fk[0], s, out=c[1])
@@ -365,21 +432,42 @@ def _slabs(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, int, np.ndarra
                 recip[r] /= neg_delta
                 np.multiply(recip[: r + 1], recip[r::-1], out=prod[: r + 1])
                 np.add.reduce(prod[: r + 1], axis=0, out=w)  # order m of (delta + R)**(-2)
-                for k in range(2, r + 1):
-                    # u starts at order 2 and u**(k-1) at order 2k-2.
-                    band = prod[: r - k + 1]
-                    np.multiply(u[1 : r - k + 2], pow_u[k - 1, r - 1 : k - 2 : -1], out=band)
-                    np.add.reduce(band, axis=0, out=pow_u[k, r])
+                # The order-m term of F(x_i(0) + u_i).
+                if exponential:
+                    # r E_r = i w sum_{k=1..r} (k u_k) E_{r-k}, in rows of t**2.
+                    u[r] *= r
+                    np.multiply(u[1 : r + 1, None, None], E[r - 1 :: -1], out=terms[1 : r + 1])
+                    np.add.reduce(terms[1 : r + 1], axis=0, out=terms[0])
+                    np.multiply(terms[0, :, ::-1], rotate / r, out=E[r])
+                    composed = np.einsum("hcn,hcn->n", turns, E[r], out=prod[0])
+                else:
+                    for k in range(2, r + 1):
+                        # u starts at order 2 and u**(k-1) at order 2k-2.
+                        band = prod[: r - k + 1]
+                        np.multiply(u[1 : r - k + 2], pow_u[k - 1, r - 1 : k - 2 : -1], out=band)
+                        np.add.reduce(band, axis=0, out=pow_u[k, r])
+                    # u**k is zero at order m for k > r.
+                    composed = np.einsum("kn,kn->n", fk[1 : r + 1], pow_u[1 : r + 1, r], out=prod[0])
 
-                # c_j = (s/j) (w_{i-1} - w_i + sum_k fk[k] u**k); u**k is zero
-                # at order m for k > r.
+                # c_j = (s/j) (w_{i-1} - w_i + composed)
                 out = c[j]
                 np.subtract(w[:-1], w[1:], out=out[1:])
                 out[first] = w[last] - w[first]
-                out += np.einsum("kn,kn->n", fk[1 : r + 1], pow_u[1 : r + 1, r], out=prod[0])
+                out += composed
                 out *= s / j
         for (ring, start, stop), lo in zip(pieces, first):
             yield ring, start, c[:, lo + halo : lo + halo + stop - start]
+
+
+def _exponential_composition(j_max: int, harmonics: int) -> bool:
+    """Whether ``_slabs`` composes the force through exp(i w u) rather than u**k.
+
+    With R = (j_max-1)//2 and K harmonics, the exponential recurrence takes
+    K R (R+5) multiply-adds per column and the power table R(R+1)(R+2)/6;
+    the cheaper one wins, and a tie keeps the power table.
+    """
+    R = (j_max - 1) // 2
+    return harmonics * R * (R + 5) < R * (R + 1) * (R + 2) // 6
 
 
 def ordered_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

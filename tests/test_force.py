@@ -331,15 +331,17 @@ def test_jet_against_mpmath(spec, n):
 
 def test_jet_subtraction_is_negation_and_fills_the_given_rows(rng):
     # out[k] -= w**k * p has the bits of out[k] += w**k * (-p); given out=,
-    # the jet writes every row of it without reading it.
+    # the jet writes every row of it without reading it, and given turns=,
+    # every harmonic's (p, q) pair, also at k_max = 0.
     spec = ForceSpec(L=1.5, a0=0.2, harmonics=SEED7_THREE.harmonics + (Harmonic(5, -0.0, 0.3),))
     xs = np.concatenate([[0.0, -0.0, 0.75], rng.uniform(0.0, 1.5, size=300)])
     k_max = 11
     expected = np.zeros((k_max + 1, xs.size))
-    for h in spec.harmonics:
+    expected_turns = np.empty((len(spec.harmonics), 2, xs.size))
+    for h, pq in zip(spec.harmonics, expected_turns):
         w = 2.0 * np.pi * h.k / spec.L
         cos, sin = np.cos(w * xs), np.sin(w * xs)
-        p, q = h.a * cos + h.b * sin, h.b * cos - h.a * sin
+        p, q = pq[...] = h.a * cos + h.b * sin, h.b * cos - h.a * sin
         expected[0] += p
         for k in range(1, k_max + 1):
             expected[k] += w**k * (p, q, -p, -q)[k % 4]
@@ -349,8 +351,15 @@ def test_jet_subtraction_is_negation_and_fills_the_given_rows(rng):
     np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
     np.testing.assert_array_equal(force_jet(spec, xs, k_max).view(np.uint64),
                                   expected.view(np.uint64))
+    for rows in (k_max, 0):
+        turns = np.full(expected_turns.shape, np.nan)
+        jet = force_jet(spec, xs, rows, turns=turns)
+        np.testing.assert_array_equal(jet.view(np.uint64), expected[: rows + 1].view(np.uint64))
+        np.testing.assert_array_equal(turns.view(np.uint64), expected_turns.view(np.uint64))
     with pytest.raises(ConfigError, match="shape"):
         force_jet(spec, xs, k_max - 1, out=out)
+    with pytest.raises(ConfigError, match="shape"):
+        force_jet(spec, xs, k_max, turns=turns[1:])
 
 
 def test_derivative_equals_jet_row(rng):

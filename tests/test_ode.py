@@ -105,7 +105,7 @@ def test_padded_kernel_floor_and_nan_gaps(N, rng):
     floor[N // 2] = np.nan
     with pytest.raises(CollisionError):
         with_left_acceleration(config, x0, g0, floor)
-    with pytest.raises(CollisionError):
+    with pytest.raises(CollisionError, match=f"^gap {N - 1} shrank to "):
         padded_kernel(config, x0, g0, floor)
 
 

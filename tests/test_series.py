@@ -24,6 +24,7 @@ from coulomb_chain import (
     evaluate_velocity,
     force_grid,
     force_jet,
+    initial_positions,
     oracle_coefficients,
     ordered_compositions,
     series,
@@ -68,12 +69,17 @@ def ode_taylor_oracle(N, force, order):
     return out
 
 
-def dense_reference(config):
+def dense_reference(config, exponential=False):
     """Dense per-order loop of the coefficient recursion.
 
     Every order j = 1..J runs, and each convolution spans all m+1 rows of
-    the truncated series, exact-zero terms included.  ``compute_coefficients``
-    skips the structural zeros and must reproduce this table bit for bit.
+    the truncated series, exact-zero terms included.  The force term is
+    composed from the powers u**k (``exponential=False``) or through
+    E = exp(i w u) per harmonic, m E_m = i w sum_{k=1..m} k u_k E_{m-k},
+    as sum_h p_h Re E_h + q_h Im E_h with p = a cos + b sin and
+    q = b cos - a sin at the rest positions.  ``compute_coefficients``
+    skips the structural zeros and must reproduce the loop of the
+    composition it takes (``engine_reference``) bit for bit.
     """
     N, J, s = config.N, config.j_max, config.scale
     delta = config.delta
@@ -81,6 +87,15 @@ def dense_reference(config):
     fk = force_grid(config, k_cap)
     for k in range(k_cap + 1):
         fk[k] /= math.factorial(k)
+    if exponential:
+        x = initial_positions(config)
+        freq = [2.0 * np.pi * h.k / config.L for h in config.force.harmonics]
+        turns = np.array([[h.a * np.cos(f * x) + h.b * np.sin(f * x),
+                           h.b * np.cos(f * x) - h.a * np.sin(f * x)]
+                          for h, f in zip(config.force.harmonics, freq)]).reshape(-1, 2, N)
+        rotate = np.array([(-f, f) for f in freq]).reshape(-1, 2, 1)
+        E = np.zeros((J,) + turns.shape)
+        E[0, :, 0] = 1.0
 
     c = np.zeros((J + 1, N))
     u = np.zeros((J, N))
@@ -99,7 +114,10 @@ def dense_reference(config):
                 gap[m] = np.roll(u[m], -1) - u[m]
                 recip[m] = -(gap[1 : m + 1] * recip[m - 1 :: -1]).sum(axis=0) / delta
                 w[m] = (recip[: m + 1] * recip[m::-1]).sum(axis=0)
-                if k_cap >= 1:
+                if exponential:
+                    ku = np.arange(1, m + 1)[:, None] * u[1 : m + 1]
+                    E[m] = (ku[:, None, None] * E[m - 1 :: -1]).sum(axis=0)[:, ::-1] * (rotate / m)
+                elif k_cap >= 1:
                     pow_u[1, m] = u[m]
                     for k in range(2, k_cap + 1):
                         pow_u[k, m] = (u[: m + 1] * pow_u[k - 1, m::-1]).sum(axis=0)
@@ -107,6 +125,8 @@ def dense_reference(config):
             interaction = np.roll(w[m], 1) - w[m]
             if m == 0:
                 composed = fk[0]
+            elif exponential:
+                composed = np.einsum("hcn,hcn->n", turns, E[m])
             elif k_cap >= 1:
                 composed = np.einsum("kn,kn->n", fk[1:], pow_u[1:, m])
             else:
@@ -114,6 +134,29 @@ def dense_reference(config):
             c[j] = (s / j) * (interaction + composed)
 
     return CoefficientTable(L=config.L, scale=s, data=np.ascontiguousarray(c.T))
+
+
+def exponential_side(config):
+    """Whether the engine composes the force of ``config`` through exp(i w u)."""
+    return series._exponential_composition(config.j_max, len(config.force.harmonics))
+
+
+def engine_reference(config):
+    """The dense loop of the composition the engine takes for ``config``."""
+    return dense_reference(config, exponential=exponential_side(config))
+
+
+#: Column-relative tolerance, in units of eps, between the two compositions.
+COMPOSITIONS_EPS = 8
+
+
+def assert_compositions_agree(config, table):
+    """An exponential-side table lies within ``COMPOSITIONS_EPS`` eps, column-relative,
+    of the u**k recursion's table."""
+    powers = dense_reference(config).data
+    bound = COMPOSITIONS_EPS * np.finfo(float).eps * np.abs(powers).max(axis=0)
+    excess = np.abs(table.data - powers) - bound
+    assert not (excess > 0).any(), f"{config}: orders {np.unique(np.nonzero(excess > 0)[1])}"
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +233,9 @@ def test_invalid_configs_rejected(sine_force):
 
 def test_matches_dense_reference(sine_force):
     # Skipping the structurally zero orders and convolution terms must not
-    # change a single bit, signed zeros included.
+    # change a single bit, signed zeros included.  On the exponential side
+    # (sine at j_max >= 24, the mixed force at 47, the two constant forces
+    # from j_max = 3) the table also lies within a few eps of the u**k one.
     forces = (
         sine_force,
         ForceSpec(L=1.0, a0=-0.3),
@@ -202,16 +247,11 @@ def test_matches_dense_reference(sine_force):
             for j_max in (1, 2, 3, 4, 5, 6, 9, 24, 47):
                 for scale in ({}, {"scale": 1.0}):
                     config = RingConfig(N=n, L=1.0, force=force, j_max=j_max, **scale)
-                    table = compute_coefficients(config)
-                    dense = dense_reference(config).data
-                    np.testing.assert_array_equal(
-                        table.data.view(np.uint64), dense.view(np.uint64),
-                        err_msg=f"N={n} j_max={j_max} {scale} {force}",
-                    )
-                    assert_profile_of(config, table)
+                    assert_same_bits(config)
     config = RingConfig(N=16, L=1.0, force=sine_force, j_max=24, scale=1e40)
+    assert exponential_side(config)
     with pytest.raises(OverflowError) as dense_error:
-        dense_reference(config)
+        engine_reference(config)
     for engine in (compute_coefficients, one_profile):
         with pytest.raises(OverflowError, match=f"^{re.escape(str(dense_error.value))}$"):
             engine(config)
@@ -235,10 +275,17 @@ def assert_profile_of(config, table):
 
 def assert_same_bits(config):
     table = compute_coefficients(config)
-    dense = dense_reference(config).data
+    assert_matches_reference(config, table)
+    assert_profile_of(config, table)
+
+
+def assert_matches_reference(config, table):
+    """The table is the dense loop's bit for bit, and near the u**k one on the exponential side."""
+    dense = engine_reference(config).data
     np.testing.assert_array_equal(
         table.data.view(np.uint64), dense.view(np.uint64), err_msg=str(config))
-    assert_profile_of(config, table)
+    if exponential_side(config):
+        assert_compositions_agree(config, table)
 
 
 MIXED = ForceSpec(L=1.0, a0=0.2, harmonics=(Harmonic(1, 0.1, 0.3), Harmonic(3, -0.05, 0.02)))
@@ -262,7 +309,7 @@ def test_halo_wider_than_slab_and_ring(monkeypatch, sine_force, n, j_max):
     # With 3-particle slabs the halo of (j_max-1)//2 particles spans several
     # slabs and, at N = 8, wraps around the whole ring.
     monkeypatch.setattr(series, "_SLAB", 3)
-    for force in (sine_force, MIXED, CONSTANT):
+    for force in (sine_force, MIXED, CONSTANT):  # sine at 24 and constant are exponential-side
         for scale in ({}, {"scale": 1.0}):
             assert_same_bits(RingConfig(N=n, L=1.0, force=force, j_max=j_max, **scale))
 
@@ -270,7 +317,7 @@ def test_halo_wider_than_slab_and_ring(monkeypatch, sine_force, n, j_max):
 def test_overflow_message_is_the_same_across_slabs(monkeypatch, sine_force):
     config = RingConfig(N=16, L=1.0, force=sine_force, j_max=24, scale=1e40)
     with pytest.raises(OverflowError) as dense_error:
-        dense_reference(config)
+        engine_reference(config)
     monkeypatch.setattr(series, "_SLAB", 3)
     for engine in (compute_coefficients, one_profile):
         with pytest.raises(OverflowError, match=f"^{re.escape(str(dense_error.value))}$"):
@@ -278,12 +325,18 @@ def test_overflow_message_is_the_same_across_slabs(monkeypatch, sine_force):
 
 
 def assert_grid_matches_one_ring_walks(rings):
-    """The grid walk gives every ring's table and profile of its own walk, bit for bit."""
+    """The grid walk gives every ring's table and profile of its own walk, bit for bit.
+
+    On the exponential side each ring's own walk is also checked against the
+    dense loop.
+    """
     tables = list(coefficient_tables(rings))
     profiles = coefficient_profiles(rings)
     assert [t.N for t in tables] == [p.N for p in profiles] == [r.N for r in rings]
     for ring, table, profile in zip(rings, tables, profiles):
         alone = compute_coefficients(ring)
+        if exponential_side(ring):
+            assert_matches_reference(ring, alone)
         assert (table.L, table.scale, profile.L, profile.scale) == (ring.L, ring.scale) * 2
         np.testing.assert_array_equal(
             table.data.view(np.uint64), alone.data.view(np.uint64), err_msg=str(ring))
@@ -322,7 +375,7 @@ def test_overflow_in_the_middle_of_a_packed_slab(sine_force):
              RingConfig(N=16, L=1.0, force=sine_force, j_max=24, scale=1e40),
              RingConfig(N=4, L=1.0, force=sine_force, j_max=24)]
     with pytest.raises(OverflowError) as dense_error:
-        dense_reference(rings[1])
+        engine_reference(rings[1])
     message = f"^{re.escape(str(dense_error.value))}$"
     tables = coefficient_tables(rings)
     first = next(tables)
@@ -340,19 +393,53 @@ def test_overflow_in_the_middle_of_a_packed_slab(sine_force):
 
 
 def test_deep_grid_takes_one_force_jet(monkeypatch):
-    # The deep-truncation grid N = 16..128 packs into one slab: one jet, not four.
+    # The deep-truncation grid N = 16..128 packs into one slab: one jet, not
+    # four.  It composes through exp(i w u), so that one trig pass also hands
+    # out each harmonic's (p, q) rows.
     calls = []
 
     def counted(spec, x, k_max, **kwargs):
-        calls.append(np.size(x))
+        calls.append((np.size(x), kwargs.get("turns") is not None))
         return force_jet(spec, x, k_max, **kwargs)
 
     monkeypatch.setattr(series, "force_jet", counted)
     rings = [RingConfig(N=n, L=1.0, force=SEED7_THREE, j_max=96) for n in (16, 32, 64, 128)]
     coefficient_profiles(rings)
-    assert calls == [240]
+    assert calls == [(240, True)]
     list(coefficient_tables(rings))
-    assert calls == [240, 240]
+    assert calls == [(240, True)] * 2
+
+
+@pytest.mark.parametrize("j_max, harmonics, exponential", [
+    (9, 2, False),  # the wide-N grid: 20 multiply-adds per column against 72
+    (24, 2, False),  # the validate grid: 286 against 352
+    (96, 3, True),  # the deep-J grid: 18424 against 7332
+    (9, 0, True),  # a constant force has nothing to compose
+    (15, 1, False),  # a tie, 84 against 84, keeps the power table
+])
+def test_composition_choice(j_max, harmonics, exponential):
+    assert series._exponential_composition(j_max, harmonics) is exponential
+
+
+def test_exponential_table_matches_enumeration_oracle(sine_force):
+    config = RingConfig(N=8, L=1.0, force=sine_force, j_max=24, scale=1.0)
+    assert exponential_side(config)
+    fast = compute_coefficients(config)
+    slow = oracle_coefficients(RingConfig(N=8, L=1.0, force=sine_force, j_max=9, scale=1.0))
+    assert_columns_close(fast.data[:, :10], slow.data, rtol=1e-10)
+
+
+def test_deep_profile_peak_memory():
+    # The exponential path holds O(K J) workspace rows where the u**k table
+    # held O(J**2): about 28 MiB here, against 81 MiB for the table.
+    config = RingConfig(N=4096, L=1.0, force=SEED7_THREE, j_max=96)
+    tracemalloc.start()
+    try:
+        one_profile(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_grid_rings_share_force_and_depth(sine_force):

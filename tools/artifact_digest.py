@@ -18,7 +18,12 @@ grids never reach.  Another, the same force and J_max at N = 3, 100,
 ``verify``: the engine packs the first four rings into one slab, the fifth
 into the next, and splits the last, so it crosses a packing boundary and
 ends in a split ring, which neither the workload grids nor the uneven
-config reach.  The first line lists the package's public names,
+config reach.  A last one, the deep-J grid's force at J_max = 49 and
+N = 20011, runs ``coeffs`` and ``radius``: the engine composes that force
+through exp(i w u) (2088 multiply-adds per column against the power
+table's 2600) over two slabs, so the digest covers that composition
+across a halo, which the deep-J grid, packed into one slab, never
+crosses.  The first line lists the package's public names,
 ``coulomb_chain.__all__`` sorted, so the digest also pins the API.  Two
 checkouts give byte-identical artifacts and the same public names exactly
 when a plain ``diff`` of their digests is empty.  The script takes no
@@ -49,8 +54,13 @@ COMMANDS = ("coeffs", "simulate", "compare", "radius", "verify", "sweep")
 # wide-N configs are not simulated; compare integrates them only up to a
 # short horizon and stays in the digest.
 SKIP = {("wide-N", "simulate")}
-UNEVEN_N = [20011, 40009]
-PACKED_N = [3, 100, 5000, 9000, 12000, 20011]
+# (workload, stem, ring keys set on the workload's grid config, commands)
+EXTRA = (
+    ("wide-N", "uneven", {"N": [20011, 40009]}, ("coeffs", "radius")),
+    ("wide-N", "packed", {"N": [3, 100, 5000, 9000, 12000, 20011]},
+     ("coeffs", "radius", "sweep", "verify")),
+    ("deep-J", "halo", {"N": [20011], "J_max": 49}, ("coeffs", "radius")),
+)
 
 
 def sha256(data: bytes) -> str:
@@ -88,11 +98,10 @@ def main() -> None:
             wl = workloads.build(name, SEED, work)
             for config in dict.fromkeys(op.config for op in wl.ops):
                 digest(config, [c for c in COMMANDS if (name, c) not in SKIP], work)
-        for stem, grid, commands in (("uneven", UNEVEN_N, ("coeffs", "radius")),
-                                     ("packed", PACKED_N, ("coeffs", "radius", "sweep", "verify"))):
-            obj = workloads.build("wide-N", SEED, work).configs["grid"]
-            obj["ring"]["N"] = grid
-            config = work / f"wide-N_{stem}.json"
+        for name, stem, ring, commands in EXTRA:
+            obj = workloads.build(name, SEED, work).configs["grid"]
+            obj["ring"].update(ring)
+            config = work / f"{name}_{stem}.json"
             config.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
             digest(config, commands, work)
 
