@@ -381,18 +381,40 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _oracle_max_rel_err(cfg: ExperimentConfig) -> float | None:
-    """Engine-vs-enumeration column-relative error on rings N = 3, 4, 8 up to order 9.
+def _cross_check_sizes(force: ForceSpec) -> tuple[int, ...]:
+    """Ring sizes for the cross-check: 3, 4 and 8, each moved past the sizes that alias.
 
-    The rings take the configured force and scale ("auto": per N).  None
-    below J_max = 3: only order 1 would be compared, and the oracle and the
-    engine compute it by the same formula.
+    Each of 3, 4, 8 in turn advances to the smallest size not already
+    chosen that divides no harmonic index.
+    """
+    sizes: list[int] = []
+    for n in (3, 4, 8):
+        while n in sizes or any(h.k % n == 0 for h in force.harmonics):
+            n += 1
+        sizes.append(n)
+    return tuple(sizes)
+
+
+def _oracle_max_rel_err(cfg: ExperimentConfig) -> float | None:
+    """Engine-vs-enumeration column-relative error on three small rings up to order 9.
+
+    The rings are N = 3, 4, 8 unless a harmonic index is a multiple of one
+    of them (``_cross_check_sizes``).  On such a ring that harmonic is the
+    same force on every particle, and a force that is uniform on the ring
+    moves it rigidly: orders such as 3 and 7 are then exactly zero, both
+    sides return rounding noise, and the column-relative error of noise
+    against noise would fail a correct table.  So the sine, wide-N and
+    validate forces keep (3, 4, 8), and the harmonics (1, 2, 3) take
+    (4, 5, 8).  The rings take the configured force and scale ("auto": per
+    N).  None below J_max = 3: only order 1 would be compared, and the
+    oracle and the engine compute it by the same formula.
     """
     j_cap = min(9, cfg.j_max)
     if j_cap < 3:
         return None
     max_err = 0.0
-    rings = [replace(cfg.rings[0], N=N, j_max=j_cap, scale=cfg.scale) for N in (3, 4, 8)]
+    rings = [replace(cfg.rings[0], N=N, j_max=j_cap, scale=cfg.scale)
+             for N in _cross_check_sizes(cfg.force)]
     for rc, fast in zip(rings, series.coefficient_tables(rings)):
         slow = series.oracle_coefficients(rc)
         for j in range(1, j_cap + 1):

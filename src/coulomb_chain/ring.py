@@ -6,7 +6,8 @@ analytic force, expanded to order ``j_max`` with time rescale ``scale``.
 
 A grid function is a plain 1-D float array of length N read periodically
 (index arithmetic modulo N).  ``nabla_plus`` and ``nabla_minus`` are the
-forward and backward differences on that lattice; they commute, obey the
+forward and backward differences on that lattice, one subtraction of
+shifted slices plus the wrap entry each; they commute, obey the
 product rule nabla_plus(g*f)(i) = f(i+1)*nabla_plus(g)(i) + g(i)*nabla_plus(f)(i),
 and telescope to zero over a full period.  ``force_grid`` is the force jet
 F^(k)(x_i(0)) on the whole rest lattice; the composition-sum oracle and the
@@ -90,13 +91,19 @@ def _as_grid(values) -> np.ndarray:
 def nabla_plus(g) -> np.ndarray:
     """Forward difference: result(i) = g(i+1) - g(i), indices mod N."""
     g = _as_grid(g)
-    return np.roll(g, -1) - g
+    out = np.empty_like(g)
+    np.subtract(g[1:], g[:-1], out=out[:-1])
+    out[-1] = g[0] - g[-1]
+    return out
 
 
 def nabla_minus(g) -> np.ndarray:
     """Backward difference: result(i) = g(i) - g(i-1), indices mod N."""
     g = _as_grid(g)
-    return g - np.roll(g, 1)
+    out = np.empty_like(g)
+    np.subtract(g[1:], g[:-1], out=out[1:])
+    out[0] = g[0] - g[-1]
+    return out
 
 
 def force_grid(config: RingConfig, k_max: int) -> np.ndarray:

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import coulomb_chain
-from conftest import SEED7_TWO
-from coulomb_chain import CollisionError, ConfigError, StiffnessError, cli
+from conftest import SEED7_THREE, SEED7_TWO
+from coulomb_chain import CollisionError, ConfigError, ForceSpec, Harmonic, StiffnessError, cli
 from coulomb_chain.cli import main
 
 SINE_CONFIG = {
@@ -505,6 +505,54 @@ def test_sweep_and_verify_below_order_three(tmp_path, capsys, monkeypatch, j_max
     payload = json.loads((out / "verify.json").read_text())
     assert payload["bounds"]["hard_c3_ok"] is None and payload["oracle_max_rel_err"] is None
     assert payload["passed"] is True
+
+
+# One harmonic whose index is a multiple of a default cross-check ring (3):
+# that ring would move rigidly, with orders 3 and 7 exactly zero.
+ALIASING_CONFIG = {
+    "ring": {"N": [4, 8], "L": 1.0, "J_max": 12},
+    "force": {"harmonics": [{"k": 3, "a": 0.2}]},
+}
+
+
+def test_cross_check_rings_divide_no_harmonic_index(sine_force):
+    assert cli._cross_check_sizes(sine_force) == (3, 4, 8)
+    assert cli._cross_check_sizes(SEED7_TWO) == (3, 4, 8)
+    assert cli._cross_check_sizes(SEED7_THREE) == (4, 5, 8)
+    assert cli._cross_check_sizes(ForceSpec(L=1.0, a0=2.0)) == (3, 4, 8)
+    huge = ForceSpec(L=1.0, harmonics=(Harmonic(16 * 10**35, 0.0, 1e50),))
+    assert cli._cross_check_sizes(huge) == (3, 6, 9)
+
+
+def test_verify_passes_when_a_harmonic_is_uniform_on_a_default_ring(tmp_path, capsys):
+    code, out = run("verify", tmp_path, ALIASING_CONFIG)
+    assert code == 0, capsys.readouterr().err
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[:2] for line in lines][1] == ["PASS", "composition-sum cross-check"]
+    assert json.loads((out / "verify.json").read_text())["oracle_max_rel_err"] <= 1e-10
+
+
+@pytest.mark.parametrize("ring", [0, 1, 2])
+def test_cross_check_fails_on_a_perturbed_entry(tmp_path, capsys, monkeypatch, ring):
+    # One entry of the order-3 column, off by 1e-9 relative on one of the
+    # rings (4, 5, 8): the check must still see it.
+    tables = cli.series.coefficient_tables
+
+    def perturbed(rings):
+        for r, table in enumerate(tables(rings)):
+            if r == ring:
+                i = int(np.argmax(np.abs(table.data[:, 3])))
+                assert table.data[i, 3] != 0.0
+                table.data[i, 3] *= 1.0 + 1e-9
+            yield table
+
+    monkeypatch.setattr(cli.series, "coefficient_tables", perturbed)
+    code, out = run("verify", tmp_path, ALIASING_CONFIG)
+    assert code == cli.EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[:2] for line in lines][1] == ["FAIL", "composition-sum cross-check"]
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["passed"] is False and payload["oracle_max_rel_err"] > 1e-10
 
 
 def test_simulate_writes_trajectory(tmp_path):

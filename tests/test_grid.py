@@ -45,6 +45,20 @@ def test_period_two_antisymmetry():
     np.testing.assert_array_equal(nabla_plus([a, b]), [b - a, a - b])
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_differences_match_the_roll_forms_bit_for_bit(rng, n):
+    # Signed zeros, subnormals, values near the top of double range and plain
+    # normals, in random places; the slice forms subtract the same pairs.
+    edge = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308, 8.9e307])
+    for _ in range(50):
+        g = np.where(rng.random(n) < 0.5, rng.choice(edge, n), rng.normal(size=n))
+        with np.errstate(over="ignore"):  # +-1.7e308 differ by more than the top double
+            plus, minus = np.roll(g, -1) - g, g - np.roll(g, 1)
+            slice_plus, slice_minus = nabla_plus(g), nabla_minus(g)
+        np.testing.assert_array_equal(slice_plus.view(np.uint64), plus.view(np.uint64))
+        np.testing.assert_array_equal(slice_minus.view(np.uint64), minus.view(np.uint64))
+
+
 def test_second_difference_identity(rng):
     g = rng.normal(size=11)
     second = nabla_minus(nabla_plus(g))

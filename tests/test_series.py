@@ -664,6 +664,38 @@ def test_matches_enumeration_oracle(sine_force):
         assert_columns_close(fast.data, slow.data, rtol=1e-10)
 
 
+@pytest.mark.parametrize("j_max", [3, 4, 9])
+def test_enumeration_oracle_differences_each_order_once(monkeypatch, sine_force, j_max):
+    # Orders 1..j_max-2 are read by a later order; each is differenced once.
+    calls = []
+    nabla_plus = series.nabla_plus
+
+    def counted(g):
+        calls.append(1)
+        return nabla_plus(g)
+
+    monkeypatch.setattr(series, "nabla_plus", counted)
+    oracle_coefficients(RingConfig(N=5, L=1.0, force=sine_force, j_max=j_max))
+    assert len(calls) == j_max - 2
+
+
+# sha256 of the oracle's table bytes for the seed-7 three-harmonic force at
+# j_max = 9, scale "auto", on the cross-check rings (3, 4, 8) and (4, 5, 8).
+# Like the table pins above they hold for one numpy build and CPU family.
+PINNED_ORACLE = {
+    3: "6137ec3772a731310e03444b4b6167df3cf58f481a31ed087e1a4ae29236dd57",
+    4: "a72be4ab346beb41a2e73893fa7de69a55fe6d022c125e06fdfa04d0f65385b3",
+    5: "0179ef0b9a5035bc9d9f523b8519835c379da268324e462ba55af5bbcda4d665",
+    8: "2a0e3d3605610783fd4f2ed469d3c898d2f02aa2195f255bee25a77e55b6ab62",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_ORACLE))
+def test_enumeration_oracle_bytes_are_pinned(n):
+    table = oracle_coefficients(RingConfig(N=n, L=1.0, force=SEED7_THREE, j_max=9))
+    assert hashlib.sha256(table.data.tobytes()).hexdigest() == PINNED_ORACLE[n]
+
+
 def test_enumeration_oracle_zero_force():
     config = RingConfig(N=4, L=1.0, force=ForceSpec(L=1.0), j_max=9, scale=1.0)
     assert np.max(np.abs(oracle_coefficients(config).data)) == 0.0
