@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -308,13 +309,14 @@ def _compare_one(cfg: ExperimentConfig, rc: RingConfig, table: series.Coefficien
         v_series = series.evaluate_velocity(table, st.t)
         denom = max(float(np.max(np.abs(st.v))), series.TINY)
         max_rel = max(max_rel, float(np.max(np.abs(v_series - st.v))) / denom)
+    # The last two terms of the series at the horizon, in the error's units.
     tau = horizon / table.scale
     tail = float(
         np.max(
             np.abs(table.data[:, table.j_max - 1]) * abs(tau) ** (table.j_max - 1)
             + np.abs(table.data[:, table.j_max]) * abs(tau) ** table.j_max
         )
-    )
+    ) / max(float(np.max(np.abs(sol.states[-1].v))), series.TINY)
     return {
         "N": rc.N,
         "horizon": horizon,
@@ -459,6 +461,7 @@ def cmd_verify(cfg: ExperimentConfig) -> bool:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config JSON")

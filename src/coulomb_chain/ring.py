@@ -11,8 +11,8 @@ shifted slices plus the wrap entry each; they commute, obey the
 product rule nabla_plus(g*f)(i) = f(i+1)*nabla_plus(g)(i) + g(i)*nabla_plus(f)(i),
 and telescope to zero over a full period.  ``force_grid`` is the force jet
 F^(k)(x_i(0)) on the whole rest lattice; the composition-sum oracle and the
-tests read it, while the coefficient engine takes its jet slab by slab
-from ``force.force_jet``.
+tests read it, while the coefficient engine takes its own jet from
+``force.force_jet`` on the points it runs on.
 """
 
 from __future__ import annotations

@@ -14,134 +14,65 @@ table fills in strictly increasing order j = 1, 2, ..., j_max:
 
   * the gap series delta + R_i is inverted once (standard truncated
     reciprocal recurrence) and squared to get w_i;
-  * the force term F(x_i(0) + u_i) is composed in one of two ways (below):
-    from the table of powers u_i**k, or through exp(i w u_i) per harmonic;
+  * the force term is composed through exp(i w u_i) per harmonic: with
+    p = a cos + b sin and its quarter turn q = b cos - a sin at x_i(0),
+
+        F(x_i(0) + u_i) = a0 + sum_h p_h Re E_h + q_h Im E_h,   E_h = exp(i w_h u_i),
+
+    and E_h fills order by order with m E_m = i w sum_{k=1..m} k u_k E_{m-k}
+    (Knuth, TAOCP vol. 2, section 4.7), starting from E_0 = 1;
   * c_{ij} = [w_{i-1} - w_i + F(x_i(0)+u_i)]_{j-1} / j.
 
-The power table composes sum_k F^(k)(x_i(0))/k! * u_i**k with the exact
-derivative coefficients, where only k <= (j_max-1)//2 can reach order
-j_max - 1 since u starts at order 2.  The exponential composition writes
-each harmonic at x_i(0) as p = a cos + b sin and its quarter turn
-q = b cos - a sin, so that
-
-    F(x_i(0) + u_i) = a0 + sum_h p_h Re E_h + q_h Im E_h,   E_h = exp(i w_h u_i),
-
-and fills E_h order by order with m E_m = i w sum_{k=1..m} k u_k E_{m-k}
-(Knuth, TAOCP vol. 2, section 4.7), starting from E_0 = 1.  Order 1 is
-F(x_i(0)) either way, row 0 of the same force jet.  With R = (j_max-1)//2
-and K harmonics, the power table takes R(R+1)(R+2)/6 multiply-adds per
-column and the exponential K R (R+5); each walk takes the one with fewer,
-and a tie keeps the power table.  The wide-N grid (j_max = 9, K = 2: 20
-against 72) and the validate grid (24, 2: 286 against 352) keep the
-power table, the deep-J grid (96, 3: 18424 against 7332) composes through
-exp.  The two agree to rounding: within 8 eps column-relative on every
-exponential-side config of the tests' dense-reference grid, where the
-worst is 2.3 eps.
-
-Everything is stored pre-multiplied by scale**j (the coefficient of tau**j
-in v_i(scale*tau)), which keeps magnitudes bounded for large N.  The
-particles of one slab (below) advance together one order at a time as
-vectorized array rows.
+Order 1 is F(x_i(0)), row 0 of the force jet whose trig pass also gives
+the (p, q) rows.  Everything is stored pre-multiplied by scale**j (the
+coefficient of tau**j in v_i(scale*tau)), which keeps magnitudes bounded
+for large N.
 
 Only structurally nonzero terms are computed.  From rest every even order
-vanishes (the velocities are odd in t), so u, R, 1/(delta+R), w, every
-u**k and every E_h carry only even powers of t, u starts at t**2 and u**k
-at t**(2k).
-The loop therefore runs c_{i1} = scale * F(x_i(0)) and then odd j only
-(even integrand order m = j - 1), and each convolution takes the even rows
-of its band: the reciprocal sums gap[2, 4, .., m] * recip[m-2, .., 0], the
-square recip[0, 2, .., m] * recip[m, .., 0], u**k at order m sums
-u[i] * (u**(k-1))[m-i] for i = 2, 4, .., m-2k+2 and k <= m/2, and E at
-order m sums (i u_i) * E[m-i] for i = 2, 4, .., m.  Even columns of the
-table are the exact +0.0.  The result is bit-identical to the dense loop
-of its composition over all orders and all rows (both kept in the tests
-as the reference): every sum keeps its ascending row order and only drops
-addends that are exactly zero, which can at most flip the sign of a zero;
-the factors 2 between t-orders and the rows below (i u_i against
-(i/2) u_i, w/m against w/(m/2)) are exact; no series value is ever a
-divisor, and the final (scale/j) * (interaction + composed) never yields
--0.0.
+vanishes (the velocities are odd in t), so u, R, 1/(delta+R), w and every
+E_h carry only even powers of t, and the loop runs c_{i1} = scale * F(x_i(0))
+and then odd j only (even integrand order m = j - 1), each convolution over
+the even rows of its band; the series keep row r for order m = 2r.  Even
+columns of the table are the exact +0.0.  On a ring that runs on its own
+points (below) the result is bit-identical to the dense loop over all
+orders and all rows with the same projections (kept in the tests as the
+reference): every sum keeps its ascending row order and only drops addends
+that are exactly zero, and the factors 2 between t-orders and rows are
+exact.
 
-Those series rows are stored only for even m (row r holds order m = 2r),
-so gap, recip, u and each power pow_u[k] or E hold (j_max+1)//2 rows, and
-w is formed per order, since only its newest row is read.  The power
-table keeps u as pow_u[1]; the exponential path keeps r * u_r in row r
-once the gap has read u_r, and E as (rows, K, 2, width), the reduction
-axis first, so one order is one broadcast multiply of the rows of r * u_r
-by E's rows in reverse, one ``np.add.reduce`` over axis 0, one rotation
-by i w / r (the pair reversed, times (-w, w) / r) and one ``einsum``
-with the (p, q) rows.
+**Band limits.**  The exact order-j column is a trigonometric polynomial in
+x_i(0) of degree B_j = ceil(j/2) K_max, K_max the top force harmonic:
+products add degrees, and each t**2 adds K_max.  Energy above B_j is
+rounding noise, which the delta**(-3) differences amplify from order to
+order (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 11), so
+every computed column c_j, j >= 3, is projected to the modes <= B_j by an
+``rfft``, wherever 2 B_j is below the ring's point count.  That leaves the
+growth of noise inside the band, which is slower.
 
-One walk serves a grid of rings that share the force and j_max, in slabs
-of at most 16384 columns, so the rows it sweeps once per order stay in
-cache.  Rings of at most one slab are packed whole, side by side in grid
-order, until the next would not fit.  Each shift subtracts slices across
-the whole slab; one fancy-indexed assignment per shift then overwrites the
-differences across two rings with every ring's wrap column,
-gap[r, last] = u[r, first] - u[r, last] and c[j][first] = w[last] - w[first],
-so each ring keeps its own wrap.  A slab of several rings takes one row
-each of delta, -delta and scale, one value per column (a slab of one ring
-broadcasts its own), which keeps the bits of every elementwise operation.
-A larger ring walks alone, in slabs of 16384 particles.  Order j at
-particle i reads order j-2 only at i-1..i+1 (the forward difference of u,
-the backward difference of w), so the top order reaches H = (j_max-1)//2
-particles to each side of order 1.  Each of its slabs is extended by a
-halo of H particles on both sides, indices taken mod N, and the loop runs
-unchanged on the extended slab with its cyclic shifts inside the slab:
-the false wrap at the slab's ends moves in by one particle per odd order
-and never reaches the central columns, which alone are kept (either
-composition reads u at its own particle only).  A slab's force jet is
-``force.force_jet`` at idx * delta, the bits of ``ring.initial_positions``,
-one trig pass that also hands the exponential path its (p, q) rows, so
-every table is bit-identical to one loop over its whole ring.  The power
-composition at order m sums k <= m/2 only, since u**k is zero below order
-2k.
+**Two kinds of ring.**  A ring with N <= 2 B_J (B_J the band of the top
+order) runs on its own N points: such rings are packed side by side, the
+differences are slices with one wrap column per ring, and a column is
+projected only at the orders with 2 B_j < N.  A ring with N > 2 B_J runs on
+a proxy grid of P points, the smallest power of two above 2 B_J, where a
+band-limited column is fixed by its samples: the force jet is taken at
+x_l = l L/P, and a shift by one lattice spacing multiplies mode m by
+exp(i theta), theta = 2 pi m / N, so the forward difference is the symbol
+exp(i theta) - 1 = -2 sin(theta/2)**2 + i sin(theta) and the backward one
+1 - exp(-i theta) = 2 sin(theta/2)**2 + i sin(theta) in ``rfft`` space.
+The proxy rings run as one block of P columns each, after the packed
+rings, in the same per-order loop; each order takes one ``rfft`` of w and
+the composed force, one ``irfft`` of the projected column and one of the
+next gap.  A proxy ring's lattice values are the zero-padded
+``irfft(rfft(c_j) N/P, n=N)`` of each odd column, taken only when P != N,
+one column at a time: ``coefficient_tables`` keeps them and
+``coefficient_profiles`` reduces each to its maximum and minimum, which are
+exact and carry NaN and inf, so the profiles and the overflow error are
+those of the tables bit for bit.
 
-Packing pays at deep j_max and small N, where numpy dispatch, not
-arithmetic, sets the cost: about 26 numpy calls per order at j_max = 96,
-1,200 per slab.  Six of them per order, 282 in all, compose the force
-through exp; the u**k table would take 2,160 calls per slab.
-At j_max = 96 and K = 3 one ring's profile takes about 3.4 ms at N = 2
-and 5.3 ms at N = 128; the grid N = 16, 32, 64, 128 takes 8.8 ms as one
-slab against 18 ms ring by ring, where the u**k table took 9.6, 15, 18
-and 48 ms (medians of 30 runs in one process, pinned to one core of a
-2-vCPU x86-64 host, numpy 2.4).  Of those 8.8 ms the broadcast multiply
-of the exponential composition takes about 2.5.
-
-Each call allocates one workspace, sized to the widest slab: the slab's
-coefficient rows, recip, gap, w and one scratch for the products of a
-convolution band; for the power table the force jet rows and pow_u, for
-the exponential path row 0 of the jet, the rows of r * u_r, the (p, q)
-rows, E and one order's addends of E and their sum.  All are
-uninitialized, and every slab writes each row it reads before reading
-it.  The products go into the scratches (``out=``) and the jet into its
-rows, so the walk allocates only the jet's per-harmonic temporaries and a
-slab's indices and parameter rows.  One slab walk feeds two grid
-consumers.  ``coefficient_tables`` copies each slab's odd rows of a ring
-into that ring's table, filled order-major with +0.0 in its even rows,
-and hands ``CoefficientTable`` its transpose, a view, not a copy, as soon
-as the ring's last slab is done;
-``compute_coefficients`` is its one-ring case.  ``coefficient_profiles``
-reduces each slab's odd rows to running column maxima and minima per ring
-while they are in cache and keeps no table; max and min are exact and
-carry NaN and inf, so its profiles and overflow error are those of the
-tables bit for bit.
-
-The reciprocal and square cost O(N * j_max**2).  The power table costs
-O(N * j_max**3), about N * j_max**3 / 48 multiply-adds, and holds
-O(j_max**2) rows per column; the exponential composition costs
-O(N * K * j_max**2) and holds O(K * j_max) rows.  The halo adds 2H
-particles per slab.  The force jet F^(k)(x_i(0)) for k = 0..(j_max-1)//2
-costs one cos and one sin per harmonic and particle, plus
-O(N * j_max * K) multiplies for K force harmonics; the exponential path
-takes row 0 and the (p, q) rows of the same pass.  Peak memory of
-``compute_coefficients`` is the table and the workspace (the table's
-magnitude profile takes column maxima and minima, not a copy of |c|): at
-N = 2**17 about 1.8 times the table's bytes for j_max = 9 and 2.2 times
-for j_max = 24.  ``coefficient_profiles`` holds the workspace alone, which
-does not grow with N: 8.5 MiB at j_max = 9 and 29 MiB at j_max = 24 for
-any N above one slab, and 27.5 MiB at j_max = 96, K = 3 and N = 4096,
-where the power table held 81.4 MiB (traced by ``tracemalloc``).
+The loop's cost does not depend on N: the reciprocal and square take
+O(W J**2) and the composition O(W K J**2) multiply-adds for W packed and
+proxy columns and K harmonics, and it holds O(K J) rows of W.  Outside it,
+a proxy ring costs one length-N ``irfft`` per odd column.
 
 The writers ``table_csv`` and ``table_json`` return the artifact text and
 cost one float format per value each (``%.17g`` and ``float.__repr__``),
@@ -158,10 +89,8 @@ orders; it enumerates every ordered tuple (j_1..j_m) with
 tuple-entry rows, the scaled gap s * nabla_plus(c_{., j_p}) / (j_p+1) and
 the scaled displacement s * c_{., j_p} / (j_p+1), are built once, as soon
 as the order is final, so a tuple costs one multiply per entry, a
-finiteness scan and, on the gap side, one backward difference.  At
-j_max = 9 the three cross-check rings of the deep-J force take about
-3.7 ms, where differencing per tuple entry took 9.9 ms (medians in one
-process, one core of a 2-vCPU x86-64 host, numpy 2.4).
+finiteness scan and, on the gap side, one backward difference.  It does
+not project.
 """
 
 from __future__ import annotations
@@ -194,11 +123,6 @@ __all__ = [
 #: it as exact zeros, and relative errors (``verify``'s oracle cross-check,
 #: ``compare``'s velocity error) never divide by less than it.
 TINY = 1e-300
-
-#: Particles per slab of the engine's slab walk, chosen by measurement:
-#: at j_max = 9, 16384 beat 8192 and 32768.
-_SLAB = 16384
-
 
 @dataclass(frozen=True, eq=False)
 class CoefficientProfile:
@@ -275,40 +199,38 @@ def _magnitude(high: np.ndarray, low: np.ndarray) -> np.ndarray:
 
 
 def coefficient_tables(rings: Iterable[RingConfig]) -> Iterator[CoefficientTable]:
-    """The coefficient table of each ring, in grid order, as soon as its last slab is done.
+    """The coefficient table of each ring, in grid order.
 
-    The rings share force and j_max (ConfigError otherwise) and walk
-    together through one workspace.  Raises OverflowError for the first ring
-    whose table leaves double range, after the tables before it.
+    The rings share force and j_max (ConfigError otherwise) and run through
+    one loop.  Raises OverflowError for the first ring whose table leaves
+    double range, after the tables before it.
     """
-    for ring, start, core in _slabs(list(rings)):
-        if start == 0:
-            c = np.empty((ring.j_max + 1, ring.N))  # rescaled velocity coefficients, order-major
-            c[::2] = 0.0  # the even orders vanish from rest
-        c[1::2, start : start + core.shape[1]] = core[1::2]
-        if start + core.shape[1] == ring.N:
-            # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
-            yield CoefficientTable(L=ring.L, scale=ring.scale, data=c.T)
+    for ring, columns in _odd_columns(list(rings)):
+        c = np.empty((ring.j_max + 1, ring.N))  # rescaled velocity coefficients, order-major
+        c[::2] = 0.0  # the even orders vanish from rest
+        # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, column in zip(c[1::2], columns):
+                row[:] = column
+        yield CoefficientTable(L=ring.L, scale=ring.scale, data=c.T)
 
 
 def coefficient_profiles(rings: Iterable[RingConfig]) -> list[CoefficientProfile]:
     """The magnitude profile of each ring's table, bit for bit, without its table.
 
-    Each slab's odd orders are reduced to running column maxima and minima
-    while they are in cache, so memory does not grow with N.  Raises the
+    Each odd column is reduced to its maximum and minimum as soon as it is
+    formed, so no more than one column of a ring is held.  Raises the
     OverflowError of ``coefficient_tables`` for the first ring that overflows.
     """
     profiles = []
-    for ring, start, core in _slabs(list(rings)):
-        if start == 0:
-            high = np.full((ring.j_max + 1) // 2, -np.inf)
-            low = np.full_like(high, np.inf)
-        np.maximum(high, core[1::2].max(axis=1), out=high)
-        np.minimum(low, core[1::2].min(axis=1), out=low)
-        if start + core.shape[1] == ring.N:
-            max_abs = np.zeros(ring.j_max + 1)
-            max_abs[1::2] = _magnitude(high, low)
-            profiles.append(CoefficientProfile(N=ring.N, L=ring.L, scale=ring.scale, max_abs=max_abs))
+    for ring, columns in _odd_columns(list(rings)):
+        max_abs = np.zeros(ring.j_max + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(columns, np.ndarray):  # rows the loop holds reduce at once
+                max_abs[1::2] = _magnitude(columns.max(axis=1), columns.min(axis=1))
+            else:
+                max_abs[1::2] = [_magnitude(column.max(), column.min()) for column in columns]
+        profiles.append(CoefficientProfile(N=ring.N, L=ring.L, scale=ring.scale, max_abs=max_abs))
     return profiles
 
 
@@ -322,159 +244,151 @@ def compute_coefficients(config: RingConfig) -> CoefficientTable:
     return table
 
 
-def _slabs(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, int, np.ndarray]]:
-    """Run the recursion slab by slab in one workspace; yield each ring's columns of a slab.
+def _band(force: ForceSpec, j: int) -> int:
+    """B_j = ceil(j/2) K_max: the top mode of the exact order-j column."""
+    return (j + 1) // 2 * max((h.k for h in force.harmonics), default=0)
 
-    Yields ``(ring, start, core)`` in grid order: ``core`` is the
-    (j_max+1, width) view of the coefficients of the ring's particles
-    start..start+width-1, of which only the odd rows are written, and the
-    next slab overwrites it.  Column l of a slab has neighbours l-1 and l+1,
-    except at each ring's first and last column, which are each other's
-    neighbours; in a haloed slab these are the slab's ends, so a column at
-    distance h from them is exact up to order 2h+1.
+
+def _power_of_two(x: float) -> float:
+    """The power of two 2**e with x < 2**e <= 2 x, for finite x > 0; 1.0 for x = 0."""
+    return math.ldexp(1.0, math.frexp(x)[1])
+
+
+def _project(column: np.ndarray, band: int) -> None:
+    """Drop the modes above ``band`` of a periodic column, in place."""
+    spectrum = np.fft.rfft(column)
+    spectrum[band + 1 :] = 0.0
+    np.fft.irfft(spectrum, n=column.size, out=column)
+
+
+def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable[np.ndarray]]]:
+    """Run the recursion for a grid in one loop; yield each ring with its odd columns.
+
+    Yields ``(ring, columns)`` in grid order, where ``columns`` holds the
+    lattice values of c_1, c_3, .. (rescaled): the (rows, N) view of the
+    loop's rows when it ran on the lattice, else one length-N transform at a
+    time, to be drawn before the next ring under the consumer's error state
+    (overflow runs on as inf and nan).
     """
     if not rings:
         return
     force, J = rings[0].force, rings[0].j_max  # the force fixes L
     if any((ring.force, ring.j_max) != (force, J) for ring in rings):
         raise ConfigError("the rings of one grid must share force and j_max")
-    # Rings of at most one slab are packed whole, in grid order, with no halo.
-    # A larger ring walks alone: order j at particle i reads order j-2 only
-    # at i-1..i+1, so the top order reaches (J-1)//2 particles to each side
-    # of order 1, and each of its slabs takes that halo.
-    slabs, pack = [], []  # (halo, [(ring, start, stop), ...])
-    for ring in rings:
-        if pack and sum(r.N for r, _, _ in pack) + ring.N > _SLAB:
-            slabs.append((0, pack))
-            pack = []
-        if ring.N > _SLAB:
-            slabs += [((J - 1) // 2, [(ring, start, min(start + _SLAB, ring.N))])
-                      for start in range(0, ring.N, _SLAB)]
-        else:
-            pack.append((ring, 0, ring.N))
-    slabs += [(0, pack)] if pack else []
-    # Only k <= (J-1)//2 of the force Taylor data can contribute below order
-    # J because u starts at t^2.  Only odd orders j (even integrand orders m)
-    # are nonzero, and only even rows of the series are ever read, so gap,
-    # recip, u and its powers or exponentials keep row r for series order
-    # m = 2r.  The power table pow_u[k] = u**k holds u itself as row 1
-    # (allocated at J <= 2 too, k_cap = 0); the exponential path keeps
-    # r * u_r in u instead and E[r, h] = (Re, Im) exp(i w_h u) per harmonic.
-    # The workspace is sized to the widest slab and every row of it is
-    # written before it is read.
-    k_cap, rows = (J - 1) // 2, (J + 1) // 2
-    K = len(force.harmonics)
-    exponential = _exponential_composition(J, K)
-    width = max(sum(stop - start + 2 * halo for _, start, stop in pieces) for halo, pieces in slabs)
-    workspace = (
-        np.empty((J + 1, width)),  # the slab's coefficients, order-major
-        np.empty((rows, width)),  # 1 / (delta + R)
-        np.empty((rows, width)),  # R = forward difference of u over the ring
-        np.empty((rows, width)),  # the products of one convolution
-        np.empty(width),  # the newest order of w = (delta + R)**(-2)
-    )
-    if exponential:  # so k_cap >= 1
-        workspace += (
-            np.empty((1, width)),  # F(x_i(0))
-            np.empty((rows, width)),  # r * u_r
-            np.empty((K, 2, width)),  # (p, q) of each harmonic
-            np.empty((rows, K, 2, width)),  # (Re, Im) exp(i w u) of each harmonic
-            np.empty((k_cap + 1, K, 2, width)),  # one order's sum, then its addends
-        )
-        # (Re, Im) of i w S is (-w Im S, w Re S): the pair reversed, times this.
-        freq = [2.0 * np.pi * h.k / force.L for h in force.harmonics]
-        rotate = np.array([(-f, f) for f in freq]).reshape(K, 2, 1)
-    else:
-        workspace += (
-            np.empty((k_cap + 1, width)),  # fk[k] = F^(k)(x_i(0))/k!
-            np.empty((max(k_cap, 1) + 1, rows, width)),  # u**k
-        )
+    # Rings of at most 2 B_J particles are packed on their own points; the
+    # others take P-point blocks after them.
+    B = _band(force, J)
+    P = 1 << (2 * B).bit_length()
+    packed = [ring for ring in rings if ring.N <= 2 * B]
+    proxy = [ring for ring in rings if ring.N > 2 * B]
+    sizes = np.array([ring.N for ring in packed] + [P] * len(proxy), dtype=int)
+    R, Wl, width = len(proxy), int(sizes[: len(packed)].sum()), int(sizes.sum())
+    last = np.cumsum(sizes[: len(packed)]) - 1  # each packed ring's last column
+    first = last - sizes[: len(packed)] + 1
+    x = np.concatenate([np.arange(ring.N) * ring.delta for ring in packed]
+                       + [np.arange(P) * (force.L / P) for _ in proxy])
+    delta, s = (np.repeat([getattr(ring, name) for ring in packed + proxy], sizes)
+                for name in ("delta", "scale"))
+    neg_delta = -delta
 
-    for halo, pieces in slabs:
-        sizes = np.array([stop - start + 2 * halo for _, start, stop in pieces])
-        last = np.cumsum(sizes) - 1  # each ring's last column in the slab
-        first = last - sizes + 1
-        # Particle indices.  Only a split ring's end slabs leave 0..N-1, and
-        # only they pay for the integer modulo (about 80 us per 16384 particles).
-        spans = [(np.arange(start - halo, stop + halo), ring.N) for ring, start, stop in pieces]
-        idx = np.concatenate([i % n if i[0] < 0 or i[-1] >= n else i for i, n in spans])
-        c, recip, gap, prod, w, fk, *rest = (a[..., : idx.size] for a in workspace)
-        if exponential:
-            u, turns, E, terms = rest
-        else:
-            (pow_u,) = rest
-            u = pow_u[1]
-        # Each column's ring parameters; a slab of one ring broadcasts its own.
-        delta, s = (np.repeat(v, sizes) if len(pieces) > 1 else v for v in (
-            np.array([ring.delta for ring, _, _ in pieces]),
-            np.array([ring.scale for ring, _, _ in pieces])))
-        neg_delta = -delta
-        # Overflow runs on as inf/nan, which the consumers report; the error
-        # state is not held across a yield.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Exact force Taylor data at the rest positions; idx * delta has
-            # the bits of ``initial_positions``.
-            if exponential:
-                force_jet(force, idx * delta, 0, out=fk, turns=turns)
-                E[0] = [[1.0], [0.0]]  # exp(0)
-            else:
-                force_jet(force, idx * delta, k_cap, out=fk)
-                for k in range(2, k_cap + 1):
-                    fk[k] /= math.factorial(k)
-            np.divide(1.0, delta, out=recip[0])
-            # Order 1 is the force sample; w starts constant, so no interaction term.
-            np.multiply(fk[0], s, out=c[1])
+    # Odd columns c_1, c_3, ..; the series gap, recip and E keep row r for
+    # t-order 2r.  E holds (Re, Im) exp(i w_h u) per harmonic with order r in
+    # row rows-1-r, and u_terms holds r * u_r over every (harmonic, part), so
+    # the convolution of one order is a product of two forward slices.
+    rows, K = (J + 1) // 2, len(force.harmonics)
+    cols, gap, recip, prod = (np.empty((rows, width)) for _ in range(4))
+    u = np.empty(width)
+    pair = np.empty((2, width))  # w and the composed force of one order
+    w, composed = pair
+    fk, turns = np.empty((1, width)), np.empty((K, 2, width))
+    u_terms, E, terms = (np.empty((rows, K, 2, width)) for _ in range(3))
+    # (Re, Im) of i w S is (-w Im S, w Re S): the pair reversed, times this.
+    freq = [2.0 * np.pi * h.k / force.L for h in force.harmonics]
+    rotate = np.array([(-f, f) for f in freq]).reshape(K, 2, 1)
+    # E_h starts from a power of two near the harmonic's amplitude, and its
+    # (p, q) rows are divided by it: no bit changes in normal range, and E_h
+    # keeps the magnitude of the harmonic's share of the column, so a huge
+    # amplitude under a tiny rescale does not push it into the subnormals.
+    amp = np.array([_power_of_two(math.hypot(h.a, h.b)) for h in force.harmonics])
 
-            for j in range(3, J + 1, 2):
-                m = j - 1  # integrand order being extracted
-                r = m // 2
-                # Newest velocity order read here is j-2; orders j-1 and j are
-                # never touched, which is what makes the recursion well founded.
-                np.multiply(c[m - 1], s, out=u[r])
-                u[r] /= m
-                np.subtract(u[r, 1:], u[r, :-1], out=gap[r, :-1])
-                gap[r, last] = u[r, first] - u[r, last]  # each ring's own wrap
-                np.multiply(gap[1 : r + 1], recip[r - 1 :: -1], out=prod[:r])
-                np.add.reduce(prod[:r], axis=0, out=recip[r])
-                recip[r] /= neg_delta
-                np.multiply(recip[: r + 1], recip[r::-1], out=prod[: r + 1])
-                np.add.reduce(prod[: r + 1], axis=0, out=w)  # order m of (delta + R)**(-2)
-                # The order-m term of F(x_i(0) + u_i).
-                if exponential:
-                    # r E_r = i w sum_{k=1..r} (k u_k) E_{r-k}, in rows of t**2.
-                    u[r] *= r
-                    np.multiply(u[1 : r + 1, None, None], E[r - 1 :: -1], out=terms[1 : r + 1])
-                    np.add.reduce(terms[1 : r + 1], axis=0, out=terms[0])
-                    np.multiply(terms[0, :, ::-1], rotate / r, out=E[r])
-                    composed = np.einsum("hcn,hcn->n", turns, E[r], out=prod[0])
-                else:
-                    for k in range(2, r + 1):
-                        # u starts at order 2 and u**(k-1) at order 2k-2.
-                        band = prod[: r - k + 1]
-                        np.multiply(u[1 : r - k + 2], pow_u[k - 1, r - 1 : k - 2 : -1], out=band)
-                        np.add.reduce(band, axis=0, out=pow_u[k, r])
-                    # u**k is zero at order m for k > r.
-                    composed = np.einsum("kn,kn->n", fk[1 : r + 1], pow_u[1 : r + 1, r], out=prod[0])
+    def block(a: np.ndarray) -> np.ndarray:
+        """The (..., R, P) view of the proxy columns of ``a``."""
+        return a[..., Wl:].reshape(a.shape[:-1] + (R, P))
 
-                # c_j = (s/j) (w_{i-1} - w_i + composed)
-                out = c[j]
-                np.subtract(w[:-1], w[1:], out=out[1:])
+    # Difference symbols of the proxy rings, the forward one times the
+    # scale, and one spectrum per odd column.
+    proxy_n, proxy_s = (np.array([getattr(ring, name) for ring in proxy], float).reshape(R, 1)
+                        for name in ("N", "scale"))
+    theta = 2.0 * np.pi * np.arange(P // 2 + 1 if R else 0) / proxy_n
+    half = 2.0 * np.sin(0.5 * theta) ** 2
+    forward = (np.sin(theta) * 1j - half) * proxy_s
+    backward = np.sin(theta) * 1j + half
+    spectra = np.empty((rows,) + theta.shape, complex)
+
+    # Overflow runs on as inf/nan, which the consumers report; the error
+    # state is not held across a yield.
+    with np.errstate(over="ignore", invalid="ignore"):
+        force_jet(force, x, 0, out=fk, turns=turns)
+        turns /= amp[:, None, None]
+        E[rows - 1, :, 0] = amp[:, None]  # amp exp(0)
+        E[rows - 1, :, 1] = 0.0
+        np.divide(1.0, delta, out=recip[0])
+        # Order 1 is the force sample; w starts constant, so no interaction term.
+        np.multiply(fk[0], s, out=cols[0])
+        if R:
+            np.fft.rfft(block(cols[0]), out=spectra[0])
+
+        for j in range(3, J + 1, 2):
+            m = j - 1  # integrand order being extracted
+            r = m // 2
+            # Newest velocity order read here is j-2; orders j-1 and j are
+            # never touched, which is what makes the recursion well founded.
+            np.multiply(cols[r - 1], s, out=u)
+            u /= m
+            if packed:
+                np.subtract(u[1:Wl], u[: Wl - 1], out=gap[r, : Wl - 1])
+                gap[r, last] = u[first] - u[last]  # each packed ring's own wrap
+            if R:
+                np.fft.irfft(spectra[r - 1] * (forward / m), n=P, out=block(gap[r]))
+            np.multiply(u, r, out=u_terms[r])
+            np.multiply(gap[1 : r + 1], recip[r - 1 :: -1], out=prod[:r])
+            np.add.reduce(prod[:r], axis=0, out=recip[r])
+            recip[r] /= neg_delta
+            np.multiply(recip[: r + 1], recip[r::-1], out=prod[: r + 1])
+            np.add.reduce(prod[: r + 1], axis=0, out=w)  # order m of (delta + R)**(-2)
+            # r E_r = i w sum_{k=1..r} (k u_k) E_{r-k}, in rows of t**2.
+            np.multiply(u_terms[1 : r + 1], E[rows - r :], out=terms[1 : r + 1])
+            np.add.reduce(terms[1 : r + 1], axis=0, out=terms[0])
+            np.multiply(terms[0, :, ::-1], rotate / r, out=E[rows - 1 - r])
+            np.einsum("hcn,hcn->n", turns, E[rows - 1 - r], out=composed)
+
+            # c_j = (s/j) (w_{i-1} - w_i + composed), projected to its band
+            band = (r + 1) * _band(force, 1)  # B_j
+            if packed:
+                out = cols[r, :Wl]
+                np.subtract(w[: Wl - 1], w[1:Wl], out=out[1:])
                 out[first] = w[last] - w[first]
-                out += composed
-                out *= s / j
-        for (ring, start, stop), lo in zip(pieces, first):
-            yield ring, start, c[:, lo + halo : lo + halo + stop - start]
+                out += composed[:Wl]
+                out *= s[:Wl] / j
+                for ring, lo in zip(packed, first):
+                    if 2 * band < ring.N:
+                        _project(out[lo : lo + ring.N], band)
+            if R:
+                w_hat, composed_hat = np.fft.rfft(block(pair))
+                spectra[r] = (composed_hat - backward * w_hat) * (proxy_s / j)
+                spectra[r, :, band + 1 :] = 0.0
+                np.fft.irfft(spectra[r], n=P, out=block(cols[r]))
 
-
-def _exponential_composition(j_max: int, harmonics: int) -> bool:
-    """Whether ``_slabs`` composes the force through exp(i w u) rather than u**k.
-
-    With R = (j_max-1)//2 and K harmonics, the exponential recurrence takes
-    K R (R+5) multiply-adds per column and the power table R(R+1)(R+2)/6;
-    the cheaper one wins, and a tie keeps the power table.
-    """
-    R = (j_max - 1) // 2
-    return harmonics * R * (R + 5) < R * (R + 1) * (R + 2) // 6
+    # Equal rings have equal columns, so ``index`` may pick any of them.
+    for ring in rings:
+        if ring.N <= 2 * B:
+            lo = first[packed.index(ring)]
+            yield ring, cols[:, lo : lo + ring.N]
+        elif ring.N == P:  # the proxy grid is the lattice
+            yield ring, block(cols)[:, proxy.index(ring)]
+        else:  # zero-padded to the lattice
+            i = proxy.index(ring)
+            yield ring, (np.fft.irfft(spectra[k, i] * (ring.N / P), n=ring.N) for k in range(rows))
 
 
 def ordered_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -544,8 +458,13 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
                     acc -= pref * nabla_minus(finite(prod, j))
             for k in range(1, (j - 1) // 2 + 1):
                 f = fk[k] / math.factorial(k)
+                # Each product starts from a power of two near max |f|, which
+                # f is divided by: no bit changes in normal range, and a
+                # product of tiny displacements stays out of the subnormals.
+                seed = _power_of_two(float(np.max(np.abs(f))))
+                f /= seed
                 for tup in ordered_compositions(j - 1 - k, k):
-                    prod = np.ones(N)
+                    prod = np.full(N, seed)
                     for jp in tup:
                         prod *= disp[jp]
                     acc += (s / j) * (f * prod)

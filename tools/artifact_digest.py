@@ -9,25 +9,21 @@ It writes the configs of every benchmark workload for seed 7 with
 ``bench/workloads.build``, runs each of the six commands on each config
 through ``coulomb_chain.cli.main`` in process, and prints one line per run
 (exit code, sha256 of stdout and stderr) followed by one line per written
-file (its path under the output directory and its sha256).  One extra
-config, the wide-N grid's force and J_max at N = 20011 and 40009, runs
-``coeffs`` and ``radius``: those rings span two and three of the engine's
-16384-particle slabs, the last one uneven, which the power-of-two workload
-grids never reach.  Another, the same force and J_max at N = 3, 100,
-5000, 9000, 12000 and 20011, runs ``coeffs``, ``radius``, ``sweep`` and
-``verify``: the engine packs the first four rings into one slab, the fifth
-into the next, and splits the last, so it crosses a packing boundary and
-ends in a split ring, which neither the workload grids nor the uneven
-config reach.  A last one, the deep-J grid's force at J_max = 49 and
-N = 20011, runs ``coeffs`` and ``radius``: the engine composes that force
-through exp(i w u) (2088 multiply-adds per column against the power
-table's 2600) over two slabs, so the digest covers that composition
-across a halo, which the deep-J grid, packed into one slab, never
-crosses.  The first line lists the package's public names,
-``coulomb_chain.__all__`` sorted, so the digest also pins the API.  Two
-checkouts give byte-identical artifacts and the same public names exactly
-when a plain ``diff`` of their digests is empty.  The script takes no
-arguments.
+file (its path under the output directory and its sha256).  Extra
+configs reach the two kinds of ring of the coefficient engine, which runs
+a ring of N <= 2 B_J particles on its own points and a larger one on a
+proxy grid (B_J = ceil(J_max/2) times the top harmonic index).  With the
+wide-N grid's force and J_max (B_J = 10) they are: N = 20 and 21, on
+either side of 2 B_J, running ``coeffs`` and ``radius``; N = 20011, a
+proxy ring whose size is not a power of two, running ``coeffs`` and
+``radius``; and the grid N = 3, 20, 21, 100, 20011, which mixes both
+kinds in one loop, running ``coeffs``, ``radius``, ``sweep`` and
+``verify``.  With the deep-J grid's force and J_max (B_J = 144), N = 288
+and 289 run ``coeffs`` and ``radius`` on either side of 2 B_J.  The first
+line lists the package's public names, ``coulomb_chain.__all__`` sorted,
+so the digest also pins the API.  Two checkouts give byte-identical
+artifacts and the same public names exactly when a plain ``diff`` of their
+digests is empty.  The script takes no arguments.
 """
 
 from __future__ import annotations
@@ -51,15 +47,15 @@ SEED = 7
 WORKLOADS = ("wide-N", "deep-J", "validate")
 COMMANDS = ("coeffs", "simulate", "compare", "radius", "verify", "sweep")
 # Integrating rings of up to 2**18 particles runs for many minutes, so the
-# wide-N configs are not simulated; compare integrates them only up to a
-# short horizon and stays in the digest.
-SKIP = {("wide-N", "simulate")}
+# wide-N configs are neither simulated nor compared (compare integrates up
+# to half the estimated radius).
+SKIP = {("wide-N", "simulate"), ("wide-N", "compare")}
 # (workload, stem, ring keys set on the workload's grid config, commands)
 EXTRA = (
-    ("wide-N", "uneven", {"N": [20011, 40009]}, ("coeffs", "radius")),
-    ("wide-N", "packed", {"N": [3, 100, 5000, 9000, 12000, 20011]},
-     ("coeffs", "radius", "sweep", "verify")),
-    ("deep-J", "halo", {"N": [20011], "J_max": 49}, ("coeffs", "radius")),
+    ("wide-N", "edge", {"N": [20, 21]}, ("coeffs", "radius")),
+    ("wide-N", "uneven", {"N": [20011]}, ("coeffs", "radius")),
+    ("wide-N", "mixed", {"N": [3, 20, 21, 100, 20011]}, ("coeffs", "radius", "sweep", "verify")),
+    ("deep-J", "edge", {"N": [288, 289]}, ("coeffs", "radius")),
 )
 
 
