@@ -29,7 +29,7 @@ reports them; the tests check them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,67 +59,63 @@ TREND_NOISE = 0.05  # relative rise of R_hat to the next grid N that still count
 BOUND_NOISE = 0.10  # relative rise of chi_min(N, j) to the next grid N that counts as bounded
 
 
+def _json_value(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json_value(v) for k, v in value.items()}
+    return value
+
+
+class _Report:
+    """The one JSON rule of the report dataclasses."""
+
+    def to_json(self) -> dict:
+        """Each field under its own name, or under the key in its ``metadata["json"]``.
+
+        Non-finite floats become None (JSON null), tuples become lists and
+        dict keys become strings, at any depth.  String keys keep the
+        artifacts' text order, "11" before "3", under ``sort_keys``.
+        """
+        return {f.metadata.get("json", f.name): _json_value(getattr(self, f.name))
+                for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class RadiusEstimate:
+class RadiusEstimate(_Report):
     """Convergence-radius estimate from one coefficient table."""
 
     N: int
-    j_max: int
-    r_hat: float
+    j_max: int = field(metadata={"json": "J_max"})
+    r_hat: float = field(metadata={"json": "R_hat"})
     window: tuple[int, int]
     fit_residual: float
     degenerate: bool
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "J_max": self.j_max,
-            "method": "root-test",
-            "R_hat": None if not math.isfinite(self.r_hat) else self.r_hat,
-            "window": list(self.window),
-            "fit_residual": None if not math.isfinite(self.fit_residual) else self.fit_residual,
-            "degenerate": self.degenerate,
-        }
+    method: str = field(default="root-test", init=False)
 
 
 @dataclass(frozen=True)
-class ExponentFit:
+class ExponentFit(_Report):
     """Log-log slope of max_i |c_{ij}| against N at fixed order j."""
 
     j: int
-    Ns: tuple[int, ...]
+    Ns: tuple[int, ...] = field(metadata={"json": "N_grid"})
     slope: float
     half_width: float
     cap_half: float  # (j-1)/2
     cap_five_sixths: float  # (5/6)j - 3/2
 
-    def to_json(self) -> dict:
-        return {
-            "j": self.j,
-            "N_grid": list(self.Ns),
-            "slope": self.slope,
-            "half_width": self.half_width,
-            "cap_half": self.cap_half,
-            "cap_five_sixths": self.cap_five_sixths,
-        }
-
 
 @dataclass(frozen=True)
-class RadiusTrend:
+class RadiusTrend(_Report):
     """Decay of the radius estimate across an N grid."""
 
-    Ns: tuple[int, ...]
-    r_hats: tuple[float, ...]
+    Ns: tuple[int, ...] = field(metadata={"json": "N_grid"})
+    r_hats: tuple[float, ...] = field(metadata={"json": "R_hat"})
     alpha: float  # fitted decay exponent in R_hat ~ N**(-alpha)
     monotone_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "N_grid": list(self.Ns),
-            "R_hat": [None if not math.isfinite(r) else r for r in self.r_hats],
-            "alpha": None if not math.isfinite(self.alpha) else self.alpha,
-            "monotone_ok": self.monotone_ok,
-        }
 
 
 def _tail_window(j_max: int, tail_fraction: float) -> tuple[int, int]:
@@ -244,34 +240,21 @@ def exponent_fit(tables: list[CoefficientProfile], j: int) -> ExponentFit:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Report):
     """Hard order-3 bound and normalized growth ratios at odd orders over an N grid.
 
     ``hard_c3_ok`` is None when no table reaches order 3: there is nothing to check.
     """
 
-    c_f: float
-    Ns: tuple[int, ...]
-    js: tuple[int, ...]
+    c_f: float = field(metadata={"json": "C_F"})
+    Ns: tuple[int, ...] = field(metadata={"json": "N_grid"})
+    js: tuple[int, ...] = field(metadata={"json": "orders"})
     chi_min: dict[int, tuple[float, ...]]  # per order, one value per N
     chi_sqrt: dict[int, tuple[float, ...]]  # same with the N**(j/2) normalization
     chi_min_max: float
     monotone_ok: dict[int, bool]
     hard_c3_ok: bool | None
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "C_F": self.c_f,
-            "N_grid": list(self.Ns),
-            "orders": list(self.js),
-            "chi_min": {str(j): list(v) for j, v in self.chi_min.items()},
-            "chi_sqrt": {str(j): list(v) for j, v in self.chi_sqrt.items()},
-            "chi_min_max": self.chi_min_max,
-            "monotone_ok": {str(j): v for j, v in self.monotone_ok.items()},
-            "hard_c3_ok": self.hard_c3_ok,
-            "passed": self.passed,
-        }
 
 
 def log_c3_bound(c_f: float, N: int, L: float) -> float:

@@ -287,7 +287,7 @@ def _radius_report(cfg: ExperimentConfig, estimates) -> dict:
     """The ``radius`` and ``trend`` JSON fields; writes ``radius.csv`` too when CSV is on."""
     if estimates and "csv" in cfg.formats:
         rows = "".join(
-            f"{e.N},{e.j_max},root-test,{e.r_hat:.17g},{e.window[0]},{e.window[1]},"
+            f"{e.N},{e.j_max},{e.method},{e.r_hat:.17g},{e.window[0]},{e.window[1]},"
             f"{e.fit_residual:.17g},{int(e.degenerate)}\n" for e in estimates
         )
         header = "N,J_max,method,R_hat,window_lo,window_hi,fit_residual,degenerate\n"

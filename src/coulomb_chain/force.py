@@ -153,8 +153,7 @@ def eval_force(spec: ForceSpec, x, *, out: np.ndarray | None = None):
     return _as_input_shape(out, x)
 
 
-def force_jet(spec: ForceSpec, x, k_max: int, *, out: np.ndarray | None = None,
-              turns: np.ndarray | None = None) -> np.ndarray:
+def force_jet(spec: ForceSpec, x, k_max: int, *, turns: np.ndarray | None = None) -> np.ndarray:
     """Rows F^(k)(x) for k = 0..k_max, one cos and one sin per harmonic.
 
     Row k has the shape of ``x``; ``k_max`` must be >= 0.  With theta = w x,
@@ -164,27 +163,23 @@ def force_jet(spec: ForceSpec, x, k_max: int, *, out: np.ndarray | None = None,
     sum theta + k pi/2 would round.  The last two turns are subtracted, not
     negated and added; IEEE negation is exact and rounding is symmetric in
     sign, so the bits are the same.  Row 0 is accumulated exactly as
-    ``out += a cos(theta) + b sin(theta)`` per harmonic, then ``+ a0``; the
-    constant part appears in no other row.  ``x`` is reduced with
+    ``jet[0] += a cos(theta) + b sin(theta)`` per harmonic, then ``+ a0``;
+    the constant part appears in no other row.  ``x`` is reduced with
     ``np.mod`` only when some entry lies outside [0, L) (a NaN fails both
     tests).  ``np.mod`` is exact and returns the entries inside unchanged
     except -0.0, which it maps to +0.0; row 0 starts from +0.0, which
     absorbs that sign, so skipping the reduction changes no bit of it.
 
-    The rows are written into ``out`` when it is given (shape
-    ``(k_max+1,) + x.shape``; its contents are not read) and returned.
-    Each harmonic's pair (p, q) is written into ``turns`` when it is given
-    (shape ``(K, 2) + x.shape`` for K harmonics, in their order), so a
-    caller that composes F(x + u) = a0 + sum (p cos(w u) + q sin(w u)) pays
-    no second trig pass.
+    Returns the rows, shape ``(k_max+1,) + x.shape``.  Each harmonic's pair
+    (p, q) is written into ``turns`` when it is given (shape
+    ``(K, 2) + x.shape`` for K harmonics, in their order), so a caller that
+    composes F(x + u) = a0 + sum (p cos(w u) + q sin(w u)) pays no second
+    trig pass.
     """
     if k_max < 0:
         raise ConfigError(f"derivative order must be >= 0, got {k_max}")
     x = np.asarray(x, dtype=float)
-    if out is None:
-        out = np.empty((k_max + 1,) + x.shape)
-    elif out.shape != (k_max + 1,) + x.shape:
-        raise ConfigError(f"jet rows must have shape {(k_max + 1,) + x.shape}, got {out.shape}")
+    jet = np.zeros((k_max + 1,) + x.shape)
     shape = (len(spec.harmonics), 2) + x.shape
     if turns is None:
         turns = np.empty(shape)
@@ -192,7 +187,6 @@ def force_jet(spec: ForceSpec, x, k_max: int, *, out: np.ndarray | None = None,
         raise ConfigError(f"harmonic turns must have shape {shape}, got {turns.shape}")
     if x.size and not (x.min() >= 0.0 and x.max() < spec.L):
         x = np.mod(x, spec.L)
-    out[...] = 0.0
     for i, h in enumerate(spec.harmonics):
         p, q = turns[i, 0, ...], turns[i, 1, ...]  # views, also for scalar x
         w = 2.0 * np.pi * h.k / spec.L
@@ -202,16 +196,16 @@ def force_jet(spec: ForceSpec, x, k_max: int, *, out: np.ndarray | None = None,
         p += h.b * sin
         np.multiply(h.b, cos, out=q)
         q -= h.a * sin
-        out[0] += p
+        jet[0] += p
         for k in range(1, k_max + 1):
             turn = w**k * (q if k % 2 else p)
             if k % 4 < 2:
-                out[k] += turn
+                jet[k] += turn
             else:
-                out[k] -= turn
+                jet[k] -= turn
     if spec.a0 != 0.0:
-        out[0] += spec.a0
-    return out
+        jet[0] += spec.a0
+    return jet
 
 
 def _as_input_shape(values: np.ndarray, x):

@@ -61,8 +61,6 @@ from .ring import RingConfig, initial_positions
 __all__ = [
     "TrajectoryState",
     "ODESolution",
-    "initial_state",
-    "acceleration",
     "integrate",
     "energy",
 ]
@@ -180,23 +178,6 @@ def _acceleration(
     out /= g_prod
     out /= g_prod
     out += eval_force(config.force, np.add(x0, u, out=dg), out=g_prod)
-
-
-def initial_state(config: RingConfig) -> TrajectoryState:
-    """Uniform rest start: x_i = i*L/N, v_i = 0."""
-    return TrajectoryState(t=0.0, x=initial_positions(config), v=np.zeros(config.N))
-
-
-def acceleration(config: RingConfig, state: TrajectoryState) -> np.ndarray:
-    """Net acceleration of every particle in ``state``.
-
-    Raises CollisionError when any gap is at or below the collision floor.
-    """
-    x = np.asarray(state.x, dtype=float)
-    g0, dg0, work = _kernel_rows(_gaps(x, config.L))
-    out = np.empty_like(x)
-    _acceleration(config, x, g0, dg0, np.zeros_like(x), out, work)
-    return out
 
 
 def check_settings(t_end, rel_tol, abs_tol) -> tuple[float, float, float]:

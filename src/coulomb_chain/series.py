@@ -300,7 +300,7 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
     u = np.empty(width)
     pair = np.empty((2, width))  # w and the composed force of one order
     w, composed = pair
-    fk, turns = np.empty((1, width)), np.empty((K, 2, width))
+    turns = np.empty((K, 2, width))
     u_terms, E, terms = (np.empty((rows, K, 2, width)) for _ in range(3))
     # (Re, Im) of i w S is (-w Im S, w Re S): the pair reversed, times this.
     freq = [2.0 * np.pi * h.k / force.L for h in force.harmonics]
@@ -328,7 +328,7 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
     # Overflow runs on as inf/nan, which the consumers report; the error
     # state is not held across a yield.
     with np.errstate(over="ignore", invalid="ignore"):
-        force_jet(force, x, 0, out=fk, turns=turns)
+        fk = force_jet(force, x, 0, turns=turns)
         turns /= amp[:, None, None]
         E[rows - 1, :, 0] = amp[:, None]  # amp exp(0)
         E[rows - 1, :, 1] = 0.0

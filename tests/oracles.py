@@ -1,6 +1,7 @@
 """Test-only oracles: closed forms and a multiple-precision recursion the
-coefficient engine is checked against, and the unpadded ring acceleration the
-integrator's kernel is checked against."""
+coefficient engine is checked against, the unpadded ring acceleration the
+integrator's kernel is checked against, and the rest start and the
+acceleration of one state, built from the integrator's kernel."""
 
 import math
 
@@ -8,7 +9,8 @@ import numpy as np
 from mpmath import mp, mpf
 
 from coulomb_chain import (
-    CollisionError, RingConfig, eval_force, force_grid, nabla_minus, nabla_plus, ode,
+    CollisionError, RingConfig, TrajectoryState, eval_force, force_grid, initial_positions,
+    nabla_minus, nabla_plus, ode,
 )
 
 
@@ -23,6 +25,23 @@ def explicit_c3(config: RingConfig) -> np.ndarray:
     delta = config.delta
     f0, f1 = force_grid(config, 1)
     return nabla_minus(nabla_plus(f0)) / (3.0 * delta**3) + f0 * f1 / 6.0
+
+
+def initial_state(config: RingConfig) -> TrajectoryState:
+    """Uniform rest start: x_i = i*L/N, v_i = 0."""
+    return TrajectoryState(t=0.0, x=initial_positions(config), v=np.zeros(config.N))
+
+
+def acceleration(config: RingConfig, state: TrajectoryState) -> np.ndarray:
+    """Net acceleration of every particle in ``state``, by the integrator's kernel.
+
+    Raises CollisionError when any gap is at or below the collision floor.
+    """
+    x = np.asarray(state.x, dtype=float)
+    g0, dg0, work = ode._kernel_rows(ode._gaps(x, config.L))
+    out = np.empty_like(x)
+    ode._acceleration(config, x, g0, dg0, np.zeros_like(x), out, work)
+    return out
 
 
 def with_left_acceleration(config: RingConfig, x0: np.ndarray, g0: np.ndarray,

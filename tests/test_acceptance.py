@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_columns_close
-from oracles import explicit_c3
+from oracles import explicit_c3, initial_state
 from coulomb_chain import (
     ForceSpec,
     Harmonic,
@@ -24,7 +24,6 @@ from coulomb_chain import (
     estimate_radius,
     evaluate_velocity,
     exponent_fit,
-    initial_state,
     integrate,
     majorant,
     majorant_lemma_check,

@@ -1,12 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from coulomb_chain import (
+    BoundReport,
     CoefficientTable,
     ConfigError,
+    ExponentFit,
     ForceSpec,
+    RadiusEstimate,
+    RadiusTrend,
     RingConfig,
     bound_check,
     c_f_bound,
@@ -189,6 +194,59 @@ def test_hard_bound_formulas():
     assert math.exp(log_c3_bound(2.0, 16, 1.0)) == pytest.approx((8.0 / 3.0) * 16.5)
     # a growth constant whose powers overflow a double still has a finite log
     assert log_c3_bound(1e120, 16, 1.0) == pytest.approx(3 * math.log(1e120) + math.log(5.5))
+
+
+# ---------------------------------------------------------------------------
+# report JSON
+
+
+def dumps(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True, allow_nan=False)
+
+
+def test_bound_report_json_keeps_string_keys_in_text_order():
+    # Int keys would sort 3 before 11 and reorder sweep.json and verify.json.
+    js = tuple(range(3, 14, 2))
+    report = BoundReport(c_f=6.283185307179586, Ns=(16, 32), js=js,
+                         chi_min={j: (0.5 / j, 0.25 / j) for j in js},
+                         chi_sqrt={j: (1.0 / j, 2.0 / j) for j in js},
+                         chi_min_max=0.16666666666666666,
+                         monotone_ok={j: j != 11 for j in js}, hard_c3_ok=True, passed=False)
+    assert dumps(report) == (
+        '{"C_F": 6.283185307179586, "N_grid": [16, 32], "chi_min": '
+        '{"11": [0.045454545454545456, 0.022727272727272728], '
+        '"13": [0.038461538461538464, 0.019230769230769232], '
+        '"3": [0.16666666666666666, 0.08333333333333333], "5": [0.1, 0.05], '
+        '"7": [0.07142857142857142, 0.03571428571428571], '
+        '"9": [0.05555555555555555, 0.027777777777777776]}, '
+        '"chi_min_max": 0.16666666666666666, "chi_sqrt": '
+        '{"11": [0.09090909090909091, 0.18181818181818182], '
+        '"13": [0.07692307692307693, 0.15384615384615385], '
+        '"3": [0.3333333333333333, 0.6666666666666666], "5": [0.2, 0.4], '
+        '"7": [0.14285714285714285, 0.2857142857142857], '
+        '"9": [0.1111111111111111, 0.2222222222222222]}, "hard_c3_ok": true, '
+        '"monotone_ok": {"11": false, "13": true, "3": true, "5": true, "7": true, "9": true}, '
+        '"orders": [3, 5, 7, 9, 11, 13], "passed": false}'
+    )
+
+
+def test_radius_reports_write_non_finite_values_as_null():
+    estimate = RadiusEstimate(N=64, j_max=9, r_hat=math.inf, window=(5, 9),
+                              fit_residual=math.nan, degenerate=True)
+    assert dumps(estimate) == (
+        '{"J_max": 9, "N": 64, "R_hat": null, "degenerate": true, "fit_residual": null, '
+        '"method": "root-test", "window": [5, 9]}'
+    )
+    trend = RadiusTrend(Ns=(16, 32, 64), r_hats=(0.5, math.inf, math.nan), alpha=math.nan,
+                        monotone_ok=True)
+    assert dumps(trend) == (
+        '{"N_grid": [16, 32, 64], "R_hat": [0.5, null, null], "alpha": null, "monotone_ok": true}'
+    )
+    fit = ExponentFit(j=3, Ns=(16, 32, 64, 128), slope=math.nan, half_width=math.inf,
+                      cap_half=1.0, cap_five_sixths=1.0)
+    assert fit.to_json() == {"j": 3, "N_grid": [16, 32, 64, 128], "slope": None,
+                             "half_width": None, "cap_half": 1.0, "cap_five_sixths": 1.0}
+    dumps(fit)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import coulomb_chain
 
 PACKAGE_DIR = Path(coulomb_chain.__file__).parent
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 #: Modules whose public names the package re-exports; ``cli`` is the front end.
 LIBRARY = ("analysis", "force", "ode", "ring", "series")
 ERRORS = {"CollisionError", "ConfigError", "StiffnessError"}
@@ -37,6 +38,39 @@ def test_no_module_imports_a_private_name_from_another():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+class _Loads(ast.NodeVisitor):
+    """Names and attributes a module loads, each outside the body of its own def or class."""
+
+    def __init__(self):
+        self.names: set[str] = set()
+        self.inside: list[str] = []
+
+    def visit_def(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_def
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id not in self.inside:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load) and node.attr not in self.inside:
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A load in code, not a word in a docstring or an __all__ string, and
+    # not a longer name such as _acceleration for acceleration.
+    loads = _Loads()
+    for path in sorted(PACKAGE_DIR.glob("*.py")) + sorted(BENCH_DIR.glob("*.py")):
+        loads.visit(ast.parse(path.read_text(), str(path)))
+    assert sorted(set(coulomb_chain.__all__) - loads.names) == []
 
 
 def test_benchmark_tracer_binds_every_layer(monkeypatch):

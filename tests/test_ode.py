@@ -8,17 +8,15 @@ from coulomb_chain import (
     Harmonic,
     RingConfig,
     TrajectoryState,
-    acceleration,
     compute_coefficients,
     energy,
     evaluate_velocity,
-    initial_state,
     integrate,
     ode,
 )
 from coulomb_chain.cli import parse_config
 from conftest import SEED7_TWO
-from oracles import with_left_acceleration
+from oracles import acceleration, initial_state, with_left_acceleration
 
 
 def make_config(N=8, force=None, j_max=4):
