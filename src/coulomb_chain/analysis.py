@@ -13,8 +13,11 @@ Three kinds of checks:
     the empirical content of the growth theorem (the N**(j/2)
     normalization is reported alongside).
 
-They read coefficient magnitudes and bounds as logarithms only, so deep
-tails and strong forces never overflow.  Each takes
+The radius estimate, the radius trend over N and the growth exponents
+are one least-squares line fit each, all through ``_line_fit``, which
+returns the slope, the intercept and the residuals.  They read coefficient
+magnitudes and bounds as logarithms only, so deep tails and strong forces
+never overflow.  Each takes
 ``series.CoefficientProfile`` objects, max_i |c_{ij}| per order, and a
 ``CoefficientTable`` is one.  ``check_tail_fraction`` is the one
 check of the radius fit's run setting; the CLI applies it to the config
@@ -133,6 +136,13 @@ def _usable_tail(table: CoefficientProfile, window: tuple[int, int]) -> tuple[li
     return js, logs
 
 
+def _line_fit(x, y) -> tuple[float, float, np.ndarray]:
+    """The least-squares line y ~ slope x + intercept: its slope, intercept and residuals."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    return float(slope), float(intercept), y - (slope * x + intercept)
+
+
 def check_tail_fraction(tail_fraction) -> float:
     """``tail_fraction`` as a float; it must lie in (0, 1]."""
     tail_fraction = check_real(tail_fraction, "tail_fraction")
@@ -158,27 +168,14 @@ def estimate_radius(table: CoefficientProfile, tail_fraction: float = 0.5) -> Ra
         )
     window = _tail_window(table.j_max, check_tail_fraction(tail_fraction))
     js, logs = _usable_tail(table, window)
-    if len(js) < 3:
-        return RadiusEstimate(
-            N=table.N,
-            j_max=table.j_max,
-            r_hat=math.inf,
-            window=window,
-            fit_residual=math.nan,
-            degenerate=True,
-        )
-    ja = np.asarray(js, dtype=float)
-    la = np.asarray(logs, dtype=float)
-    slope, intercept = np.polyfit(ja, la, 1)
-    resid = float(np.sqrt(np.mean((slope * ja + intercept - la) ** 2)))
-    return RadiusEstimate(
-        N=table.N,
-        j_max=table.j_max,
-        r_hat=math.exp(-slope),
-        window=window,
-        fit_residual=resid,
-        degenerate=False,
-    )
+    degenerate = len(js) < 3
+    if degenerate:  # a terminating series converges everywhere
+        r_hat, rms = math.inf, math.nan
+    else:
+        slope, _, resid = _line_fit(js, logs)
+        r_hat, rms = math.exp(-slope), float(np.sqrt(np.mean(resid**2)))
+    return RadiusEstimate(N=table.N, j_max=table.j_max, r_hat=r_hat, window=window,
+                          fit_residual=rms, degenerate=degenerate)
 
 
 def radius_trend(estimates: list[RadiusEstimate]) -> RadiusTrend:
@@ -190,13 +187,7 @@ def radius_trend(estimates: list[RadiusEstimate]) -> RadiusTrend:
     monotone_ok = all(
         r2 <= r1 * (1.0 + TREND_NOISE) for (_, r1), (_, r2) in zip(finite, finite[1:])
     )
-    if len(finite) >= 2:
-        ln_n = np.log([n for n, _ in finite])
-        ln_r = np.log([r for _, r in finite])
-        slope = float(np.polyfit(ln_n, ln_r, 1)[0])
-        alpha = -slope
-    else:
-        alpha = math.nan
+    alpha = -_line_fit(*np.log(finite).T)[0] if len(finite) >= 2 else math.nan
     return RadiusTrend(Ns=Ns, r_hats=rs, alpha=alpha, monotone_ok=monotone_ok)
 
 
@@ -221,9 +212,7 @@ def exponent_fit(tables: list[CoefficientProfile], j: int) -> ExponentFit:
     if not all(math.isfinite(v) for v in logs):
         raise ConfigError(f"order-{j} column vanishes in some table; no exponent to fit")
     x = np.log(np.asarray(Ns, dtype=float))
-    y = np.asarray(logs)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
+    slope, _, resid = _line_fit(x, logs)
     dof = len(Ns) - 2
     se = math.sqrt(float(np.sum(resid**2)) / dof / float(np.sum((x - x.mean()) ** 2)))
     from scipy.special import stdtrit  # deferred: only this fit needs scipy.special
@@ -232,7 +221,7 @@ def exponent_fit(tables: list[CoefficientProfile], j: int) -> ExponentFit:
     return ExponentFit(
         j=j,
         Ns=tuple(Ns),
-        slope=float(slope),
+        slope=slope,
         half_width=half_width,
         cap_half=(j - 1) / 2.0,
         cap_five_sixths=(5.0 / 6.0) * j - 1.5,
@@ -262,6 +251,11 @@ def log_c3_bound(c_f: float, N: int, L: float) -> float:
     return 3.0 * math.log(c_f) + math.log((N / L + 0.5) / 3.0)
 
 
+def _growth_ratios(tables: list[CoefficientProfile], j: int, power: float) -> tuple[float, ...]:
+    """(max_i |c_{ij}| / N**power)**(1/j) per table; exp(-inf) makes a vanishing column 0.0."""
+    return tuple(math.exp((t.log_max_abs(j) - power * math.log(t.N)) / j) for t in tables)
+
+
 def bound_check(tables: list[CoefficientProfile], c_f: float) -> BoundReport:
     """Check the hard order-3 bound and the growth-ratio boundedness at odd orders.
 
@@ -282,28 +276,12 @@ def bound_check(tables: list[CoefficientProfile], c_f: float) -> BoundReport:
         t.log_max_abs(3) <= log_c3_bound(c_f, t.N, t.L) for t in reach
     )
 
-    chi_min: dict[int, tuple[float, ...]] = {}
-    chi_sqrt: dict[int, tuple[float, ...]] = {}
-    monotone_ok: dict[int, bool] = {}
-    chi_all = 0.0
-    for j in js:
-        vals, vals_sqrt = [], []
-        for t in tabs:
-            la = t.log_max_abs(j)
-            if not math.isfinite(la):
-                vals.append(0.0)
-                vals_sqrt.append(0.0)
-                continue
-            ln_n = math.log(t.N)
-            vals.append(math.exp((la - ((5.0 / 6.0) * j - 1.5) * ln_n) / j))
-            vals_sqrt.append(math.exp((la - 0.5 * j * ln_n) / j))
-        chi_min[j] = tuple(vals)
-        chi_sqrt[j] = tuple(vals_sqrt)
-        chi_all = max(chi_all, max(vals))
-        monotone_ok[j] = all(
-            b <= a * (1.0 + BOUND_NOISE) for a, b in zip(vals, vals[1:]) if a > 0.0 or b > 0.0
-        )
-
+    chi_min = {j: _growth_ratios(tabs, j, (5.0 / 6.0) * j - 1.5) for j in js}
+    chi_sqrt = {j: _growth_ratios(tabs, j, 0.5 * j) for j in js}
+    monotone_ok = {
+        j: all(b <= a * (1.0 + BOUND_NOISE) for a, b in zip(v, v[1:]) if a > 0.0 or b > 0.0)
+        for j, v in chi_min.items()
+    }
     passed = hard_c3_ok is not False and all(monotone_ok.values())
     return BoundReport(
         c_f=c_f,
@@ -311,7 +289,7 @@ def bound_check(tables: list[CoefficientProfile], c_f: float) -> BoundReport:
         js=js,
         chi_min=chi_min,
         chi_sqrt=chi_sqrt,
-        chi_min_max=chi_all,
+        chi_min_max=max((max(v) for v in chi_min.values()), default=0.0),
         monotone_ok=monotone_ok,
         hard_c3_ok=hard_c3_ok,
         passed=passed,

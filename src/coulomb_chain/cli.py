@@ -358,9 +358,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
     profiles = series.coefficient_profiles(cfg.rings)
     exponents = []
     if len(profiles) >= 4:
-        for j in (1, 3, 5, 7, 9):
-            if j > cfg.j_max:
-                continue
+        for j in range(1, min(9, cfg.j_max) + 1, 2):
             try:
                 exponents.append(ana.exponent_fit(profiles, j).to_json())
             except ConfigError:

@@ -379,15 +379,16 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
                 spectra[r, :, band + 1 :] = 0.0
                 np.fft.irfft(spectra[r], n=P, out=block(cols[r]))
 
-    # Equal rings have equal columns, so ``index`` may pick any of them.
+    # The split keeps grid order, so the rings take its first columns and blocks in turn.
+    packed_first, proxy_block = iter(first), iter(range(R))
     for ring in rings:
         if ring.N <= 2 * B:
-            lo = first[packed.index(ring)]
+            lo = next(packed_first)
             yield ring, cols[:, lo : lo + ring.N]
         elif ring.N == P:  # the proxy grid is the lattice
-            yield ring, block(cols)[:, proxy.index(ring)]
+            yield ring, block(cols)[:, next(proxy_block)]
         else:  # zero-padded to the lattice
-            i = proxy.index(ring)
+            i = next(proxy_block)
             yield ring, (np.fft.irfft(spectra[k, i] * (ring.N / P), n=ring.N) for k in range(rows))
 
 

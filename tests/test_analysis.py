@@ -6,6 +6,7 @@ import pytest
 
 from coulomb_chain import (
     BoundReport,
+    CoefficientProfile,
     CoefficientTable,
     ConfigError,
     ExponentFit,
@@ -188,6 +189,30 @@ def test_bound_check_constant_force_chi_zero():
     report = bound_check(tables, 1.0)
     for j in report.js:
         assert all(v == 0.0 for v in report.chi_min[j])
+
+
+def test_bound_check_column_that_vanishes_on_one_ring_only():
+    # Order 5 vanishes at N = 16 alone: exp(-inf) reads 0.0 there, and the
+    # rise from that 0.0 to the next ring breaks monotonicity, though the
+    # nonzero values fall.
+    profiles = [CoefficientProfile(N=n, L=1.0, scale=1.0, max_abs=np.array(m)) for n, m in (
+        (8, [0.0, 1.0, 0.0, 0.5, 0.0, 0.25]),
+        (16, [0.0, 1.0, 0.0, 0.75, 0.0, 0.0]),
+        (32, [0.0, 1.0, 0.0, 1.0, 0.0, 4.0]),
+    )]
+    report = bound_check(profiles, 1.0)
+    assert report.chi_min[5][1] == 0.0 and report.chi_sqrt[5][1] == 0.0
+    assert report.chi_min[5][2] < report.chi_min[5][0]
+    assert report.monotone_ok == {3: True, 5: False}
+    assert report.hard_c3_ok is True and report.passed is False
+    assert dumps(report) == (
+        '{"C_F": 1.0, "N_grid": [8, 16, 32], "chi_min": '
+        '{"3": [0.3968502629920499, 0.36056239257685213, 0.3149802624737183], '
+        '"5": [0.25, 0.0, 0.20780947403569688]}, "chi_min_max": 0.3968502629920499, '
+        '"chi_sqrt": {"3": [0.2806155120773433, 0.22714007410401751, 0.1767766952966369], '
+        '"5": [0.2679433656340733, 0.0, 0.23325824788420185]}, "hard_c3_ok": true, '
+        '"monotone_ok": {"3": true, "5": false}, "orders": [3, 5], "passed": false}'
+    )
 
 
 def test_hard_bound_formulas():

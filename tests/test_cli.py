@@ -491,6 +491,18 @@ def test_verify_passes(tmp_path, capsys):
     assert payload["passed"] is True and payload["oracle_max_rel_err"] <= 1e-10
 
 
+@pytest.mark.parametrize("j_max", [3, 5, 6])
+def test_verify_cross_check_reaches_the_proxy_grid(tmp_path, capsys, sine_force, j_max):
+    # With one harmonic k = 1, 2 B_J is 4 or 6, so the cross-check ring N = 8
+    # runs on the P = 8 proxy grid rather than on its own points.
+    assert 8 > 2 * cli.series._band(sine_force, j_max)
+    obj = dict(SINE_CONFIG)
+    obj["ring"] = {**SINE_CONFIG["ring"], "J_max": j_max}
+    code, out = run("verify", tmp_path, obj)
+    assert code == 0, capsys.readouterr().err
+    assert json.loads((out / "verify.json").read_text())["oracle_max_rel_err"] <= 1e-10
+
+
 def test_sweep_report(tmp_path):
     obj = dict(SINE_CONFIG)
     obj["ring"] = {"N": [16, 32, 64, 128], "L": 1.0, "J_max": 9, "scale": "auto"}

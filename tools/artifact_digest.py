@@ -19,9 +19,11 @@ proxy ring whose size is not a power of two, running ``coeffs`` and
 ``radius``; and the grid N = 3, 20, 21, 100, 20011, which mixes both
 kinds in one loop, running ``coeffs``, ``radius``, ``sweep`` and
 ``verify``.  With the deep-J grid's force and J_max (B_J = 144), N = 288
-and 289 run ``coeffs`` and ``radius`` on either side of 2 B_J.  The first
-line lists the package's public names, ``coulomb_chain.__all__`` sorted,
-so the digest also pins the API.  Two checkouts give byte-identical
+and 289 run ``coeffs`` and ``radius`` on either side of 2 B_J.  The sine
+force 0.5 sin(2 pi x) at J_max = 5 (B_J = 3) runs ``verify`` on N = 16
+and 32, so that its cross-check ring N = 8 runs on the P = 8 proxy grid.
+The first line lists the package's public names, ``coulomb_chain.__all__``
+sorted, so the digest also pins the API.  Two checkouts give byte-identical
 artifacts and the same public names exactly when a plain ``diff`` of their
 digests is empty.  The script takes no arguments.
 """
@@ -50,12 +52,15 @@ COMMANDS = ("coeffs", "simulate", "compare", "radius", "verify", "sweep")
 # wide-N configs are neither simulated nor compared (compare integrates up
 # to half the estimated radius).
 SKIP = {("wide-N", "simulate"), ("wide-N", "compare")}
-# (workload, stem, ring keys set on the workload's grid config, commands)
+SINE = {"harmonics": [{"k": 1, "a": 0.0, "b": 0.5}]}
+# (workload, stem, {section: keys set on the workload's grid config}, commands)
 EXTRA = (
-    ("wide-N", "edge", {"N": [20, 21]}, ("coeffs", "radius")),
-    ("wide-N", "uneven", {"N": [20011]}, ("coeffs", "radius")),
-    ("wide-N", "mixed", {"N": [3, 20, 21, 100, 20011]}, ("coeffs", "radius", "sweep", "verify")),
-    ("deep-J", "edge", {"N": [288, 289]}, ("coeffs", "radius")),
+    ("wide-N", "edge", {"ring": {"N": [20, 21]}}, ("coeffs", "radius")),
+    ("wide-N", "uneven", {"ring": {"N": [20011]}}, ("coeffs", "radius")),
+    ("wide-N", "mixed", {"ring": {"N": [3, 20, 21, 100, 20011]}},
+     ("coeffs", "radius", "sweep", "verify")),
+    ("deep-J", "edge", {"ring": {"N": [288, 289]}}, ("coeffs", "radius")),
+    ("wide-N", "sine", {"ring": {"N": [16, 32], "J_max": 5}, "force": SINE}, ("verify",)),
 )
 
 
@@ -94,9 +99,10 @@ def main() -> None:
             wl = workloads.build(name, SEED, work)
             for config in dict.fromkeys(op.config for op in wl.ops):
                 digest(config, [c for c in COMMANDS if (name, c) not in SKIP], work)
-        for name, stem, ring, commands in EXTRA:
+        for name, stem, sections, commands in EXTRA:
             obj = workloads.build(name, SEED, work).configs["grid"]
-            obj["ring"].update(ring)
+            for section, keys in sections.items():
+                obj[section].update(keys)
             config = work / f"{name}_{stem}.json"
             config.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
             digest(config, commands, work)
