@@ -12,11 +12,17 @@ library operations:
               check the configured rings cannot make prints SKIP
     sweep     growth exponents, radius trend and bound report
 
+Every command but ``coeffs`` returns its JSON report, and ``main`` writes it
+as ``<command>.json`` in the output directory whatever ``output.formats``
+says.  The formats choose the rest: the coefficient tables
+``coeffs_N*.{csv,json}`` in either or both, and the CSV side files
+(``trajectory_N*.csv``, ``radius.csv``, ``exponents.csv``) only with csv.
 Outputs are deterministic (fixed ordering, fixed float formatting) and files
 are written atomically (temp + rename).  Exit codes: 0 ok, 1 integrator
 step underflow, 2 config error (also an output directory that cannot be
 created or written), 3 overflow, 4 collision (a starting gap at the floor or
-an accepted step that breaks the ordering), 5 verification failure.
+an accepted step that breaks the ordering), 5 verification failure, exactly
+when the report's ``passed`` is false (only ``verify.json`` has that key).
 """
 
 from __future__ import annotations
@@ -94,6 +100,24 @@ def _need(obj: dict, field: str, path: str):
     return obj[field]
 
 
+def _section(obj: dict, name: str, keys: tuple[str, ...], required: bool = False) -> dict:
+    """The object ``obj[name]``, holding no key outside ``keys``; ``{}`` if optional and absent."""
+    section = _need(obj, name, "config") if required else obj.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: expected an object")
+    check_keys(section, keys, name)
+    return section
+
+
+@contextlib.contextmanager
+def _within(prefix: str):
+    """Re-raise a ``ConfigError`` about a nested value under ``prefix``."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise exc.within(prefix) from None
+
+
 def parse_config(obj: dict) -> ExperimentConfig:
     """Build the force and every ring; ``ForceSpec`` and ``RingConfig`` check their values.
 
@@ -103,10 +127,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError("config: top level must be a JSON object")
     check_keys(obj, ("ring", "force", "ode", "analysis", "output"))
 
-    ring = _need(obj, "ring", "config")
-    if not isinstance(ring, dict):
-        raise ConfigError("ring: expected an object")
-    check_keys(ring, ("N", "L", "J_max", "scale"), "ring")
+    ring = _section(obj, "ring", ("N", "L", "J_max", "scale"), required=True)
     n_raw = _need(ring, "N", "ring")
     grid = isinstance(n_raw, list)
     if grid and not n_raw:
@@ -137,35 +158,22 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if any(b.N <= a.N for a, b in zip(rings, rings[1:])):
         raise ConfigError(f"ring.N: grid must be strictly increasing, got {n_raw}")
 
-    ode_obj = obj.get("ode", {})
-    if not isinstance(ode_obj, dict):
-        raise ConfigError("ode: expected an object")
-    check_keys(ode_obj, ("t_end", "rel_tol", "abs_tol", "sample_count"), "ode")
-    try:
+    ode_obj = _section(obj, "ode", ("t_end", "rel_tol", "abs_tol", "sample_count"))
+    with _within("ode"):
         t_end, rel_tol, abs_tol = ode.check_settings(
             ode_obj.get("t_end", 0.05),
             ode_obj.get("rel_tol", 1e-10),
             ode_obj.get("abs_tol", 1e-12),
         )
-    except ConfigError as exc:
-        raise exc.within("ode") from None
-    sample_count = check_int(ode_obj.get("sample_count", 10), "ode.sample_count", minimum=1)
+        sample_count = check_int(ode_obj.get("sample_count", 10), "sample_count", minimum=1)
 
-    ana_obj = obj.get("analysis", {})
-    if not isinstance(ana_obj, dict):
-        raise ConfigError("analysis: expected an object")
-    if "n_grid" in ana_obj:
+    if isinstance(obj.get("analysis"), dict) and "n_grid" in obj["analysis"]:
         raise ConfigError("analysis.n_grid: no longer supported; give the N grid as ring.N")
-    check_keys(ana_obj, ("tail_fraction",), "analysis")
-    try:
+    ana_obj = _section(obj, "analysis", ("tail_fraction",))
+    with _within("analysis"):
         tail_fraction = ana.check_tail_fraction(ana_obj.get("tail_fraction", 0.5))
-    except ConfigError as exc:
-        raise exc.within("analysis") from None
 
-    out_obj = obj.get("output", {})
-    if not isinstance(out_obj, dict):
-        raise ConfigError("output: expected an object")
-    check_keys(out_obj, ("directory", "formats"), "output")
+    out_obj = _section(obj, "output", ("directory", "formats"))
     out_dir = out_obj.get("directory", "out")
     if not isinstance(out_dir, str):
         raise ConfigError(f"output.directory: expected a string, got {out_dir!r}")
@@ -225,23 +233,17 @@ def _write_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_coeffs(cfg: ExperimentConfig) -> list[Path]:
-    """Write one coefficient table per grid N; returns the written paths."""
-    written = []
+def cmd_coeffs(cfg: ExperimentConfig) -> None:
+    """Write one coefficient table per grid N, in each configured format."""
     for table in series.coefficient_tables(cfg.rings):  # one table and its text at a time
         base = cfg.out_dir / f"coeffs_N{table.N}"
         if "csv" in cfg.formats:
-            path = base.with_suffix(".csv")
-            _atomic_write(path, series.table_csv(table))
-            written.append(path)
+            _atomic_write(base.with_suffix(".csv"), series.table_csv(table))
         if "json" in cfg.formats:
-            path = base.with_suffix(".json")
-            _atomic_write(path, series.table_json(table, cfg.force))
-            written.append(path)
-    return written
+            _atomic_write(base.with_suffix(".json"), series.table_json(table, cfg.force))
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> Path:
+def cmd_simulate(cfg: ExperimentConfig) -> dict:
     """Integrate each grid member; write trajectory CSVs and a summary JSON."""
     summary = []
     for rc in cfg.rings:
@@ -271,20 +273,16 @@ def cmd_simulate(cfg: ExperimentConfig) -> Path:
                 "max_energy_drift": drift,
             }
         )
-    path = cfg.out_dir / "simulate.json"
-    _write_json(path, {"runs": summary})
-    return path
+    return {"runs": summary}
 
 
-def _radius_estimates(cfg: ExperimentConfig, profiles) -> list[ana.RadiusEstimate]:
-    """One root-test estimate per profile; none when J_max is too short to fit a tail."""
-    if cfg.j_max < ana.MIN_RADIUS_ORDER:
-        return []
-    return [ana.estimate_radius(p, tail_fraction=cfg.tail_fraction) for p in profiles]
+def _radius_report(cfg: ExperimentConfig, profiles) -> dict:
+    """The ``radius`` and ``trend`` JSON fields; writes ``radius.csv`` too when CSV is on.
 
-
-def _radius_report(cfg: ExperimentConfig, estimates) -> dict:
-    """The ``radius`` and ``trend`` JSON fields; writes ``radius.csv`` too when CSV is on."""
+    One root-test estimate per profile; none when J_max is too short to fit a tail.
+    """
+    estimates = ([ana.estimate_radius(p, tail_fraction=cfg.tail_fraction) for p in profiles]
+                 if cfg.j_max >= ana.MIN_RADIUS_ORDER else [])
     if estimates and "csv" in cfg.formats:
         rows = "".join(
             f"{e.N},{e.j_max},{e.method},{e.r_hat:.17g},{e.window[0]},{e.window[1]},"
@@ -299,9 +297,9 @@ def _radius_report(cfg: ExperimentConfig, estimates) -> dict:
 
 
 def _compare_one(cfg: ExperimentConfig, rc: RingConfig, table: series.CoefficientTable) -> dict:
-    estimates = _radius_estimates(cfg, [table])
-    r_hat = estimates[0].r_hat if estimates else math.inf
-    horizon = cfg.t_end if not math.isfinite(r_hat) else min(cfg.t_end, 0.5 * r_hat)
+    r_hat = (ana.estimate_radius(table, tail_fraction=cfg.tail_fraction).r_hat
+             if cfg.j_max >= ana.MIN_RADIUS_ORDER else math.inf)
+    horizon = min(cfg.t_end, 0.5 * r_hat)
     times = np.linspace(horizon / cfg.sample_count, horizon, cfg.sample_count)
     sol = ode.integrate(rc, horizon, cfg.rel_tol, cfg.abs_tol, t_eval=times)
     max_rel = 0.0
@@ -309,14 +307,11 @@ def _compare_one(cfg: ExperimentConfig, rc: RingConfig, table: series.Coefficien
         v_series = series.evaluate_velocity(table, st.t)
         denom = max(float(np.max(np.abs(st.v))), series.TINY)
         max_rel = max(max_rel, float(np.max(np.abs(v_series - st.v))) / denom)
-    # The last two terms of the series at the horizon, in the error's units.
-    tau = horizon / table.scale
-    tail = float(
-        np.max(
-            np.abs(table.data[:, table.j_max - 1]) * abs(tau) ** (table.j_max - 1)
-            + np.abs(table.data[:, table.j_max]) * abs(tau) ** table.j_max
-        )
-    ) / max(float(np.max(np.abs(sol.states[-1].v))), series.TINY)
+    # The last nonzero term of the series at the horizon, in the error's units:
+    # even orders vanish, so it is the highest odd order j <= J_max.
+    j = table.j_max - 1 + table.j_max % 2
+    tail = float(np.max(np.abs(table.data[:, j]))) * abs(horizon / table.scale) ** j / max(
+        float(np.max(np.abs(sol.states[-1].v))), series.TINY)
     return {
         "N": rc.N,
         "horizon": horizon,
@@ -328,57 +323,46 @@ def _compare_one(cfg: ExperimentConfig, rc: RingConfig, table: series.Coefficien
     }
 
 
-def cmd_compare(cfg: ExperimentConfig) -> Path:
+def cmd_compare(cfg: ExperimentConfig) -> dict:
     """Series-vs-integration report: max relative velocity error per N."""
     per_n = [_compare_one(cfg, rc, table)
              for rc, table in zip(cfg.rings, series.coefficient_tables(cfg.rings))]
-    payload = {
+    return {
         "per_N": per_n,
         "max_rel_velocity_error": max(r["max_rel_velocity_error"] for r in per_n),
     }
-    path = cfg.out_dir / "compare.json"
-    _write_json(path, payload)
-    return path
 
 
-def cmd_radius(cfg: ExperimentConfig) -> Path:
+def cmd_radius(cfg: ExperimentConfig) -> dict:
     """Radius estimates for every grid N plus the cross-N trend."""
     if cfg.j_max < ana.MIN_RADIUS_ORDER:  # fail before computing any coefficient
         raise ConfigError(
             f"radius estimation needs J_max >= {ana.MIN_RADIUS_ORDER}, got {cfg.j_max}", "ring.J_max"
         )
-    estimates = _radius_estimates(cfg, series.coefficient_profiles(cfg.rings))
-    path = cfg.out_dir / "radius.json"
-    _write_json(path, _radius_report(cfg, estimates))
-    return path
+    return _radius_report(cfg, series.coefficient_profiles(cfg.rings))
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> Path:
+def cmd_sweep(cfg: ExperimentConfig) -> dict:
     """Exponent fits, radius trend and bound checks."""
     profiles = series.coefficient_profiles(cfg.rings)
-    exponents = []
+    fits = []
     if len(profiles) >= 4:
         for j in range(1, min(9, cfg.j_max) + 1, 2):
             try:
-                exponents.append(ana.exponent_fit(profiles, j).to_json())
+                fits.append(ana.exponent_fit(profiles, j))
             except ConfigError:
                 continue  # identically-zero column (e.g. constant force)
     payload = {
-        **_radius_report(cfg, _radius_estimates(cfg, profiles)),
-        "exponents": exponents,
+        **_radius_report(cfg, profiles),
+        "exponents": [e.to_json() for e in fits],
         "bounds": ana.bound_check(profiles, c_f_bound(cfg.force)).to_json(),
     }
-    path = cfg.out_dir / "sweep.json"
-    _write_json(path, payload)
     if "csv" in cfg.formats:
-        lines = ["j,slope,half_width,cap_half,cap_five_sixths"]
-        for e in exponents:
-            lines.append(
-                f"{e['j']},{e['slope']:.17g},{e['half_width']:.17g},"
-                f"{e['cap_half']:.17g},{e['cap_five_sixths']:.17g}"
-            )
-        _atomic_write(cfg.out_dir / "exponents.csv", "\n".join(lines) + "\n")
-    return path
+        rows = "".join(f"{e.j},{e.slope:.17g},{e.half_width:.17g},{e.cap_half:.17g},"
+                       f"{e.cap_five_sixths:.17g}\n" for e in fits)
+        _atomic_write(cfg.out_dir / "exponents.csv",
+                      "j,slope,half_width,cap_half,cap_five_sixths\n" + rows)
+    return payload
 
 
 def _cross_check_sizes(force: ForceSpec) -> tuple[int, ...]:
@@ -424,7 +408,7 @@ def _oracle_max_rel_err(cfg: ExperimentConfig) -> float | None:
     return max_err
 
 
-def cmd_verify(cfg: ExperimentConfig) -> bool:
+def cmd_verify(cfg: ExperimentConfig) -> dict:
     """Aggregate the hard checks; print one PASS/FAIL/SKIP line per check to stdout.
 
     A check the configured rings give no data for prints SKIP and does not
@@ -448,12 +432,7 @@ def cmd_verify(cfg: ExperimentConfig) -> bool:
         check("composition-sum cross-check", None, "J_max < 3")
     else:
         check("composition-sum cross-check", max_err <= 1e-10, f"max rel err {max_err:.2e}")
-
-    _write_json(
-        cfg.out_dir / "verify.json",
-        {"bounds": report.to_json(), "oracle_max_rel_err": max_err, "passed": ok},
-    )
-    return ok
+    return {"bounds": report.to_json(), "oracle_max_rel_err": max_err, "passed": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +470,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out is not None:
             cfg = replace(cfg, out_dir=Path(args.out))
-        if args.command == "verify":
-            return EXIT_OK if cmd_verify(cfg) else EXIT_VERIFY
-        _COMMANDS[args.command](cfg)
-        return EXIT_OK
+        payload = _COMMANDS[args.command](cfg)
+        if payload is None:  # coeffs writes only its tables
+            return EXIT_OK
+        _write_json(cfg.out_dir / f"{args.command}.json", payload)
+        return EXIT_OK if payload.get("passed", True) else EXIT_VERIFY
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

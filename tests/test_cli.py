@@ -472,6 +472,23 @@ def test_compare_tail_is_in_the_units_of_the_error(tmp_path):
     assert error <= tail <= 10 * error
 
 
+def test_compare_tail_ignores_the_vanishing_even_order(tmp_path):
+    # At scale 2e-29 the horizon is about 1e27 rescaled time units: its 11th
+    # power is finite but its 12th overflows a float.  Order 12 is zero, so
+    # the tail is order 11's term, the same number as on the automatic scale.
+    tails = {}
+    for scale in (2e-29, "auto"):
+        obj = copy.deepcopy(SINE_CONFIG)
+        obj["ring"]["scale"] = scale
+        (tmp_path / str(scale)).mkdir()
+        code, out = run("compare", tmp_path / str(scale), obj)
+        assert code == 0
+        tails[scale] = json.loads((out / "compare.json").read_text())["per_N"][0]
+    assert tails[2e-29]["horizon"] == tails["auto"]["horizon"]
+    assert tails[2e-29]["truncation_tail_estimate"] == pytest.approx(
+        tails["auto"]["truncation_tail_estimate"], rel=1e-9)
+
+
 def test_compare_horizon_is_not_cut_by_noise(tmp_path):
     # Rounding noise in deep orders used to shrink R_hat to 0.0094 here, and
     # the horizon to 0.0047.
@@ -634,13 +651,32 @@ def test_trajectory_csv_matches_reference_rendering(tmp_path):
     assert (out / "trajectory_N8.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-def test_format_override(tmp_path):
-    # output.formats is the one place to choose the formats
+# The files each command writes besides its <command>.json report, only with csv.
+CSV_SIDE_FILES = {
+    "coeffs": set(),
+    "simulate": {"trajectory_N8.csv", "trajectory_N16.csv"},
+    "compare": set(),
+    "radius": {"radius.csv"},
+    "verify": set(),
+    "sweep": {"radius.csv", "exponents.csv"},
+}
+
+
+@pytest.mark.parametrize("formats", [["csv"], ["json"], ["csv", "json"]], ids="-".join)
+@pytest.mark.parametrize("command", CSV_SIDE_FILES)
+def test_format_override(tmp_path, command, formats):
+    # The report <command>.json is always written (coeffs has none);
+    # output.formats chooses the coefficient tables and the CSV side files.
     obj = copy.deepcopy(SINE_CONFIG)
-    obj["output"]["formats"] = ["csv"]
-    code, out = run("coeffs", tmp_path, obj)
+    obj["ring"]["N"] = [8, 16]
+    obj["output"]["formats"] = formats
+    code, out = run(command, tmp_path, obj)
     assert code == 0
-    assert sorted(p.name for p in out.iterdir()) == ["coeffs_N8.csv"]
+    if command == "coeffs":
+        expected = {f"coeffs_N{n}.{f}" for n in (8, 16) for f in formats}
+    else:
+        expected = {f"{command}.json"} | (CSV_SIDE_FILES[command] if "csv" in formats else set())
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
 
 def test_radius_sweep_and_compare_report_one_radius(tmp_path):

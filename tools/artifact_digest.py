@@ -22,6 +22,8 @@ kinds in one loop, running ``coeffs``, ``radius``, ``sweep`` and
 and 289 run ``coeffs`` and ``radius`` on either side of 2 B_J.  The sine
 force 0.5 sin(2 pi x) at J_max = 5 (B_J = 3) runs ``verify`` on N = 16
 and 32, so that its cross-check ring N = 8 runs on the P = 8 proxy grid.
+The validate grid with ``output.formats`` set to ``["json"]`` runs all six
+commands, so the digest also pins which files a JSON-only run writes.
 The first line lists the package's public names, ``coulomb_chain.__all__``
 sorted, so the digest also pins the API.  Two checkouts give byte-identical
 artifacts and the same public names exactly when a plain ``diff`` of their
@@ -61,6 +63,7 @@ EXTRA = (
      ("coeffs", "radius", "sweep", "verify")),
     ("deep-J", "edge", {"ring": {"N": [288, 289]}}, ("coeffs", "radius")),
     ("wide-N", "sine", {"ring": {"N": [16, 32], "J_max": 5}, "force": SINE}, ("verify",)),
+    ("validate", "json", {"output": {"formats": ["json"]}}, COMMANDS),
 )
 
 
