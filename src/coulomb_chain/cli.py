@@ -41,6 +41,7 @@ import numpy as np
 
 from . import analysis as ana
 from . import ode, series
+from ._floattext import float_texts
 from .errors import CollisionError, ConfigError, StiffnessError, check_int, check_keys
 from .force import ForceSpec, c_f_bound
 from .ring import RingConfig
@@ -243,6 +244,28 @@ def cmd_coeffs(cfg: ExperimentConfig) -> None:
             _atomic_write(base.with_suffix(".json"), series.table_json(table, cfg.force))
 
 
+def _trajectory_csv(states: list[ode.TrajectoryState]) -> str:
+    """``t,i,x,v`` rows, time-major, 17 significant digits.
+
+    One ``float_texts`` call formats every x and v; a row is six pieces,
+    laid into one list by slice assignment and joined once.
+    """
+    N = states[0].x.size
+    texts = float_texts(np.array([(st.x, st.v) for st in states]))  # (time, x or v, i), raveled
+    index = [f"{i}," for i in range(N)]
+    pieces = ["t,i,x,v\n"]
+    for s, st in enumerate(states):
+        block = [""] * (6 * N)
+        block[0::6] = [f"{st.t:.17g},"] * N
+        block[1::6] = index
+        block[2::6] = texts[2 * N * s : 2 * N * s + N]
+        block[3::6] = [","] * N
+        block[4::6] = texts[2 * N * s + N : 2 * N * (s + 1)]
+        block[5::6] = ["\n"] * N
+        pieces += block
+    return "".join(pieces)
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> dict:
     """Integrate each grid member; write trajectory CSVs and a summary JSON."""
     summary = []
@@ -250,12 +273,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> dict:
         t_eval = np.linspace(0.0, cfg.t_end, cfg.sample_count + 1)
         sol = ode.integrate(rc, cfg.t_end, cfg.rel_tol, cfg.abs_tol, t_eval=t_eval)
         if "csv" in cfg.formats:
-            index = range(rc.N)
-            blocks = ["t,i,x,v\n"]
-            for st in sol.states:
-                row = f"{st.t:.17g},%d,%.17g,%.17g\n"  # one printf template per sample time
-                blocks.append("".join(map(row.__mod__, zip(index, st.x.tolist(), st.v.tolist()))))
-            _atomic_write(cfg.out_dir / f"trajectory_N{rc.N}.csv", "".join(blocks))
+            _atomic_write(cfg.out_dir / f"trajectory_N{rc.N}.csv", _trajectory_csv(sol.states))
         drift = None
         if cfg.force.a0 == 0.0:
             e0 = ode.energy(rc, sol.states[0])
@@ -310,8 +328,11 @@ def _compare_one(cfg: ExperimentConfig, rc: RingConfig, table: series.Coefficien
     # The last nonzero term of the series at the horizon, in the error's units:
     # even orders vanish, so it is the highest odd order j <= J_max.
     j = table.j_max - 1 + table.j_max % 2
-    tail = float(np.max(np.abs(table.data[:, j]))) * abs(horizon / table.scale) ** j / max(
-        float(np.max(np.abs(sol.states[-1].v))), series.TINY)
+    v_max = max(float(np.max(np.abs(sol.states[-1].v))), series.TINY)
+    try:
+        tail = float(table.max_abs[j]) * abs(horizon / table.scale) ** j / v_max
+    except OverflowError:  # (horizon/scale)**j leaves double range; in logs the scale cancels
+        tail = math.exp(table.log_max_abs(j) + j * math.log(horizon) - math.log(v_max))
     return {
         "N": rc.N,
         "horizon": horizon,

@@ -74,13 +74,14 @@ O(W J**2) and the composition O(W K J**2) multiply-adds for W packed and
 proxy columns and K harmonics, and it holds O(K J) rows of W.  Outside it,
 a proxy ring costs one length-N ``irfft`` per odd column.
 
-The writers ``table_csv`` and ``table_json`` return the artifact text and
-cost one float format per value each (``%.17g`` and ``float.__repr__``),
-except in a column of +0.0 only, the structurally zero even orders, which
-they print as a literal zero; at j_max = 9 that is far more than the
-engine's own time.  A table takes its magnitude profile max_i |c_{ij}|,
-which every report reads, in one reduction; ``evaluate_velocity`` sums
-the velocity series.
+The writers ``table_csv`` and ``table_json`` return the artifact text.
+Each formats all live columns of a table in one call of the array kernel
+``_floattext.float_texts``, which gives the bytes of ``%.17g`` and of
+``float.__repr__``, prints a column of +0.0 only, the structurally zero
+even orders, as a literal zero, and joins the pieces once; at j_max = 9
+each writer still costs over twenty times the engine's own time.  A table
+takes its magnitude profile max_i |c_{ij}|, which every report reads, in
+one reduction; ``evaluate_velocity`` sums the velocity series.
 
 A literal composition-sum evaluation of the same recursion
 (``oracle_coefficients``) is kept as an independent cross-check for small
@@ -102,6 +103,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ._floattext import float_texts
 from .errors import ConfigError
 from .force import ForceSpec, force_jet
 from .ring import RingConfig, force_grid, nabla_minus, nabla_plus
@@ -492,20 +494,39 @@ def _live_orders(table: CoefficientTable) -> list[int]:
     return [j for j in range(1, table.j_max + 1) if table.data[:, j].view(np.uint64).any()]
 
 
+def _value_texts(table: CoefficientTable, zero: str, shortest: bool) -> list[str]:
+    """The text of every c_{ij}, j = 1..j_max, i-major; ``zero`` throughout a column of +0.0 only.
+
+    One ``float_texts`` call formats all live columns, raveled i-major, and
+    slice assignment spreads each live column over its order's places.
+    """
+    live = _live_orders(table)
+    texts = [zero] * (table.N * table.j_max)
+    if live:
+        formatted = float_texts(table.data[:, live], shortest)
+        for k, j in enumerate(live):
+            texts[j - 1 :: table.j_max] = formatted[k :: len(live)]
+    return texts
+
+
 def table_csv(table: CoefficientTable) -> str:
     """CSV rendering, one row per (i, j), i-major, 17 significant digits.
 
-    One printf template spans the j_max lines of a particle and is applied
-    to (i, c_i1, i, c_i2, ...), so the cost is one float format per value;
-    a column of +0.0 only is the literal ``0`` in the template.
+    A row is four pieces, the index, ``,j,``, the value's ``%.17g`` text and
+    the constant tail, laid into one list by slice assignment and joined
+    once.  The values come from one ``float_texts`` call; a column of +0.0
+    only is the literal ``0``.
     """
-    J, live = table.j_max, _live_orders(table)
-    tail = f",{table.scale:.17g},{table.N},{table.L:.17g},{J}\n"
-    row = "".join(f"%d,{j},{'%.17g' if j in live else '0'}{tail}" for j in range(1, J + 1))
-    index = range(table.N)
-    args = zip(*[arg for j in range(1, J + 1)
-                 for arg in ((index, table.data[:, j].tolist()) if j in live else (index,))])
-    return "i,j,c_scaled,scale,N,L,J_max\n" + "".join(map(row.__mod__, args))
+    J, N = table.j_max, table.N
+    index = list(map(str, range(N)))
+    pieces = [""] * (4 * N * J)
+    for j in range(J):
+        pieces[4 * j :: 4 * J] = index
+    pieces[1::4] = [f",{j}," for j in range(1, J + 1)] * N
+    pieces[2::4] = _value_texts(table, "0", shortest=False)
+    pieces[3::4] = [f",{table.scale:.17g},{N},{table.L:.17g},{J}\n"] * (N * J)
+    pieces[0] = "i,j,c_scaled,scale,N,L,J_max\n" + pieces[0]  # so the text is not copied again
+    return "".join(pieces)
 
 
 def table_json(table: CoefficientTable, force: ForceSpec) -> str:
@@ -514,10 +535,10 @@ def table_json(table: CoefficientTable, force: ForceSpec) -> str:
     The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True,
     allow_nan=False) + "\n"`` for the payload with keys ``config``, ``scale``
     and ``coefficients``.  Only the small header goes through ``json``; the
-    coefficients take one ``float.__repr__`` each, the encoder's float form,
-    through one template per particle in which a column of +0.0 only is the
-    literal ``0.0``.  Raises ValueError on a non-finite value, as
-    ``allow_nan=False`` does.
+    coefficients are the ``float.__repr__`` texts, the encoder's float
+    form, of one shortest-mode ``float_texts`` call, with the literal
+    ``0.0`` for a column of +0.0 only, joined once.  Raises ValueError on a
+    non-finite value, as ``allow_nan=False`` does.
     """
     if not np.isfinite(table.data[:, 1:]).all():
         raise ValueError(f"coefficient table N={table.N}: non-finite values are not valid JSON")
@@ -526,9 +547,6 @@ def table_json(table: CoefficientTable, force: ForceSpec) -> str:
          "scale": table.scale},
         indent=2, sort_keys=True, allow_nan=False,
     )
-    live = _live_orders(table)
-    row = ",\n    ".join("%r" if j in live else "0.0" for j in range(1, table.j_max + 1))
-    columns = [table.data[:, j].tolist() for j in live]
-    items = ",\n    ".join(map(row.__mod__, zip(*columns)) if columns else [row] * table.N)
+    items = ",\n    ".join(_value_texts(table, "0.0", shortest=True))
     # "coefficients" sorts before "config" and "scale", so it opens the object.
     return f'{{\n  "coefficients": [\n    {items}\n  ],\n{header[2:]}\n'

@@ -489,6 +489,33 @@ def test_compare_tail_ignores_the_vanishing_even_order(tmp_path):
         tails["auto"]["truncation_tail_estimate"], rel=1e-9)
 
 
+def test_compare_tail_when_the_rescaled_horizon_power_overflows(tmp_path):
+    # At scale 1e-31 the horizon is about 2e29 rescaled time units and its
+    # 11th power overflows a float, which made compare exit 3; the tail is
+    # then taken in logs, where the scale cancels.  On the sine force the
+    # order-11 column itself underflows at that scale, so only the exit is
+    # checked there.  At amplitude 1e20 the column stays normal at scale 3e-39
+    # while (horizon/scale)**11 overflows, and the tail is that of scale 1e-38,
+    # where nothing overflows.
+    def compare(obj, name):
+        (tmp_path / name).mkdir()
+        code, out = run("compare", tmp_path / name, obj)
+        assert code == 0
+        return json.loads((out / "compare.json").read_text())["per_N"][0]
+
+    obj = copy.deepcopy(SINE_CONFIG)
+    obj["ring"]["scale"] = 1e-31
+    assert math.isfinite(compare(obj, "sine")["truncation_tail_estimate"])
+    tails = {}
+    for scale in (3e-39, 1e-38):
+        obj = copy.deepcopy(SINE_CONFIG)
+        obj["force"]["harmonics"][0]["b"] = 1e20
+        obj["ring"]["scale"] = scale
+        obj["ode"]["t_end"] = 1.0
+        tails[scale] = compare(obj, str(scale))["truncation_tail_estimate"]
+    assert tails[3e-39] == pytest.approx(tails[1e-38], rel=1e-12)
+
+
 def test_compare_horizon_is_not_cut_by_noise(tmp_path):
     # Rounding noise in deep orders used to shrink R_hat to 0.0094 here, and
     # the horizon to 0.0047.

@@ -24,6 +24,16 @@ force 0.5 sin(2 pi x) at J_max = 5 (B_J = 3) runs ``verify`` on N = 16
 and 32, so that its cross-check ring N = 8 runs on the P = 8 proxy grid.
 The validate grid with ``output.formats`` set to ``["json"]`` runs all six
 commands, so the digest also pins which files a JSON-only run writes.
+Three more make the float-to-text kernel hand values of each kind it
+does not certify to Python's own formatting (zeros, magnitudes outside
+[1e-280, 1e280], a power-of-two mantissa in the JSON, values next to a
+rounding boundary; no command writes a non-finite value): the amplitude
+1e120 at scale 1e-100, whose deep orders are subnormal or below 1e-280,
+running ``coeffs`` and ``radius``; the force -0.5 sin(2 pi x) on N = 4
+and 8, which vanishes at particle 0, so live columns and trajectories
+hold exact zeros; and the constant field a0 = 0.3, whose every order but
+the first is zero; the last two run ``coeffs``, ``simulate`` and
+``compare``.
 The first line lists the package's public names, ``coulomb_chain.__all__``
 sorted, so the digest also pins the API.  Two checkouts give byte-identical
 artifacts and the same public names exactly when a plain ``diff`` of their
@@ -64,6 +74,14 @@ EXTRA = (
     ("deep-J", "edge", {"ring": {"N": [288, 289]}}, ("coeffs", "radius")),
     ("wide-N", "sine", {"ring": {"N": [16, 32], "J_max": 5}, "force": SINE}, ("verify",)),
     ("validate", "json", {"output": {"formats": ["json"]}}, COMMANDS),
+    ("wide-N", "huge", {"ring": {"N": [16, 32], "scale": 1e-100},
+                        "force": {"harmonics": [{"k": 1, "a": 0.0, "b": 1e120}]}},
+     ("coeffs", "radius")),
+    ("wide-N", "zeros", {"ring": {"N": [4, 8]},
+                         "force": {"harmonics": [{"k": 1, "a": 0.0, "b": -0.5}]}},
+     ("coeffs", "simulate", "compare")),
+    ("wide-N", "constant", {"ring": {"N": [4, 8]}, "force": {"a0": 0.3, "harmonics": []}},
+     ("coeffs", "simulate", "compare")),
 )
 
 
