@@ -81,11 +81,10 @@ def _decimal(v: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.
     E = np.floor(np.log10(a)).astype(np.int64)
     y, y_lo = _scaled(a, E)
     step = _decade_step(y, y_lo)
-    off = np.flatnonzero(step)
-    if off.size:  # log10 was off by one next to a power of ten
-        E[off] += step[off]
-        y[off], y_lo[off] = _scaled(a[off], E[off])
-        fast[off] &= _decade_step(y[off], y_lo[off]) == 0
+    off = np.flatnonzero(step)  # where log10 was off by one next to a power of ten
+    E[off] += step[off]
+    y[off], y_lo[off] = _scaled(a[off], E[off])
+    fast[off] &= _decade_step(y[off], y_lo[off]) == 0
 
     # n = round(y), half to even: y is an even integer above 2**53, so only
     # y_lo is rounded, and y = n + frac exactly.

@@ -13,9 +13,10 @@ top angular frequency.
 Two kernels evaluate it.  ``force_jet`` gives every derivative: it takes
 one cos and one sin per harmonic and point and applies each quarter turn as
 an exact rotation of the pair (a cos + b sin, b cos - a sin), then scales by
-w**n; ``ring.force_grid`` reads rows 0..k_max on the rest lattice at the
-cost of one trig pass, and the coefficient engine takes row 0 and each
-harmonic's (p, q) rows from one pass on the points it runs on.
+w**n.  The coefficient engine takes row 0 and each harmonic's (p, q) rows
+from one pass on the points it runs on, and the composition-sum oracle
+(``series.force_grid``) reads rows 0..k_max on the rest lattice at the
+cost of one trig pass.
 ``eval_force`` gives values only, for the integrator's right-hand side,
 with one sine per harmonic: it writes each harmonic as R sin(w x + phi),
 with R = hypot(a, b) and phi = atan2(a, b) taken once per force.  The two

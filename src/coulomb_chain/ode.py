@@ -226,7 +226,7 @@ def integrate(
         t_eval = np.linspace(0.0, t_end, 11)
     t_eval = np.sort(np.asarray(t_eval, dtype=float))
     # NaN sorts last and fails the comparison, like +-inf
-    if t_eval.size and not (t_eval[0] >= 0.0 and t_eval[-1] <= t_end * (1 + 1e-12)):
+    if t_eval.size and not (t_eval[0] >= 0.0 and t_eval[-1] <= t_end):
         raise ConfigError("samples must be finite and lie within [0, t_end]", "t_eval")
     spacing = np.diff(t_eval, prepend=0.0)
     spacing = spacing[spacing > 0.0]

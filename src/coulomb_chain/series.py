@@ -71,8 +71,9 @@ those of the tables bit for bit.
 
 The loop's cost does not depend on N: the reciprocal and square take
 O(W J**2) and the composition O(W K J**2) multiply-adds for W packed and
-proxy columns and K harmonics, and it holds O(K J) rows of W.  Outside it,
-a proxy ring costs one length-N ``irfft`` per odd column.
+proxy columns and K harmonics, and it holds (4K+5) ceil(J/2) rows of W
+for the series, plus O(K) more.  Outside it, a proxy ring costs one
+length-N ``irfft`` per odd column.
 
 The writers ``table_csv`` and ``table_json`` return the artifact text.
 Each formats all live columns of a table in one call of the array kernel
@@ -91,7 +92,14 @@ tuple-entry rows, the scaled gap s * nabla_plus(c_{., j_p}) / (j_p+1) and
 the scaled displacement s * c_{., j_p} / (j_p+1), are built once, as soon
 as the order is final, so a tuple costs one multiply per entry, a
 finiteness scan and, on the gap side, one backward difference.  It does
-not project.
+not project.  Neither it nor its helpers, which sit beside it, are exported:
+``ordered_compositions``; ``force_grid``, the force jet F^(k)(x_i(0)) on
+the whole rest lattice; and ``nabla_plus`` and ``nabla_minus``, the
+forward and backward differences of a grid function (a 1-D float array
+of length N read with indices mod N), one subtraction of shifted slices
+plus the wrap entry each, the same bits as ``np.roll(g, -1) - g`` and
+``g - np.roll(g, 1)``.  The engine takes none of them: it runs its own
+jet and differences on the points it runs on.
 """
 
 from __future__ import annotations
@@ -106,7 +114,7 @@ import numpy as np
 from ._floattext import float_texts
 from .errors import ConfigError
 from .force import ForceSpec, force_jet
-from .ring import RingConfig, force_grid, nabla_minus, nabla_plus
+from .ring import RingConfig, initial_positions
 
 __all__ = [
     "CoefficientProfile",
@@ -114,8 +122,6 @@ __all__ = [
     "coefficient_profiles",
     "coefficient_tables",
     "compute_coefficients",
-    "oracle_coefficients",
-    "ordered_compositions",
     "evaluate_velocity",
     "table_csv",
     "table_json",
@@ -171,7 +177,7 @@ class CoefficientTable(CoefficientProfile):
     A profile plus its table: ``data[i, j]`` holds c_{ij} * scale**j for
     j = 0..j_max (column 0 is identically zero: the particles start at
     rest); ``N`` and ``j_max`` are read from its shape.  ``data`` may have
-    any memory layout: the engines pass the transpose of their order-major
+    any memory layout: the engine passes the transpose of its order-major
     array, whose columns ``data[:, j]`` are contiguous.  ``max_abs`` is
     taken once, at construction, and does not follow later writes to ``data``.
     """
@@ -208,8 +214,8 @@ def coefficient_tables(rings: Iterable[RingConfig]) -> Iterator[CoefficientTable
     double range, after the tables before it.
     """
     for ring, columns in _odd_columns(list(rings)):
-        c = np.empty((ring.j_max + 1, ring.N))  # rescaled velocity coefficients, order-major
-        c[::2] = 0.0  # the even orders vanish from rest
+        # Rescaled velocity coefficients, order-major; the even orders vanish from rest.
+        c = np.zeros((ring.j_max + 1, ring.N))
         # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
         with np.errstate(over="ignore", invalid="ignore"):
             for row, column in zip(c[1::2], columns):
@@ -293,17 +299,19 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
                 for name in ("delta", "scale"))
     neg_delta = -delta
 
-    # Odd columns c_1, c_3, ..; the series gap, recip and E keep row r for
-    # t-order 2r.  E holds (Re, Im) exp(i w_h u) per harmonic with order r in
-    # row rows-1-r, and u_terms holds r * u_r over every (harmonic, part), so
-    # the convolution of one order is a product of two forward slices.
+    # Odd columns c_1, c_3, ..; the series gap, recip, u_terms and E keep row
+    # r for t-order 2r.  E holds (Re, Im) exp(i w_h u) per harmonic with
+    # order r in row rows-1-r, and u_terms holds one row r * u_r, which
+    # broadcasts over every (harmonic, part), so the convolution of one order
+    # is a product of two forward slices.
     rows, K = (J + 1) // 2, len(force.harmonics)
     cols, gap, recip, prod = (np.empty((rows, width)) for _ in range(4))
     u = np.empty(width)
     pair = np.empty((2, width))  # w and the composed force of one order
     w, composed = pair
     turns = np.empty((K, 2, width))
-    u_terms, E, terms = (np.empty((rows, K, 2, width)) for _ in range(3))
+    u_terms = np.empty((rows, 1, 1, width))
+    E, terms = (np.empty((rows, K, 2, width)) for _ in range(2))
     # (Re, Im) of i w S is (-w Im S, w Re S): the pair reversed, times this.
     freq = [2.0 * np.pi * h.k / force.L for h in force.harmonics]
     rotate = np.array([(-f, f) for f in freq]).reshape(K, 2, 1)
@@ -352,7 +360,7 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
                 gap[r, last] = u[first] - u[last]  # each packed ring's own wrap
             if R:
                 np.fft.irfft(spectra[r - 1] * (forward / m), n=P, out=block(gap[r]))
-            np.multiply(u, r, out=u_terms[r])
+            np.multiply(u, r, out=u_terms[r, 0, 0])
             np.multiply(gap[1 : r + 1], recip[r - 1 :: -1], out=prod[:r])
             np.add.reduce(prod[:r], axis=0, out=recip[r])
             recip[r] /= neg_delta
@@ -404,6 +412,30 @@ def ordered_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(1, total - parts + 2):
         for rest in ordered_compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def force_grid(config: RingConfig, k_max: int) -> np.ndarray:
+    """The ring's force jet on its rest lattice: row k is F^(k)(i*L/N), for k = 0..k_max.
+
+    One cos and one sin per harmonic and particle serve every row.
+    """
+    return force_jet(config.force, initial_positions(config), k_max)
+
+
+def nabla_plus(g: np.ndarray) -> np.ndarray:
+    """Forward difference of a grid function: result(i) = g(i+1) - g(i), indices mod N."""
+    out = np.empty_like(g)
+    np.subtract(g[1:], g[:-1], out=out[:-1])
+    out[-1] = g[0] - g[-1]
+    return out
+
+
+def nabla_minus(g: np.ndarray) -> np.ndarray:
+    """Backward difference of a grid function: result(i) = g(i) - g(i-1), indices mod N."""
+    out = np.empty_like(g)
+    np.subtract(g[1:], g[:-1], out=out[1:])
+    out[0] = g[0] - g[-1]
+    return out
 
 
 def oracle_coefficients(config: RingConfig) -> CoefficientTable:
@@ -502,10 +534,9 @@ def _value_texts(table: CoefficientTable, zero: str, shortest: bool) -> list[str
     """
     live = _live_orders(table)
     texts = [zero] * (table.N * table.j_max)
-    if live:
-        formatted = float_texts(table.data[:, live], shortest)
-        for k, j in enumerate(live):
-            texts[j - 1 :: table.j_max] = formatted[k :: len(live)]
+    formatted = float_texts(table.data[:, live], shortest)
+    for k, j in enumerate(live):
+        texts[j - 1 :: table.j_max] = formatted[k :: len(live)]
     return texts
 
 

@@ -9,9 +9,9 @@ import numpy as np
 from mpmath import mp, mpf
 
 from coulomb_chain import (
-    CollisionError, RingConfig, TrajectoryState, eval_force, force_grid, initial_positions,
-    nabla_minus, nabla_plus, ode,
+    CollisionError, RingConfig, TrajectoryState, eval_force, initial_positions, ode,
 )
+from coulomb_chain.series import force_grid, nabla_minus, nabla_plus
 
 
 def explicit_c3(config: RingConfig) -> np.ndarray:

@@ -27,11 +27,11 @@ from coulomb_chain import (
     integrate,
     majorant,
     majorant_lemma_check,
-    oracle_coefficients,
     radius_trend,
 )
 from coulomb_chain.analysis import log_c3_bound
 from coulomb_chain.cli import main as cli_main
+from coulomb_chain.series import oracle_coefficients
 
 SINE = ForceSpec(L=1.0, a0=0.0, harmonics=(Harmonic(1, 0.0, 0.5),))
 N_GRID = (16, 32, 64, 128, 256)

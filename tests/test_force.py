@@ -13,10 +13,10 @@ from coulomb_chain import (
     c_f_bound,
     eval_force,
     eval_potential,
-    force_grid,
     force_jet,
     initial_positions,
 )
+from coulomb_chain.series import force_grid
 
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps

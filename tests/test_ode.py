@@ -280,3 +280,12 @@ def test_integrate_validation(sine_force):
         with pytest.raises(ConfigError) as excinfo:
             integrate(config, 0.01, 1e-10, 1e-12, t_eval=[0.005, bad])
         assert excinfo.value.field == "t_eval"
+
+
+def test_a_sample_past_the_horizon_is_rejected(sine_force):
+    # No state is returned past t_end, so a sample a hair beyond it would be
+    # dropped without a word.
+    config = RingConfig(N=4, L=1.0, force=sine_force, j_max=4, scale=1.0)
+    with pytest.raises(ConfigError) as excinfo:
+        integrate(config, 1e-3, t_eval=[5e-4, 1e-3 * (1 + 1e-13)])
+    assert excinfo.value.field == "t_eval"

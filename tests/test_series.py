@@ -22,15 +22,13 @@ from coulomb_chain import (
     coefficient_tables,
     compute_coefficients,
     evaluate_velocity,
-    force_grid,
     force_jet,
     initial_positions,
-    oracle_coefficients,
-    ordered_compositions,
     series,
     table_csv,
     table_json,
 )
+from coulomb_chain.series import force_grid, oracle_coefficients, ordered_compositions
 
 
 def ode_taylor_oracle(N, force, order):
@@ -444,6 +442,26 @@ def test_deep_profile_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def test_deep_grid_workspace_holds_one_displacement_row_per_order():
+    # On the deep-truncation grid (W = 240 packed columns, 48 rows, K = 3)
+    # the loop holds (4K+5) rows of W: cols, gap, recip, prod, one r * u_r
+    # row per order, and E and its terms per (harmonic, part); 2K copies of
+    # r * u_r would take 2K-1 more.  The bound adds one row for the jet, the
+    # (p, q) rows and the one-row arrays, and one ufunc buffer of
+    # np.getbufsize() doubles, which numpy allocates for a product with a
+    # reversed operand.  A first call fills numpy's FFT caches.
+    rings = [RingConfig(N=n, L=1.0, force=SEED1_THREE, j_max=96) for n in (16, 32, 64, 128)]
+    rows, width, K = 48, 240, len(SEED1_THREE.harmonics)
+    coefficient_profiles(rings)
+    tracemalloc.start()
+    try:
+        coefficient_profiles(rings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ((4 * K + 6) * rows * width + np.getbufsize()) * 8
 
 
 def test_grid_rings_share_force_and_depth(sine_force):
