@@ -1,9 +1,11 @@
 """Exact float64-to-text conversion of whole arrays, for the artifact writers.
 
-``float_texts(values)`` returns, for every value of a float64 array, the
-text of ``'%.17g' % v``; ``float_texts(values, shortest=True)`` returns that
-of ``repr(v)``, which the ``json`` encoder writes.  The fast path works on a
-chunk of values at a time, in float64 and int64 only (Loitsch, Printing
+``float_text_pair(values)`` returns, for every value of a float64 array,
+the text of ``'%.17g' % v`` and that of ``repr(v)``, which the ``json``
+encoder writes, from one pass; ``float_text_pair(values, fixed, shortest)``
+skips the work of a side whose flag is False, and ``float_texts(values,
+shortest=False)`` is the one-sided call.  The fast path works on a chunk of
+values at a time, in float64 and int64 only (Loitsch, Printing
 floating-point numbers quickly and accurately, PLDI 2010, in its
 certify-or-fall-back form):
 
@@ -11,22 +13,29 @@ certify-or-fall-back form):
     double-double (hi, lo) with Dekker's exact two-product over Veltkamp
     halves (Dekker, Numer. Math. 18 (1971) 224) and a (hi, lo) table of
     10**k, moving E by one where y falls outside [1e16, 1e17);
-  * it rounds y to the 17-digit integer, half to even;
-  * in shortest mode it takes the fewest digits whose nearest decimal lies
-    inside the half-ulp interval of v, in the same scaled units;
+  * it rounds y to the 17-digit integer, half to even, for ``%.17g``;
+  * for ``repr`` it takes, from the same y, the fewest digits whose nearest
+    decimal lies inside the half-ulp interval of v (Adams, Ryu: fast
+    float-to-string conversion, PLDI 2018, also derives both from one
+    scaled value); two steps, at 16 and 15 digits, decide it;
   * it lays the digits out through one template per (exponent, digit count,
     sign), by the formats' own rules: fixed notation for exponents
     -4 <= X < 17 (``%.17g``) or X < 16 (``repr``, which adds ``.0`` to a
-    whole number), else ``d.ddde+XX``.
+    whole number), else ``d.ddde+XX``.  A pair lays out the ``%.17g`` rows
+    of every value and the ``repr`` rows only where the digits, the
+    exponent or the template differ, into the same rows once their
+    ``%.17g`` texts are taken;
+  * a zero takes the digits 0 and the exponent 0, so it is laid out as
+    ``0`` or ``-0`` and ``0.0`` or ``-0.0`` by the same templates.
 
 The double-double carries y to a relative error of about 2**-104, an
 absolute 2**-47 below 2**57; where 10**k is a double (k = 0..22) it is
 exact, and an exact tie rounds half to even on the fast path.  A value
-whose text this cannot certify is formatted by Python itself, alone: +-0,
-inf and nan, |v| outside [1e-280, 1e280] (subnormals included), a value
-within ``_TOL`` of a rounding boundary that is not known exactly (in
-shortest mode every tie) and, in shortest mode, a value whose mantissa is
-a power of two, where the half-ulp interval is lopsided.
+whose text this cannot certify is formatted by Python itself, alone: inf
+and nan, a nonzero |v| outside [1e-280, 1e280] (subnormals included), a
+value within ``_TOL`` of a rounding boundary that is not known exactly (in
+shortest mode every tie) and, in shortest mode, a value whose mantissa is a
+power of two, where the half-ulp interval is lopsided.
 """
 
 from __future__ import annotations
@@ -49,17 +58,46 @@ _KEY_X = 512  # offset that makes the exponent part of a template key non-negati
 
 def float_texts(values: np.ndarray, shortest: bool = False) -> list[str]:
     """The text of ``'%.17g' % v``, or ``repr(v)`` when ``shortest``, of every value, raveled."""
+    fixed, texts = float_text_pair(values, not shortest, shortest)
+    return texts if shortest else fixed
+
+
+def float_text_pair(values: np.ndarray, fixed: bool = True,
+                    shortest: bool = True) -> tuple[list[str], list[str]]:
+    """The texts of ``'%.17g' % v`` and of ``repr(v)`` of every value, raveled, from one pass.
+
+    Either list is empty when its flag, ``fixed`` or ``shortest``, is False.
+    """
     v = np.asarray(values, dtype=np.float64).ravel()
-    out = []
+    out = ([], [])
     for start in range(0, v.size, _CHUNK):
         chunk = v[start : start + _CHUNK]
-        D, X, fast = _decimal(chunk, shortest)
-        texts = _layout(D, X, np.signbit(chunk), shortest)
-        slow = np.flatnonzero(~fast)
-        for i, text in zip(slow.tolist(), _exact_texts(chunk[slow].tolist(), shortest)):
-            texts[i] = text
-        out += texts
+        neg = np.signbit(chunk)
+        (D, X, fast), short = _decimal(chunk, shortest)
+        if fixed:
+            digits, nsig = _digits(D)
+            rows = _layout(digits, nsig, X, neg, False)
+            out[0].extend(_strings(rows, chunk, fast, False))
+        if shortest:
+            Ds, Xs, fast_s = short
+            if fixed:  # the repr rows are these, laid out again where they differ
+                # a whole number, to which repr adds ".0" or, at X = 16, an exponent
+                whole = (X >= 0) & (X <= 16) & (nsig <= X + 1)
+                redo = np.flatnonzero((Ds != D) | (Xs != X) | whole)
+            else:
+                rows, redo = np.empty((chunk.size, _WIDTH), np.uint8), slice(None)
+            rows[redo] = _layout(*_digits(Ds[redo]), Xs[redo], neg[redo], True)
+            out[1].extend(_strings(rows, chunk, fast_s, True))
     return out
+
+
+def _strings(rows: np.ndarray, values: np.ndarray, fast: np.ndarray, shortest: bool) -> list[str]:
+    """The texts of the layout rows, with Python's own where ``fast`` is False."""
+    texts = rows.astype(np.uint32).view(f"U{_WIDTH}").ravel().tolist()
+    slow = np.flatnonzero(~fast)
+    for i, text in zip(slow.tolist(), _exact_texts(values[slow].tolist(), shortest)):
+        texts[i] = text
+    return texts
 
 
 def _exact_texts(values: list[float], shortest: bool) -> list[str]:
@@ -67,16 +105,17 @@ def _exact_texts(values: list[float], shortest: bool) -> list[str]:
     return list(map(repr if shortest else "%.17g".__mod__, values))
 
 
-def _decimal(v: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(D, X, fast) for |v|: D in [1e16, 1e17) holds its 17 digits, X its decimal exponent.
+def _decimal(v: np.ndarray, shortest: bool) -> tuple[tuple, tuple | None]:
+    """(D, X, fast) of |v| rounded to 17 digits and, when ``shortest``, of its shortest digits.
 
-    ``fast`` marks the values whose D and X are certified; the trailing
-    zeros of D are the digits the text drops.
+    D in [1e16, 1e17) holds the digits and X the decimal exponent, D = X = 0
+    for a zero; ``fast`` marks the values whose D and X are certified.  The
+    trailing zeros of D are the digits the text drops.  Without
+    ``shortest`` the second is None.
     """
     a = np.abs(v)
+    zero = a == 0
     fast = (a >= _LO) & (a <= _HI)
-    if shortest:
-        fast &= (v.view(np.uint64) & _MANTISSA) != 0
     a[~fast] = 1.0
     E = np.floor(np.log10(a)).astype(np.int64)
     y, y_lo = _scaled(a, E)
@@ -92,16 +131,25 @@ def _decimal(v: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.
     frac = y_lo - r
     n = y.astype(np.int64) + r.astype(np.int64)
     tie = np.abs(frac) >= 0.5 - _TOL
-    if shortest:
-        half_ulp = np.ldexp(np.take(_powers_of_ten()[:, 0], 16 - E - _K_LO), np.frexp(a)[1] - 54)
-        D = _shortest(n, frac, half_ulp, fast, tie)
-    else:  # y is exact where 10**k is: a tie there is already rounded half to even
-        D = n
-        tie &= np.take(_powers_of_ten()[:, 1], 16 - E - _K_LO) != 0
-    fast &= ~tie
+    k = 16 - E - _K_LO
+    # y is exact where 10**k is: a tie there is already rounded half to even
+    inexact = np.take(_powers_of_ten()[:, 1], k) != 0
+    fixed = _rounded(n, E, fast & ~(tie & inexact), zero)
+    if not shortest:
+        return fixed, None
+    half_ulp = np.ldexp(np.take(_powers_of_ten()[:, 0], k), np.frexp(a)[1] - 54)
+    fast &= (v.view(np.uint64) & _MANTISSA) != 0  # a power of two has a lopsided interval
+    D = _shortest(n, frac, half_ulp, fast, tie)
+    return fixed, _rounded(D, E, fast & ~tie, zero)
+
+
+def _rounded(D: np.ndarray, E: np.ndarray, fast: np.ndarray,
+             zero: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, X, fast) with a carry to 10**17 moved into the exponent and the zeros laid as 0."""
     carry = D == 10**17
-    D[carry] = 10**16
-    return D, E + carry, fast
+    D = np.where(carry, 10**16, D)
+    D[zero] = 0
+    return D, E + carry, fast | zero
 
 
 def _shortest(n: np.ndarray, frac: np.ndarray, half_ulp: np.ndarray, fast: np.ndarray,
@@ -112,24 +160,25 @@ def _shortest(n: np.ndarray, frac: np.ndarray, half_ulp: np.ndarray, fast: np.nd
     p = 10**(17-digits) units stays inside the interval: for n = q p + rem
     it is q p at distance rem + frac or (q+1) p at p - rem - frac.  Clears
     ``fast`` where that is not certain, and ``tie`` where the 17-digit
-    rounding is not used.
+    rounding is not used.  Two steps, p = 10 and 100, decide it: half_ulp
+    is at most y 2**-53 < 11.2 units, so at most one multiple of 100 lies
+    inside.  If one does, the nearest multiple of any larger p lies inside
+    where it is that one, and over 100 - half_ulp > half_ulp + 77 away
+    where it is not; the layout drops the trailing zeros that the further
+    steps would.
     """
-    D = n.copy()
-    cur = np.flatnonzero(fast)
-    for p in 10 ** np.arange(1, 17, dtype=np.int64):
-        q, rem = np.divmod(np.take(n, cur), p)
-        f, h = np.take(frac, cur), np.take(half_ulp, cur)
-        d = (rem - p // 2).astype(np.float64) + f  # > 0: round up
+    D = n
+    inside = fast.copy()
+    for p in (10, 100):
+        q, rem = np.divmod(n, p)
+        d = (rem - p // 2) + frac  # > 0: round up
         up = d > 0
-        dist = np.where(up, (p - rem).astype(np.float64) - f, np.abs(rem + f))
-        unsure = (np.abs(dist - h) <= _TOL) | ((np.abs(d) <= _TOL) & (dist < h))
-        fast[cur[unsure]] = False
-        inside = (dist < h) & ~unsure
-        cur = cur[inside]
-        tie[cur] = False
-        if not cur.size:
-            break
-        D[cur] = (q[inside] + up[inside]) * p
+        dist = np.where(up, (p - rem) - frac, np.abs(rem + frac))
+        unsure = inside & ((np.abs(dist - half_ulp) <= _TOL) | ((np.abs(d) <= _TOL) & (dist < half_ulp)))
+        fast &= ~unsure
+        inside &= (dist < half_ulp) & ~unsure
+        tie &= ~inside
+        D = np.where(inside, (q + up) * p, D)
     return D
 
 
@@ -180,10 +229,11 @@ def _powers_of_ten() -> np.ndarray:
     return table
 
 
-def _layout(D: np.ndarray, X: np.ndarray, neg: np.ndarray, shortest: bool) -> list[str]:
-    """The texts of the values (-1)**neg D 10**(X-16), D holding 17 digits."""
-    # A row of the 17 digits, the alphabet and a NUL for each value, and the
-    # number of digits once trailing zeros are dropped.
+def _digits(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A row of the 17 digits of D, the alphabet and a NUL for each value, and its digit count.
+
+    The count is that of the digits left once trailing zeros are dropped.
+    """
     rows = np.empty((D.size, _COLUMNS), np.uint8)
     lead, rest = np.divmod(D, 10**16)
     rows[:, 0] = lead + ord("0")
@@ -197,20 +247,25 @@ def _layout(D: np.ndarray, X: np.ndarray, neg: np.ndarray, shortest: bool) -> li
     trailing = zeros[:, 3].copy()
     for k in (2, 1, 0):  # while every quad to the right is 0000
         trailing += (trailing == 4 * (3 - k)) * zeros[:, k]
-    nsig = 17 - trailing
+    return rows, 17 - trailing
 
+
+def _layout(digits: np.ndarray, nsig: np.ndarray, X: np.ndarray, neg: np.ndarray,
+            shortest: bool) -> np.ndarray:
+    """The NUL-padded ASCII texts, one row each, of (-1)**neg D 10**(X-16), from D's digit rows."""
     # One template per distinct (X, nsig, sign), gathered for each row.
     key = ((X + _KEY_X) * 18 + nsig) * 2 + neg
-    low = int(key.min())
-    present = np.flatnonzero(np.bincount(key - low))
-    lookup = np.zeros(present[-1] + 1, np.intp)
+    low = int(key.min(initial=_KEY_X * 36))  # the key of X = 0, and the low bound of no rows
+    count = np.bincount(key - low)
+    present = np.flatnonzero(count)
+    lookup = np.zeros(count.size, np.intp)
     lookup[present] = np.arange(present.size)
     templates = b"".join(_template(k // 36 - _KEY_X, k // 2 % 18, k % 2, shortest)
                          for k in (present + low).tolist())
     templates = np.frombuffer(templates, np.uint8).reshape(-1, _WIDTH).astype(np.intp)
     index = np.take(templates, np.take(lookup, key - low), axis=0)
-    index += np.arange(0, rows.size, _COLUMNS)[:, None]
-    return np.take(rows, index).astype(np.uint32).view(f"U{_WIDTH}").ravel().tolist()
+    index += np.arange(0, digits.size, _COLUMNS)[:, None]
+    return np.take(digits, index)
 
 
 @functools.cache

@@ -238,10 +238,8 @@ def cmd_coeffs(cfg: ExperimentConfig) -> None:
     """Write one coefficient table per grid N, in each configured format."""
     for table in series.coefficient_tables(cfg.rings):  # one table and its text at a time
         base = cfg.out_dir / f"coeffs_N{table.N}"
-        if "csv" in cfg.formats:
-            _atomic_write(base.with_suffix(".csv"), series.table_csv(table))
-        if "json" in cfg.formats:
-            _atomic_write(base.with_suffix(".json"), series.table_json(table, cfg.force))
+        for fmt, text in series.table_texts(table, cfg.force, cfg.formats).items():
+            _atomic_write(base.with_suffix(f".{fmt}"), text)
 
 
 def _trajectory_csv(states: list[ode.TrajectoryState]) -> str:

@@ -75,14 +75,16 @@ proxy columns and K harmonics, and it holds (4K+5) ceil(J/2) rows of W
 for the series, plus O(K) more.  Outside it, a proxy ring costs one
 length-N ``irfft`` per odd column.
 
-The writers ``table_csv`` and ``table_json`` return the artifact text.
-Each formats all live columns of a table in one call of the array kernel
-``_floattext.float_texts``, which gives the bytes of ``%.17g`` and of
-``float.__repr__``, prints a column of +0.0 only, the structurally zero
-even orders, as a literal zero, and joins the pieces once; at j_max = 9
-each writer still costs over twenty times the engine's own time.  A table
-takes its magnitude profile max_i |c_{ij}|, which every report reads, in
-one reduction; ``evaluate_velocity`` sums the velocity series.
+The writers ``table_csv`` and ``table_json`` return the artifact text,
+and ``table_texts`` returns that of both, or either, formatting each value
+once: one call of the array kernel ``_floattext.float_text_pair`` gives the
+bytes of ``%.17g`` and of ``float.__repr__`` of all live columns of a table
+from one pass, and the writers take those texts.  Each writer alone makes
+the one-sided call.  A column of +0.0 only, the structurally zero even
+orders, is printed as a literal zero, and the pieces are joined once; at
+j_max = 9 the writing still costs over twenty times the engine's own time.
+A table takes its magnitude profile max_i |c_{ij}|, which every report
+reads, in one reduction; ``evaluate_velocity`` sums the velocity series.
 
 A literal composition-sum evaluation of the same recursion
 (``oracle_coefficients``) is kept as an independent cross-check for small
@@ -111,7 +113,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._floattext import float_texts
+from ._floattext import float_text_pair
 from .errors import ConfigError
 from .force import ForceSpec, force_jet
 from .ring import RingConfig, initial_positions
@@ -125,6 +127,7 @@ __all__ = [
     "evaluate_velocity",
     "table_csv",
     "table_json",
+    "table_texts",
 ]
 
 #: Magnitude floor with two uses: radius fits treat tail coefficients below
@@ -526,27 +529,53 @@ def _live_orders(table: CoefficientTable) -> list[int]:
     return [j for j in range(1, table.j_max + 1) if table.data[:, j].view(np.uint64).any()]
 
 
-def _value_texts(table: CoefficientTable, zero: str, shortest: bool) -> list[str]:
-    """The text of every c_{ij}, j = 1..j_max, i-major; ``zero`` throughout a column of +0.0 only.
+def _value_texts(table: CoefficientTable, fixed: bool, shortest: bool) -> list[list[str]]:
+    """The ``%.17g`` and the ``repr`` texts of every c_{ij}, j = 1..j_max, i-major.
 
-    One ``float_texts`` call formats all live columns, raveled i-major, and
+    Either list is empty when its flag is False.  A column of +0.0 only is
+    the literal ``0`` or ``0.0`` throughout.  One ``float_text_pair`` call
+    formats all live columns, raveled i-major, once for both forms, and
     slice assignment spreads each live column over its order's places.
     """
     live = _live_orders(table)
-    texts = [zero] * (table.N * table.j_max)
-    formatted = float_texts(table.data[:, live], shortest)
-    for k, j in enumerate(live):
-        texts[j - 1 :: table.j_max] = formatted[k :: len(live)]
+    out = []
+    for formatted, zero, wanted in zip(float_text_pair(table.data[:, live], fixed, shortest),
+                                       ("0", "0.0"), (fixed, shortest)):
+        texts = [zero] * (table.N * table.j_max) if wanted else []
+        for k, j in enumerate(live):
+            texts[j - 1 :: table.j_max] = formatted[k :: len(live)]
+        out.append(texts)
+    return out
+
+
+def table_texts(table: CoefficientTable, force: ForceSpec,
+                formats: Iterable[str] = ("csv", "json")) -> dict[str, str]:
+    """The artifact texts of ``formats``, any of "csv" and "json", keyed by format.
+
+    Formats each value once for both and hands the texts to ``table_csv``
+    and ``table_json``, so the bytes are theirs.  Raises ValueError on an
+    unknown format.
+    """
+    formats = set(formats)
+    if formats - {"csv", "json"}:
+        raise ValueError(f"unknown table formats {sorted(formats - {'csv', 'json'})}")
+    fixed, shortest = _value_texts(table, "csv" in formats, "json" in formats)
+    texts = {}
+    if "csv" in formats:
+        texts["csv"] = table_csv(table, values=fixed)
+    if "json" in formats:
+        texts["json"] = table_json(table, force, values=shortest)
     return texts
 
 
-def table_csv(table: CoefficientTable) -> str:
+def table_csv(table: CoefficientTable, *, values: list[str] | None = None) -> str:
     """CSV rendering, one row per (i, j), i-major, 17 significant digits.
 
     A row is four pieces, the index, ``,j,``, the value's ``%.17g`` text and
     the constant tail, laid into one list by slice assignment and joined
-    once.  The values come from one ``float_texts`` call; a column of +0.0
-    only is the literal ``0``.
+    once.  The value texts are ``values`` when given, as ``table_texts``
+    formats them, else those of one ``float_text_pair`` call; a column of
+    +0.0 only is the literal ``0``.
     """
     J, N = table.j_max, table.N
     index = list(map(str, range(N)))
@@ -554,22 +583,24 @@ def table_csv(table: CoefficientTable) -> str:
     for j in range(J):
         pieces[4 * j :: 4 * J] = index
     pieces[1::4] = [f",{j}," for j in range(1, J + 1)] * N
-    pieces[2::4] = _value_texts(table, "0", shortest=False)
+    pieces[2::4] = _value_texts(table, True, False)[0] if values is None else values
     pieces[3::4] = [f",{table.scale:.17g},{N},{table.L:.17g},{J}\n"] * (N * J)
     pieces[0] = "i,j,c_scaled,scale,N,L,J_max\n" + pieces[0]  # so the text is not copied again
     return "".join(pieces)
 
 
-def table_json(table: CoefficientTable, force: ForceSpec) -> str:
+def table_json(table: CoefficientTable, force: ForceSpec, *,
+               values: list[str] | None = None) -> str:
     """JSON artifact text: config header (with the force), rescale, and row-major coefficients.
 
     The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True,
     allow_nan=False) + "\n"`` for the payload with keys ``config``, ``scale``
     and ``coefficients``.  Only the small header goes through ``json``; the
     coefficients are the ``float.__repr__`` texts, the encoder's float
-    form, of one shortest-mode ``float_texts`` call, with the literal
-    ``0.0`` for a column of +0.0 only, joined once.  Raises ValueError on a
-    non-finite value, as ``allow_nan=False`` does.
+    form, joined once: ``values`` when given, as ``table_texts`` formats
+    them, else those of one ``float_text_pair`` call, with the literal
+    ``0.0`` for a column of +0.0 only.  Raises ValueError on a non-finite
+    value, as ``allow_nan=False`` does.
     """
     if not np.isfinite(table.data[:, 1:]).all():
         raise ValueError(f"coefficient table N={table.N}: non-finite values are not valid JSON")
@@ -578,6 +609,8 @@ def table_json(table: CoefficientTable, force: ForceSpec) -> str:
          "scale": table.scale},
         indent=2, sort_keys=True, allow_nan=False,
     )
-    items = ",\n    ".join(_value_texts(table, "0.0", shortest=True))
+    if values is None:
+        values = _value_texts(table, False, True)[1]
+    items = ",\n    ".join(values)
     # "coefficients" sorts before "config" and "scale", so it opens the object.
     return f'{{\n  "coefficients": [\n    {items}\n  ],\n{header[2:]}\n'

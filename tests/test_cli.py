@@ -1,3 +1,4 @@
+import collections
 import copy
 import hashlib
 import json
@@ -17,6 +18,7 @@ import pytest
 import coulomb_chain
 from conftest import SEED7_THREE, SEED7_TWO
 from coulomb_chain import CollisionError, ConfigError, ForceSpec, Harmonic, StiffnessError, cli
+from coulomb_chain import _floattext
 from coulomb_chain.cli import main
 
 SINE_CONFIG = {
@@ -704,6 +706,42 @@ def test_format_override(tmp_path, command, formats):
     else:
         expected = {f"{command}.json"} | (CSV_SIDE_FILES[command] if "csv" in formats else set())
     assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+
+
+def test_each_table_format_alone_writes_the_same_bytes_and_only_its_work(tmp_path, monkeypatch):
+    # Both formats come from one formatting pass; the CSV alone, like the
+    # trajectories, runs no shortest-digit search, and the JSON alone lays
+    # each chunk out once.
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_shortest", "_layout"):
+        monkeypatch.setattr(_floattext, name, counted(name, getattr(_floattext, name)))
+    obj = copy.deepcopy(SINE_CONFIG)
+    obj["ring"]["N"] = [8, 16]  # one chunk per table
+    files, work = {}, {}
+    for formats in (["csv", "json"], ["csv"], ["json"]):
+        obj["output"]["formats"] = formats
+        key = "-".join(formats)
+        (tmp_path / key).mkdir()
+        calls.clear()
+        code, out = run("coeffs", tmp_path / key, obj)
+        assert code == 0
+        files[key] = {p.name: p.read_bytes() for p in out.iterdir()}
+        work[key] = dict(calls)
+    for fmt in ("csv", "json"):
+        assert files[fmt] == {k: v for k, v in files["csv-json"].items() if k.endswith(fmt)}
+    assert work == {"csv-json": {"_shortest": 2, "_layout": 4}, "csv": {"_layout": 2},
+                    "json": {"_shortest": 2, "_layout": 2}}
+    calls.clear()
+    obj["output"]["formats"] = ["csv", "json"]
+    assert run("simulate", tmp_path / "csv", obj)[0] == 0
+    assert calls["_layout"] > 0 and calls["_shortest"] == 0
 
 
 def test_radius_sweep_and_compare_report_one_radius(tmp_path):

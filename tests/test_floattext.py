@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coulomb_chain import RingConfig, compute_coefficients, table_csv, table_json
+from coulomb_chain import RingConfig, compute_coefficients, table_texts
 from coulomb_chain import _floattext
-from coulomb_chain._floattext import float_texts
+from coulomb_chain._floattext import float_text_pair, float_texts
 
 from conftest import SEED1_THREE, SEED7_TWO
 
@@ -20,8 +20,12 @@ def expected(values, shortest):
 
 
 def assert_exact(values):
+    """Each one-sided call and each side of the paired call give Python's texts."""
+    values = np.asarray(values, float)
+    pair = float_text_pair(values)
     for shortest in (False, True):
-        assert float_texts(np.asarray(values, float), shortest) == expected(values, shortest)
+        assert float_texts(values, shortest) == expected(values, shortest)
+        assert pair[shortest] == expected(values, shortest)
 
 
 def doubles(bits):
@@ -82,7 +86,27 @@ def test_shape_and_layout_are_raveled_in_order():
     data = np.arange(12.0).reshape(3, 4) / 7.0
     for layout in (data, np.asfortranarray(data), data.T.copy().T):
         assert float_texts(layout) == expected(data.ravel(), False)
+        assert float_text_pair(layout) == (expected(data.ravel(), False),
+                                           expected(data.ravel(), True))
     assert float_texts(np.empty(0)) == []
+    assert float_text_pair(np.empty(0)) == ([], [])
+
+
+def test_pair_lays_out_again_only_where_the_texts_differ():
+    rng = np.random.default_rng(3)
+    values = (rng.uniform(1e-4, 1e-3, 8000) * rng.choice([-1, 1], 8000)).tolist()
+    # In their digits, and in the template: whole numbers gain ".0" and,
+    # from 1e16 on, an exponent.
+    k = np.arange(3000.0)
+    differ = np.concatenate([[v for v in values if "%.17g" % v != repr(v)], k - 1500, 1e16 + 2 * k])
+    same = np.array([v for v in values if "%.17g" % v == repr(v)])
+    assert same.size > 1000
+    for chunk in (differ, same, [0.0, -0.0]):
+        assert_exact(chunk)
+    fixed, shortest = float_text_pair(differ)
+    assert all(a != b for a, b in zip(fixed, shortest))
+    fixed, shortest = float_text_pair(same)
+    assert fixed == shortest
 
 
 @settings(deadline=None)
@@ -108,16 +132,18 @@ def test_fast_path_formats_nearly_every_table_value(monkeypatch, force, n, j_max
 
     monkeypatch.setattr(_floattext, "_exact_texts", counted)
     table = compute_coefficients(RingConfig(N=n, L=1.0, force=force, j_max=j_max))
-    table_csv(table)
-    table_json(table, force)
+    table_texts(table, force)
     values = 2 * n * ((j_max + 1) // 2)  # both formats of every odd order
     assert len(fallbacks) <= 0.01 * values
-    # The counter sees the fallback: a -0.0 makes a zero column live, and its
-    # zeros go to Python.
+    # A -0.0 makes a zero column live, and its zeros cost no fallback.
     before = len(fallbacks)
     table.data[0, 2] = -0.0
-    table_csv(table)
-    assert len(fallbacks) - before == n
+    table_texts(table, force)
+    assert len(fallbacks) == before
+    # The counter sees the fallback: a subnormal goes to Python, alone, in each format.
+    table.data[0, 2] = 5e-324
+    table_texts(table, force)
+    assert fallbacks[before:] == [5e-324, 5e-324]
 
 
 def test_power_table_is_built_on_first_use():

@@ -27,6 +27,7 @@ from coulomb_chain import (
     series,
     table_csv,
     table_json,
+    table_texts,
 )
 from coulomb_chain.series import force_grid, oracle_coefficients, ordered_compositions
 
@@ -532,6 +533,16 @@ def reference_json(table, force):
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def assert_writers_match_references(table):
+    """Each writer, and ``table_texts`` with both formats and each alone, give the references."""
+    texts = {"csv": reference_csv(table), "json": reference_json(table, SEED7_TWO)}
+    assert table_csv(table) == texts["csv"]
+    assert table_json(table, SEED7_TWO) == texts["json"]
+    assert table_texts(table, SEED7_TWO) == texts
+    for fmt in texts:
+        assert table_texts(table, SEED7_TWO, [fmt]) == {fmt: texts[fmt]}
+
+
 # sha256 of ``table_csv`` and ``table_json`` for the seed-7 two-harmonic
 # force, scale "auto".  The determinism tests compare two runs of the same
 # code; these pins catch a change of any bit.  They hold for one numpy build
@@ -577,8 +588,7 @@ def test_writers_match_reference_renderers_on_edge_values(j_max):
     data = np.zeros((n, j_max + 1))
     data[:, 1:] = np.resize(EDGE_VALUES, (n, j_max))
     table = CoefficientTable(L=1.5e20, scale=2.5e-7, data=data)
-    assert table_csv(table) == reference_csv(table)
-    assert table_json(table, SEED7_TWO) == reference_json(table, SEED7_TWO)
+    assert_writers_match_references(table)
 
 
 def test_writers_match_reference_renderers_on_random_bits(rng):
@@ -589,8 +599,7 @@ def test_writers_match_reference_renderers_on_random_bits(rng):
     # row-major, and the transposed order-major layout the engine hands over
     for layout in (data, np.ascontiguousarray(data.T).T):
         table = CoefficientTable(L=3.0e-9, scale=1e-100, data=layout)
-        assert table_csv(table) == reference_csv(table)
-        assert table_json(table, SEED7_TWO) == reference_json(table, SEED7_TWO)
+        assert_writers_match_references(table)
 
 
 @pytest.mark.parametrize("even_entry, written", [
@@ -609,8 +618,18 @@ def test_writers_match_reference_renderers_on_zero_columns(even_entry, written):
     table = CoefficientTable(L=1.0, scale=0.25, data=data)
     if written == "after":
         table.data[2, 4] = even_entry
-    assert table_csv(table) == reference_csv(table)
-    assert table_json(table, SEED7_TWO) == reference_json(table, SEED7_TWO)
+    assert_writers_match_references(table)
+
+
+def test_table_texts_of_a_constant_force_table():
+    # Only order 1 is live, and its equal values have equal texts in both
+    # formats, so the repr side lays out no row again.
+    force = ForceSpec(L=1.0, a0=2.0, harmonics=())
+    table = compute_coefficients(RingConfig(N=8, L=1.0, force=force, j_max=12))
+    assert not table.data[:, 2:].any()
+    assert_writers_match_references(table)
+    with pytest.raises(ValueError, match="xml"):
+        table_texts(table, SEED7_TWO, ["csv", "xml"])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -24,10 +24,11 @@ force 0.5 sin(2 pi x) at J_max = 5 (B_J = 3) runs ``verify`` on N = 16
 and 32, so that its cross-check ring N = 8 runs on the P = 8 proxy grid.
 The validate grid with ``output.formats`` set to ``["json"]`` runs all six
 commands, so the digest also pins which files a JSON-only run writes.
-Three more make the float-to-text kernel hand values of each kind it
-does not certify to Python's own formatting (zeros, magnitudes outside
-[1e-280, 1e280], a power-of-two mantissa in the JSON, values next to a
-rounding boundary; no command writes a non-finite value): the amplitude
+Three more reach the float-to-text kernel's exact zeros and hand it
+values of each kind it does not certify to Python's own formatting
+(magnitudes outside [1e-280, 1e280], a power-of-two mantissa in the JSON,
+values next to a rounding boundary; no command writes a non-finite
+value): the amplitude
 1e120 at scale 1e-100, whose deep orders are subnormal or below 1e-280,
 running ``coeffs`` and ``radius``; the force -0.5 sin(2 pi x) on N = 4
 and 8, which vanishes at particle 0, so live columns and trajectories
