@@ -62,9 +62,17 @@ exp(i theta) - 1 = -2 sin(theta/2)**2 + i sin(theta) and the backward one
 The proxy rings run as one block of P columns each, after the packed
 rings, in the same per-order loop; each order takes one ``rfft`` of w and
 the composed force, one ``irfft`` of the projected column and one of the
-next gap.  A proxy ring's lattice values are the zero-padded
-``irfft(rfft(c_j) N/P, n=N)`` of each odd column, taken only when P != N,
-one column at a time: ``coefficient_tables`` keeps them and
+next gap.  When P != N, a proxy ring's lattice values are summed from the
+spectrum of each odd column, one column at a time, over its n modes up to
+min(B_j, N/2) (order 1 keeps every mode up to min(P, N)/2), by
+``_lattice``: it splits point i = l M + q into Q = 2**floor(log2 sqrt N)
+blocks of M = ceil(N/Q) points (Bailey's four-step split), so a column is
+one complex product of a (Q, n) phase table with the spectrum and one
+real matrix product (Q, 2n) @ (2n, M) against a table of cos and -sin,
+built once per ring.  Its values are those of the zero-padded
+``irfft(rfft(c_j) N/P, n=N)`` up to a few ulps of the column maximum, for
+any N, and do not change with the number of BLAS threads, which split the
+product's output, not its sums.  ``coefficient_tables`` keeps them and
 ``coefficient_profiles`` reduces each to its maximum and minimum, which are
 exact and carry NaN and inf, so the profiles and the overflow error are
 those of the tables bit for bit.
@@ -72,8 +80,9 @@ those of the tables bit for bit.
 The loop's cost does not depend on N: the reciprocal and square take
 O(W J**2) and the composition O(W K J**2) multiply-adds for W packed and
 proxy columns and K harmonics, and it holds (4K+5) ceil(J/2) rows of W
-for the series, plus O(K) more.  Outside it, a proxy ring costs one
-length-N ``irfft`` per odd column.
+for the series, plus O(K) more.  Outside it, a proxy ring costs 2 n N
+multiply-adds per odd column in one matrix product, n <= B_J + 1 (P/2 + 1
+at order 1), and O(P sqrt N) trig values once.
 
 The writers ``table_csv`` and ``table_json`` return the artifact text,
 and ``table_texts`` returns that of both, or either, formatting each value
@@ -272,14 +281,48 @@ def _project(column: np.ndarray, band: int) -> None:
     np.fft.irfft(spectrum, n=column.size, out=column)
 
 
+def _lattice(spectra: Iterable[np.ndarray], bands: Iterable[int], N: int, P: int
+             ) -> Iterator[np.ndarray]:
+    """The N lattice values of each P-point ``rfft`` spectrum, up to its band, one at a time.
+
+    The values are those of ``irfft(spectrum[:band+1] N/P, n=N)``: modes
+    above N//2 drop out and a Nyquist mode gives its real part.  Point
+    i = l M + q of Q blocks of M points (Bailey's four-step split) is the
+    sum over the modes m of Re(b_lm exp(2 pi i m q/N)), with
+    b_lm = w_m/P X_m exp(2 pi i m l M/N) and w_m = 2 but for m = 0 and
+    2m = N, so a column is one complex product and one real product
+    (Q, 2n) @ (2n, M) of (Re, Im) b against (cos, -sin) rows.  Each phase
+    2 pi k/N takes k reduced to [-N/2, N/2) in integers.
+    """
+    Q = 1 << (N.bit_length() - 1) // 2  # 2**floor(log2 sqrt N)
+    M = -(-N // Q)
+    bands = [min(band, N // 2) + 1 for band in bands]
+    m = np.arange(max(bands))
+    # The phases m q of the table's M columns, then m l M of the Q blocks.
+    angle = m[:, None] * np.concatenate((np.arange(M), np.arange(0, Q * M, M)))
+    angle = ((angle + N // 2) % N - N // 2) * (2 * np.pi / N)
+    cos, sin = np.cos(angle), np.sin(angle)
+    table = np.empty((2 * m.size, M))
+    table[0::2], table[1::2] = cos[:, :M], -sin[:, :M]
+    phase = np.empty((Q, m.size), complex)
+    phase.real, phase.imag = cos[:, M:].T * (2 / P), sin[:, M:].T * (2 / P)
+    phase[:, 0] /= 2
+    del angle, cos, sin  # the generator holds on to the two tables only
+    if 2 * m[-1] == N:  # the Nyquist mode: the real part of X exp(i pi l M), times cos(pi q)
+        table[-1] = 0.0
+        phase[:, -1] = phase[:, -1].real / 2
+    for spectrum, n in zip(spectra, bands):
+        yield ((phase[:, :n] * spectrum[:n]).view(np.float64) @ table[: 2 * n]).ravel()[:N]
+
+
 def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable[np.ndarray]]]:
     """Run the recursion for a grid in one loop; yield each ring with its odd columns.
 
     Yields ``(ring, columns)`` in grid order, where ``columns`` holds the
     lattice values of c_1, c_3, .. (rescaled): the (rows, N) view of the
-    loop's rows when it ran on the lattice, else one length-N transform at a
-    time, to be drawn before the next ring under the consumer's error state
-    (overflow runs on as inf and nan).
+    loop's rows when it ran on the lattice, else one column at a time,
+    summed from its spectrum by ``_lattice``, to be drawn before the next
+    ring under the consumer's error state (overflow runs on as inf and nan).
     """
     if not rings:
         return
@@ -400,9 +443,9 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
             yield ring, cols[:, lo : lo + ring.N]
         elif ring.N == P:  # the proxy grid is the lattice
             yield ring, block(cols)[:, next(proxy_block)]
-        else:  # zero-padded to the lattice
-            i = next(proxy_block)
-            yield ring, (np.fft.irfft(spectra[k, i] * (ring.N / P), n=ring.N) for k in range(rows))
+        else:  # summed on the lattice up to each band; order 1 keeps every mode
+            bands = [P // 2] + [_band(force, j) for j in range(3, J + 1, 2)]
+            yield ring, _lattice(spectra[:, next(proxy_block)], bands, ring.N, P)
 
 
 def ordered_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

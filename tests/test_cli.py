@@ -69,10 +69,10 @@ PINNED_ARTIFACTS = {
         "coeffs_N8.json": "8969c9391cdb21c2ba8ee062ccfd1e3f3777a834bb3115216f9662797eb6d051",
         "coeffs_N16.csv": "bc322ac284012232d72f0975d67d9cc96f18a2e9f95c7e086ae80d9c037b9e36",
         "coeffs_N16.json": "891e853f714b0c86353604379309696898a02603011a04684ac19f628eccbfd0",
-        "coeffs_N32.csv": "875dc35583e826055125f70d6daa37f03fa7639561d0f165f46fb28e7ed096cb",
-        "coeffs_N32.json": "21abb475febb38fa62e531655071b497a00073f9281758a93d449dc17cb087f0",
-        "coeffs_N64.csv": "c351323f253ac009f3a7c624211d7c3c3ffc8b9f8490cfc18b51d0f4a9e3ff1f",
-        "coeffs_N64.json": "37b9fcccef298c43efea84e26e30d7a099a69b22c60b511f14b0f9db777eaa90",
+        "coeffs_N32.csv": "2dbb9fe8bbce84a9436552321b37b2cf161b17a492047c81ebdaa7ce51df497a",
+        "coeffs_N32.json": "67d9e9af9e262a7c3c44c7c704ca0844b9cb58c1ed4eefd9e10ea8aace4641ff",
+        "coeffs_N64.csv": "edbc6fdb9cf1f8a6b35f8085dc3c85085aa0331d0f05b0d61b713c4737de32cc",
+        "coeffs_N64.json": "ae5dde1d88b6ccd81f66710c9944460b21c25649e2322c91a375e7964c78359d",
     },
     "simulate": {
         "simulate.json": "1a9f003f3e4ae19090b4fe156b4e5b06183cfc530d57a37d380e93872756d77a",
@@ -82,7 +82,7 @@ PINNED_ARTIFACTS = {
         "trajectory_N64.csv": "b35cd23bc4ae7ac601ac34144f65ae9e2a758ba580ad4300d93d79309ae3890e",
     },
     "compare": {
-        "compare.json": "640229628a260f3d4f4b827a4fd791fb820a6cda2ad0ebe781f67129ee887949",
+        "compare.json": "06b9d66ff32d30955c6d8b03916c9aab7273ac04507841e1e8726baff95daba8",
     },
     "radius": {
         "radius.csv": "4023a5687807d90add062e6e92c62a902232b477fd5b202d4d09e03f2b5d43bf",
@@ -92,9 +92,9 @@ PINNED_ARTIFACTS = {
         "verify.json": "2e340feb44e1ed2ce70a28323abf002b06944132b7b885dd395396e66eaaa8e3",
     },
     "sweep": {
-        "exponents.csv": "4edb1a4ef3455c8c61679dd64a5bafccebec9a24e7a2e6aa74e6eeaf13b7c786",
+        "exponents.csv": "137072f659ebf4af854bce59a0848b016773ad3057d9b65ea4f9b967712652bd",
         "radius.csv": "4023a5687807d90add062e6e92c62a902232b477fd5b202d4d09e03f2b5d43bf",
-        "sweep.json": "30ed283397bd641e7fb4965b74e92bfab6b0d71a77235fad506c169eb4142edc",
+        "sweep.json": "ae0a21a8425521d159499ed4567d1eb59c232e6e015d521b63be4184df37c176",
     },
 }
 PINNED_VERIFY_STDOUT = (
@@ -131,7 +131,7 @@ TWO_HARMONIC_ARTIFACTS = {
         "trajectory_N64.csv": "b839ad8da6541644ed9398f07748d54b6bb1bcfd1441be0a7546f36927423a7e",
     },
     "compare": {
-        "compare.json": "49ef3a4a475639b89199355342cae9d3f8eb7a863cb63dcdde9866639409cd40",
+        "compare.json": "e6acfc7e048bc8e54d9782b544957550148f31ff72eeb465383e5025d751b1c5",
     },
 }
 
@@ -401,8 +401,8 @@ def test_sweep_peak_memory_on_the_wide_grid(tmp_path):
 
 
 def test_sweep_on_a_million_particles_takes_under_a_second(tmp_path):
-    # The loop runs on a 32-point proxy grid; each ring adds one length-N
-    # transform per odd order.
+    # The loop runs on a 32-point proxy grid; each ring adds one matrix
+    # product of about 2 (B_j + 1) N multiply-adds per odd order.
     obj = {**SINE_CONFIG, "force": SEED7_TWO.to_json(),
            "ring": {"N": [2**p for p in range(8, 21)], "L": 1.0, "J_max": 9, "scale": "auto"}}
     cfg = replace(cli.parse_config(obj), out_dir=tmp_path / "out")

@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
+from mpmath import mp, mpc, mpf
 
 from conftest import SEED1_THREE, SEED7_THREE, SEED7_TWO, assert_columns_close
 from oracles import clean_order_max, explicit_c3
@@ -407,6 +412,68 @@ def test_overflow_in_the_middle_of_a_packed_slab(sine_force):
                 np.array(list(columns)).view(np.uint64), alone[1::2].view(np.uint64))
 
 
+@pytest.mark.parametrize("n", [21, 22, 256, 2**14, 2**18, 20011])
+def test_lattice_values_match_a_40_digit_sum_of_their_spectrum(monkeypatch, rng, n):
+    # A proxy ring's lattice values sum each odd column's P-point spectrum
+    # (P = 32 here) over its modes up to N/2, counting the Nyquist mode of
+    # N = 22 once, by its real part.  Each value lies within 8 ulps of the
+    # column max of the 40-digit sum: at every point of a small ring, at 150
+    # sampled points and each column's argmax and argmin of a large one.
+    seen = []
+    lattice = series._lattice
+
+    def spy(spectra, bands, N, P):
+        spectra = [spectrum.copy() for spectrum in spectra]
+        seen.append((spectra, N, P))
+        return lattice(spectra, bands, N, P)
+
+    monkeypatch.setattr(series, "_lattice", spy)
+    table = compute_coefficients(RingConfig(N=n, L=1.0, force=SEED7_TWO, j_max=9))
+    ((spectra, N, P),) = seen
+    assert (N, P, len(spectra)) == (n, 32, 5)
+    with mp.workdps(40):
+        for k, spectrum in enumerate(spectra):
+            column = table.data[:, 2 * k + 1]
+            modes = [mpc(complex(x)) * (1 if m in (0, N / 2) else 2) / P
+                     for m, x in enumerate(spectrum[: min(P, N) // 2 + 1])]
+            points = (range(N) if N <= 256 else np.unique(np.r_[
+                rng.choice(N, 150, replace=False), column.argmax(), column.argmin()]))
+            ulp = np.spacing(np.abs(column).max())
+            for i in points:
+                exact = sum(mp.re(x * mp.expjpi(mpf(2 * m * int(i)) / N))
+                            for m, x in enumerate(modes))
+                assert abs(column[i] - exact) <= 8 * ulp, (k, i)
+
+
+def test_tables_do_not_depend_on_the_blas_thread_count():
+    # The lattice evaluation multiplies matrices through BLAS; one and two
+    # threads must give the same bytes.
+    script = ("import hashlib; "
+              "from coulomb_chain import ForceSpec, RingConfig, coefficient_tables; "
+              "force = ForceSpec.from_json(%r); digest = hashlib.sha256(); "
+              "[digest.update(t.data.tobytes()) for t in coefficient_tables("
+              "RingConfig(N=n, L=1.0, force=force, j_max=9) for n in (22, 256, 20011))]; "
+              "print(digest.hexdigest())" % SEED7_TWO.to_json())
+    env = dict(os.environ)
+    src = str(Path(series.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True,
+                              timeout=300).stdout for threads in ("1", "2")}
+    assert len(digests) == 1, digests
+
+
+def test_overflow_on_a_proxy_ring_off_the_powers_of_two(sine_force):
+    # N = 1000 runs on a 32-point proxy grid; its lattice columns overflow
+    # first at order 15, and profiles stop where tables do.
+    ring = RingConfig(N=1000, L=1.0, force=sine_force, j_max=24, scale=1e20)
+    message = r"^coefficient overflow at order 15: rescale 1e\+20 too large for N=1000, j_max=24$"
+    with pytest.raises(OverflowError, match=message):
+        compute_coefficients(ring)
+    with pytest.raises(OverflowError, match=message):
+        one_profile(ring)
+
+
 def test_deep_grid_takes_one_force_jet(monkeypatch):
     # The deep-truncation grid N = 16..128 is packed on its own points: one
     # jet, not four, whose trig pass also hands out each harmonic's (p, q)
@@ -476,7 +543,7 @@ def test_grid_rings_share_force_and_depth(sine_force):
 
 @pytest.mark.parametrize("j_max", [9, 24])
 def test_engine_peak_memory_is_a_small_multiple_of_the_table(j_max):
-    # The series rows of the proxy grid and one column's transform are live
+    # The series rows of the proxy grid and one column's lattice values are live
     # besides the table.
     config = RingConfig(N=2**17, L=1.0, force=SEED7_TWO, j_max=j_max)
     tracemalloc.start()
@@ -489,7 +556,7 @@ def test_engine_peak_memory_is_a_small_multiple_of_the_table(j_max):
 
 
 def test_profile_peak_memory_is_one_column_not_the_table():
-    # One column's transform is live at a time and no table is kept: the
+    # One column's lattice values are live at a time and no table is kept: the
     # table of N = 2**18 at j_max = 9 would take 20 MiB.
     n = 2**18
     config = RingConfig(N=n, L=1.0, force=SEED7_TWO, j_max=9)
@@ -552,18 +619,18 @@ def assert_writers_match_references(table):
 PINNED_CSV = {
     (8, 9): "246684a061fd362e4d6ff6ec5e75d27a3b782e9d12cdaa3e829d206c56a73074",
     (8, 24): "7f75f6c851682440ebe7eda30b0d54f0d280ee4d2f63baf5f9bf4b9e4da683d9",
-    (64, 9): "b912b3a4631e796fc383a9a7edbcf592651a94c2dfb574811935b464f7c236c5",
+    (64, 9): "504416380e258e83a444f588e0462d3fd32ef43dbdccc94e3bb2625a5f1926ea",
     (64, 24): "a45966bc791ab5dd85c994053a47be21fce9f9ba5e60202d8cd299e51eed5aff",
-    (256, 9): "59c8970856f3a024791e6ac5a463972f7ac695ab14ea3cc5dfba73997c39ffd3",
-    (256, 24): "fdc5a2cfbfc060cedd34d3f719e6b6df79fae50a52113f03f571da7b02a19905",
+    (256, 9): "441fec952e1bbdb7442a6f9ddeb3f00d3d04481ba8994b54db45308297c7b849",
+    (256, 24): "876a9e6fe7bfde9c75e07ea7775ab243d3a455d2797642c2a447cb83ea09d645",
 }
 PINNED_JSON = {
     (8, 9): "b1ace59ea42b6b80be262cced4ea8462908665e8642506488e265f1735c46b1e",
     (8, 24): "0864670010aada075fddbe9efb234ca7b57fbc31c17fcddd888367796db2592c",
-    (64, 9): "9636a438ddb5b7962f2da9964665c8108a55a17e15d1399098f096601ba1fdd3",
+    (64, 9): "8f2dde84a9ca2964447375ef8d3fb23215d7991897f9e536b59fa483fdfb6052",
     (64, 24): "4dc4042e0f9a56cdb54b0980a6ec43d214850268d86bca9ff478bcca0e8248ab",
-    (256, 9): "5ddc3479408770f44dc24cd7a1cc6e9dfa4682176f35cee4f0d2db440d404409",
-    (256, 24): "8c2d1b173506826ccb9d5a70617bbc043d81427fec935db106d1ad8044b2b52b",
+    (256, 9): "946bb288fe21f224a44fff217e400043a94fe64fc7c412cda8c9b590238412b4",
+    (256, 24): "b814d6886dd9b6d410a566c599477b93413f0aef56e0bd92b746c19ad205c57d",
 }
 
 

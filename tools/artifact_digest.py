@@ -14,8 +14,10 @@ configs reach the two kinds of ring of the coefficient engine, which runs
 a ring of N <= 2 B_J particles on its own points and a larger one on a
 proxy grid (B_J = ceil(J_max/2) times the top harmonic index).  With the
 wide-N grid's force and J_max (B_J = 10) they are: N = 20 and 21, on
-either side of 2 B_J, running ``coeffs`` and ``radius``; N = 20011, a
-proxy ring whose size is not a power of two, running ``coeffs`` and
+either side of 2 B_J, running ``coeffs`` and ``radius``; N = 22, an even
+proxy ring below its P = 32 points, whose lattice values reach the
+Nyquist mode N/2, running ``coeffs`` and ``radius``; N = 20011, a proxy
+ring whose size is not a power of two, running ``coeffs`` and
 ``radius``; and the grid N = 3, 20, 21, 100, 20011, which mixes both
 kinds in one loop, running ``coeffs``, ``radius``, ``sweep`` and
 ``verify``.  With the deep-J grid's force and J_max (B_J = 144), N = 288
@@ -69,6 +71,7 @@ SINE = {"harmonics": [{"k": 1, "a": 0.0, "b": 0.5}]}
 # (workload, stem, {section: keys set on the workload's grid config}, commands)
 EXTRA = (
     ("wide-N", "edge", {"ring": {"N": [20, 21]}}, ("coeffs", "radius")),
+    ("wide-N", "nyquist", {"ring": {"N": [22]}}, ("coeffs", "radius")),
     ("wide-N", "uneven", {"ring": {"N": [20011]}}, ("coeffs", "radius")),
     ("wide-N", "mixed", {"ring": {"N": [3, 20, 21, 100, 20011]}},
      ("coeffs", "radius", "sweep", "verify")),
