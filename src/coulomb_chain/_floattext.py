@@ -3,9 +3,9 @@
 ``float_text_pair(values)`` returns, for every value of a float64 array,
 the text of ``'%.17g' % v`` and that of ``repr(v)``, which the ``json``
 encoder writes, from one pass; ``float_text_pair(values, fixed, shortest)``
-skips the work of a side whose flag is False, and ``float_texts(values,
-shortest=False)`` is the one-sided call.  The fast path works on a chunk of
-values at a time, in float64 and int64 only (Loitsch, Printing
+skips the work of a side whose flag is False, so a one-sided call pays for
+its side only.  It is the module's one entry point.  The fast path works on
+a chunk of values at a time, in float64 and int64 only (Loitsch, Printing
 floating-point numbers quickly and accurately, PLDI 2010, in its
 certify-or-fall-back form):
 
@@ -54,12 +54,6 @@ _WIDTH = 24  # the longest text: sign, 17 digits, point, e-XXX
 _ALPHABET = b".-+e0123456789"  # a layout row holds 17 digits, these and a NUL
 _COLUMNS = 17 + len(_ALPHABET) + 1
 _KEY_X = 512  # offset that makes the exponent part of a template key non-negative
-
-
-def float_texts(values: np.ndarray, shortest: bool = False) -> list[str]:
-    """The text of ``'%.17g' % v``, or ``repr(v)`` when ``shortest``, of every value, raveled."""
-    fixed, texts = float_text_pair(values, not shortest, shortest)
-    return texts if shortest else fixed
 
 
 def float_text_pair(values: np.ndarray, fixed: bool = True,

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import analysis as ana
 from . import ode, series
-from ._floattext import float_texts
+from ._floattext import float_text_pair
 from .errors import CollisionError, ConfigError, StiffnessError, check_int, check_keys
 from .force import ForceSpec, c_f_bound
 from .ring import RingConfig
@@ -168,8 +168,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
         )
         sample_count = check_int(ode_obj.get("sample_count", 10), "sample_count", minimum=1)
 
-    if isinstance(obj.get("analysis"), dict) and "n_grid" in obj["analysis"]:
-        raise ConfigError("analysis.n_grid: no longer supported; give the N grid as ring.N")
     ana_obj = _section(obj, "analysis", ("tail_fraction",))
     with _within("analysis"):
         tail_fraction = ana.check_tail_fraction(ana_obj.get("tail_fraction", 0.5))
@@ -245,11 +243,12 @@ def cmd_coeffs(cfg: ExperimentConfig) -> None:
 def _trajectory_csv(states: list[ode.TrajectoryState]) -> str:
     """``t,i,x,v`` rows, time-major, 17 significant digits.
 
-    One ``float_texts`` call formats every x and v; a row is six pieces,
-    laid into one list by slice assignment and joined once.
+    One one-sided ``float_text_pair`` call formats every x and v; a row is
+    six pieces, laid into one list by slice assignment and joined once.
     """
     N = states[0].x.size
-    texts = float_texts(np.array([(st.x, st.v) for st in states]))  # (time, x or v, i), raveled
+    # (time, x or v, i), raveled
+    texts = float_text_pair(np.array([(st.x, st.v) for st in states]), shortest=False)[0]
     index = [f"{i}," for i in range(N)]
     pieces = ["t,i,x,v\n"]
     for s, st in enumerate(states):

@@ -126,7 +126,7 @@ class ForceSpec:
 
 
 def eval_force(spec: ForceSpec, x, *, out: np.ndarray | None = None):
-    """Evaluate F at ``x`` (scalar or array), one sine per harmonic.
+    """F at ``x``, an array of its shape (0-d for a scalar), one sine per harmonic.
 
     Each harmonic adds R sin(w x + phi) to a row that starts at +0.0, then
     a nonzero ``a0`` is added.  ``x`` is reduced modulo L only when some
@@ -151,7 +151,7 @@ def eval_force(spec: ForceSpec, x, *, out: np.ndarray | None = None):
         out += theta
     if spec.a0 != 0.0:
         out += spec.a0
-    return _as_input_shape(out, x)
+    return out
 
 
 def force_jet(spec: ForceSpec, x, k_max: int, *, turns: np.ndarray | None = None) -> np.ndarray:
@@ -209,13 +209,6 @@ def force_jet(spec: ForceSpec, x, k_max: int, *, turns: np.ndarray | None = None
     return jet
 
 
-def _as_input_shape(values: np.ndarray, x):
-    """A Python float for scalar input, the array otherwise."""
-    if np.ndim(x) == 0:
-        return float(values)
-    return values
-
-
 def c_f_bound(spec: ForceSpec) -> float:
     """Growth constant C with sup_x |F^(n)(x)| <= C**(n+1) for every n >= 0.
 
@@ -231,7 +224,7 @@ def c_f_bound(spec: ForceSpec) -> float:
 
 
 def eval_potential(spec: ForceSpec, x):
-    """Periodic potential P with F = -P' (requires a zero-mean force).
+    """Periodic potential P with F = -P' at ``x``, an array of its shape (zero-mean force only).
 
     Termwise integration of the trigonometric series: each harmonic adds
     (R cos(w x + phi)) / w = (b cos(w x) - a sin(w x)) / w, one cosine per
@@ -244,4 +237,4 @@ def eval_potential(spec: ForceSpec, x):
     out = np.zeros_like(xm)
     for w, phi, amp in spec._phases:
         out += amp * np.cos(w * xm + phi) / w
-    return _as_input_shape(out, x)
+    return out

@@ -84,14 +84,14 @@ for the series, plus O(K) more.  Outside it, a proxy ring costs 2 n N
 multiply-adds per odd column in one matrix product, n <= B_J + 1 (P/2 + 1
 at order 1), and O(P sqrt N) trig values once.
 
-The writers ``table_csv`` and ``table_json`` return the artifact text,
-and ``table_texts`` returns that of both, or either, formatting each value
-once: one call of the array kernel ``_floattext.float_text_pair`` gives the
-bytes of ``%.17g`` and of ``float.__repr__`` of all live columns of a table
-from one pass, and the writers take those texts.  Each writer alone makes
-the one-sided call.  A column of +0.0 only, the structurally zero even
-orders, is printed as a literal zero, and the pieces are joined once; at
-j_max = 9 the writing still costs over twenty times the engine's own time.
+The one writer, ``table_texts``, returns the CSV or JSON artifact text of
+a table, or both, formatting each value once: one call of the array kernel
+``_floattext.float_text_pair`` gives the bytes of ``%.17g``, of
+``float.__repr__`` or of both for all live columns of a table from one
+pass, and ``table_csv`` and ``table_json`` lay those texts out.  A column
+of +0.0 only, the structurally zero even orders, is printed as a literal
+zero, and the pieces are joined once; at j_max = 9 the writing still costs
+over twenty times the engine's own time.
 A table takes its magnitude profile max_i |c_{ij}|, which every report
 reads, in one reduction; ``evaluate_velocity`` sums the velocity series.
 
@@ -134,8 +134,6 @@ __all__ = [
     "coefficient_tables",
     "compute_coefficients",
     "evaluate_velocity",
-    "table_csv",
-    "table_json",
     "table_texts",
 ]
 
@@ -562,63 +560,39 @@ def evaluate_velocity(table: CoefficientTable, t: float) -> np.ndarray:
     return acc * tau
 
 
-def _live_orders(table: CoefficientTable) -> list[int]:
-    """The orders j >= 1 whose column holds a value other than +0.0, read from the bits.
-
-    The writers print the other columns, the structurally zero even orders,
-    as a literal zero and format no float for them.  ``max_abs`` cannot tell
-    them: it folds -0.0 into +0.0 and does not follow later writes to ``data``.
-    """
-    return [j for j in range(1, table.j_max + 1) if table.data[:, j].view(np.uint64).any()]
-
-
-def _value_texts(table: CoefficientTable, fixed: bool, shortest: bool) -> list[list[str]]:
-    """The ``%.17g`` and the ``repr`` texts of every c_{ij}, j = 1..j_max, i-major.
-
-    Either list is empty when its flag is False.  A column of +0.0 only is
-    the literal ``0`` or ``0.0`` throughout.  One ``float_text_pair`` call
-    formats all live columns, raveled i-major, once for both forms, and
-    slice assignment spreads each live column over its order's places.
-    """
-    live = _live_orders(table)
-    out = []
-    for formatted, zero, wanted in zip(float_text_pair(table.data[:, live], fixed, shortest),
-                                       ("0", "0.0"), (fixed, shortest)):
-        texts = [zero] * (table.N * table.j_max) if wanted else []
-        for k, j in enumerate(live):
-            texts[j - 1 :: table.j_max] = formatted[k :: len(live)]
-        out.append(texts)
-    return out
-
-
 def table_texts(table: CoefficientTable, force: ForceSpec,
-                formats: Iterable[str] = ("csv", "json")) -> dict[str, str]:
+                formats: Iterable[str]) -> dict[str, str]:
     """The artifact texts of ``formats``, any of "csv" and "json", keyed by format.
 
-    Formats each value once for both and hands the texts to ``table_csv``
-    and ``table_json``, so the bytes are theirs.  Raises ValueError on an
-    unknown format.
+    One ``float_text_pair`` call formats the live columns, those holding a
+    value other than +0.0 (read from the bits: ``max_abs`` folds -0.0 into
+    +0.0 and does not follow later writes to ``data``), raveled i-major,
+    once for both forms and only for the formats asked for; slice
+    assignment spreads each over its order's places, and every other
+    column, the structurally zero even orders, is the literal ``0`` or
+    ``0.0`` throughout.  ``table_csv`` and ``table_json`` lay the texts
+    out.  Raises ValueError on an unknown format.
     """
     formats = set(formats)
     if formats - {"csv", "json"}:
         raise ValueError(f"unknown table formats {sorted(formats - {'csv', 'json'})}")
-    fixed, shortest = _value_texts(table, "csv" in formats, "json" in formats)
+    live = [j for j in range(1, table.j_max + 1) if table.data[:, j].view(np.uint64).any()]
+    pair = float_text_pair(table.data[:, live], "csv" in formats, "json" in formats)
     texts = {}
-    if "csv" in formats:
-        texts["csv"] = table_csv(table, values=fixed)
-    if "json" in formats:
-        texts["json"] = table_json(table, force, values=shortest)
+    for fmt, formatted, zero in zip(("csv", "json"), pair, ("0", "0.0")):
+        if fmt in formats:
+            values = [zero] * (table.N * table.j_max)
+            for k, j in enumerate(live):
+                values[j - 1 :: table.j_max] = formatted[k :: len(live)]
+            texts[fmt] = table_csv(table, values) if fmt == "csv" else table_json(table, force, values)
     return texts
 
 
-def table_csv(table: CoefficientTable, *, values: list[str] | None = None) -> str:
-    """CSV rendering, one row per (i, j), i-major, 17 significant digits.
+def table_csv(table: CoefficientTable, values: list[str]) -> str:
+    """CSV rendering, one row per (i, j), i-major, of the ``%.17g`` texts ``values``.
 
-    A row is four pieces, the index, ``,j,``, the value's ``%.17g`` text and
-    the constant tail, laid into one list by slice assignment and joined
-    once.  The value texts are ``values`` when given, as ``table_texts``
-    formats them, else those of one ``float_text_pair`` call; a column of
-    +0.0 only is the literal ``0``.
+    A row is four pieces, the index, ``,j,``, the value's text and the
+    constant tail, laid into one list by slice assignment and joined once.
     """
     J, N = table.j_max, table.N
     index = list(map(str, range(N)))
@@ -626,23 +600,20 @@ def table_csv(table: CoefficientTable, *, values: list[str] | None = None) -> st
     for j in range(J):
         pieces[4 * j :: 4 * J] = index
     pieces[1::4] = [f",{j}," for j in range(1, J + 1)] * N
-    pieces[2::4] = _value_texts(table, True, False)[0] if values is None else values
+    pieces[2::4] = values
     pieces[3::4] = [f",{table.scale:.17g},{N},{table.L:.17g},{J}\n"] * (N * J)
     pieces[0] = "i,j,c_scaled,scale,N,L,J_max\n" + pieces[0]  # so the text is not copied again
     return "".join(pieces)
 
 
-def table_json(table: CoefficientTable, force: ForceSpec, *,
-               values: list[str] | None = None) -> str:
+def table_json(table: CoefficientTable, force: ForceSpec, values: list[str]) -> str:
     """JSON artifact text: config header (with the force), rescale, and row-major coefficients.
 
     The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True,
     allow_nan=False) + "\n"`` for the payload with keys ``config``, ``scale``
     and ``coefficients``.  Only the small header goes through ``json``; the
-    coefficients are the ``float.__repr__`` texts, the encoder's float
-    form, joined once: ``values`` when given, as ``table_texts`` formats
-    them, else those of one ``float_text_pair`` call, with the literal
-    ``0.0`` for a column of +0.0 only.  Raises ValueError on a non-finite
+    coefficients are ``values``, the ``float.__repr__`` texts, the
+    encoder's float form, joined once.  Raises ValueError on a non-finite
     value, as ``allow_nan=False`` does.
     """
     if not np.isfinite(table.data[:, 1:]).all():
@@ -652,8 +623,6 @@ def table_json(table: CoefficientTable, force: ForceSpec, *,
          "scale": table.scale},
         indent=2, sort_keys=True, allow_nan=False,
     )
-    if values is None:
-        values = _value_texts(table, False, True)[1]
     items = ",\n    ".join(values)
     # "coefficients" sorts before "config" and "scale", so it opens the object.
     return f'{{\n  "coefficients": [\n    {items}\n  ],\n{header[2:]}\n'

@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 
 from coulomb_chain import RingConfig, compute_coefficients, table_texts
 from coulomb_chain import _floattext
-from coulomb_chain._floattext import float_text_pair, float_texts
+from coulomb_chain._floattext import float_text_pair
 
 from conftest import SEED1_THREE, SEED7_TWO
+
+
+def float_texts(values, shortest=False):
+    """The one-sided call: the ``%.17g`` texts, or the ``repr`` texts when ``shortest``."""
+    fixed, texts = float_text_pair(values, not shortest, shortest)
+    return texts if shortest else fixed
 
 
 def expected(values, shortest):
@@ -132,17 +138,17 @@ def test_fast_path_formats_nearly_every_table_value(monkeypatch, force, n, j_max
 
     monkeypatch.setattr(_floattext, "_exact_texts", counted)
     table = compute_coefficients(RingConfig(N=n, L=1.0, force=force, j_max=j_max))
-    table_texts(table, force)
+    table_texts(table, force, ["csv", "json"])
     values = 2 * n * ((j_max + 1) // 2)  # both formats of every odd order
     assert len(fallbacks) <= 0.01 * values
     # A -0.0 makes a zero column live, and its zeros cost no fallback.
     before = len(fallbacks)
     table.data[0, 2] = -0.0
-    table_texts(table, force)
+    table_texts(table, force, ["csv", "json"])
     assert len(fallbacks) == before
     # The counter sees the fallback: a subnormal goes to Python, alone, in each format.
     table.data[0, 2] = 5e-324
-    table_texts(table, force)
+    table_texts(table, force, ["csv", "json"])
     assert fallbacks[before:] == [5e-324, 5e-324]
 
 

@@ -30,8 +30,6 @@ from coulomb_chain import (
     force_jet,
     initial_positions,
     series,
-    table_csv,
-    table_json,
     table_texts,
 )
 from coulomb_chain.series import force_grid, oracle_coefficients, ordered_compositions
@@ -254,7 +252,7 @@ def test_invalid_configs_rejected(sine_force):
     assert [type(v) for v in values] == [int, float, int, float]
     table = compute_coefficients(numpy_config)
     plain = compute_coefficients(RingConfig(N=8, L=1.0, force=sine_force, j_max=9, scale=0.5))
-    assert table_csv(table) == table_csv(plain)
+    assert table_texts(table, sine_force, ["csv"]) == table_texts(plain, sine_force, ["csv"])
 
 
 def test_matches_dense_reference(sine_force):
@@ -582,7 +580,7 @@ def test_magnitude_profile_takes_no_copy_of_the_table():
 
 
 def reference_csv(table):
-    """Per-entry f-string CSV; ``table_csv`` must reproduce it byte for byte."""
+    """Per-entry f-string CSV; ``table_texts`` must reproduce it byte for byte."""
     lines = ["i,j,c_scaled,scale,N,L,J_max"]
     tail = f",{table.scale:.17g},{table.N},{table.L:.17g},{table.j_max}"
     for i, row in enumerate(table.data[:, 1:].tolist()):
@@ -591,7 +589,7 @@ def reference_csv(table):
 
 
 def reference_json(table, force):
-    """The stdlib encoder on the payload dict; ``table_json`` must reproduce it byte for byte."""
+    """The stdlib encoder on the payload dict; ``table_texts`` must reproduce it byte for byte."""
     payload = {
         "config": {"N": table.N, "L": table.L, "J_max": table.j_max, "force": force.to_json()},
         "scale": table.scale,
@@ -601,16 +599,14 @@ def reference_json(table, force):
 
 
 def assert_writers_match_references(table):
-    """Each writer, and ``table_texts`` with both formats and each alone, give the references."""
+    """``table_texts`` with both formats and each alone gives the references."""
     texts = {"csv": reference_csv(table), "json": reference_json(table, SEED7_TWO)}
-    assert table_csv(table) == texts["csv"]
-    assert table_json(table, SEED7_TWO) == texts["json"]
-    assert table_texts(table, SEED7_TWO) == texts
+    assert table_texts(table, SEED7_TWO, ["csv", "json"]) == texts
     for fmt in texts:
         assert table_texts(table, SEED7_TWO, [fmt]) == {fmt: texts[fmt]}
 
 
-# sha256 of ``table_csv`` and ``table_json`` for the seed-7 two-harmonic
+# sha256 of the ``table_texts`` CSV and JSON for the seed-7 two-harmonic
 # force, scale "auto".  The determinism tests compare two runs of the same
 # code; these pins catch a change of any bit.  They hold for one numpy build
 # and CPU family (the trig functions are not correctly rounded): on another
@@ -641,8 +637,9 @@ def sha256(text):
 @pytest.mark.parametrize("n, j_max", sorted(PINNED_CSV))
 def test_table_bytes_are_pinned(n, j_max):
     table = compute_coefficients(RingConfig(N=n, L=1.0, force=SEED7_TWO, j_max=j_max))
-    assert sha256(table_csv(table)) == PINNED_CSV[n, j_max]
-    assert sha256(table_json(table, SEED7_TWO)) == PINNED_JSON[n, j_max]
+    texts = table_texts(table, SEED7_TWO, ["csv", "json"])
+    assert sha256(texts["csv"]) == PINNED_CSV[n, j_max]
+    assert sha256(texts["json"]) == PINNED_JSON[n, j_max]
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1e-5, 2.0, 1e16, 1e22, -1.7976931348623157e308, 3.3e-05, 1e18]
@@ -704,8 +701,9 @@ def test_table_json_rejects_values_set_after_construction(bad):
     table = CoefficientTable(L=1.0, scale=0.5, data=np.zeros((4, 4)))
     table.data[2, 3] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        table_json(table, SEED7_TWO)
-    assert table_csv(table) == reference_csv(table)  # the CSV writes inf and nan
+        table_texts(table, SEED7_TWO, ["json"])
+    # the CSV writes inf and nan
+    assert table_texts(table, SEED7_TWO, ["csv"]) == {"csv": reference_csv(table)}
 
 
 def test_max_abs_is_the_column_max_of_magnitudes():
