@@ -205,9 +205,10 @@ def integrate(
     must be finite and lie in [0, t_end].  An accepted step is never longer
     (to within 1e-9 relative) than the smallest spacing of 0 and the
     samples, so a denser ``t_eval`` gives shorter steps.  Raises
-    StiffnessError if the controller's step underflows, as it does once the
-    state overflows, and CollisionError if a gap of the initial state is at
-    or below the floor or an accepted step breaks the particle ordering.
+    StiffnessError if the controller's step underflows, also where its
+    step-size norms overflow, and CollisionError if a gap of the initial
+    state is at or below the floor or an accepted step breaks the particle
+    ordering.
     """
     t_end, rel_tol, abs_tol = check_settings(t_end, rel_tol, abs_tol)
     N = config.N
@@ -250,9 +251,9 @@ def integrate(
 
     from scipy.integrate import DOP853  # deferred: only integration needs scipy
 
-    # An overflowing state runs on as inf and nan, without warnings, until
-    # the step underflows; each call takes its own errstate, which numpy 2
-    # does not re-enter.
+    # A huge right-hand side overflows scipy's step-size norms; they run on
+    # as inf and nan, without warnings, and the step underflows.  Each call
+    # takes its own errstate, which numpy 2 does not re-enter.
     with np.errstate(over="ignore", invalid="ignore"):
         solver = DOP853(rhs, 0.0, y0, t_end, rtol=rel_tol, atol=abs_tol, max_step=max_step)
 

@@ -365,9 +365,9 @@ def test_overflow_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("amplitude", [1e150, 1e200])
 def test_overflowing_integration_is_a_stiffness_error(tmp_path, amplitude):
-    # The state overflows in the first steps.  scipy's step-size norms must
-    # not warn: here warnings are errors, and in a plain run they would
-    # reach stderr before the one error line.
+    # The squared norm of the starting right-hand side overflows in scipy's
+    # step-size control, which must not warn: here warnings are errors, and
+    # in a plain run they would reach stderr before the one error line.
     obj = copy.deepcopy(SINE_CONFIG)
     obj["force"]["harmonics"][0]["b"] = amplitude
     ring = coulomb_chain.RingConfig(N=8, L=1.0, force=ForceSpec.from_json(obj["force"]), j_max=12)
