@@ -122,8 +122,9 @@ class RadiusTrend(_Report):
 
 
 def _tail_window(j_max: int, tail_fraction: float) -> tuple[int, int]:
-    j_lo = max(2, j_max - int(math.floor(tail_fraction * j_max)))
-    return j_lo, j_max
+    """The top ``tail_fraction`` of the orders, widened to hold the top three odd orders."""
+    j_lo = min(j_max - int(math.floor(tail_fraction * j_max)), j_max - 5 + j_max % 2)
+    return max(2, j_lo), j_max
 
 
 def _usable_tail(table: CoefficientProfile, window: tuple[int, int]) -> tuple[list[int], list[float]]:
@@ -156,11 +157,13 @@ def estimate_radius(table: CoefficientProfile, tail_fraction: float = 0.5) -> Ra
 
     Root test: a least-squares fit log a_j ~ -j log R + const, with
     a_j = max_i |c_{ij}|, over the top ``tail_fraction`` of available orders
-    (low orders are transient: order 2 vanishes identically).  Orders whose
-    coefficients all vanish are skipped, so series with an even/odd
-    structure or terminating series are handled; with fewer than 3 usable
-    tail orders the estimate is flagged degenerate and the radius reported
-    infinite (a terminating series converges everywhere).
+    (low orders are transient: order 2 vanishes identically), widened to
+    hold at least the top three odd orders: from rest the even orders
+    vanish, and the top half of j_max = 8 holds only orders 5 and 7.
+    Orders whose coefficients all vanish are skipped, so series with an
+    even/odd structure or terminating series are handled; with fewer than
+    3 usable tail orders the estimate is flagged degenerate and the radius
+    reported infinite (a terminating series converges everywhere).
     """
     if table.j_max < MIN_RADIUS_ORDER:
         raise ConfigError(

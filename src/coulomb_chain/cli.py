@@ -1,8 +1,9 @@
 """Batch front end: config parsing, orchestration and CSV/JSON artifacts.
 
 One self-describing JSON config defines an experiment (ring geometry with an
-N grid, force, integration and analysis settings); subcommands wrap the
-library operations:
+N grid, force, integration and analysis settings).  One argument parser
+reads ``--config``, ``--out`` and the command, in any order; the commands
+wrap the library operations:
 
     coeffs    write one coefficient table per N
     simulate  integrate the equations of motion, write trajectory + summary
@@ -34,7 +35,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ import numpy as np
 from . import analysis as ana
 from . import ode, series
 from ._floattext import float_text_pair
-from .errors import CollisionError, ConfigError, StiffnessError, check_int, check_keys
+from .errors import CollisionError, ConfigError, StiffnessError, check_int, check_keys, check_real
 from .force import ForceSpec, c_f_bound
 from .ring import RingConfig
 
@@ -92,7 +93,7 @@ class ExperimentConfig:
         return self.rings[0].j_max
 
 
-_RING_PATHS = {"L": "ring.L", "j_max": "ring.J_max", "scale": "ring.scale", "force.L": "force.L"}
+_RING_PATHS = {"j_max": "ring.J_max", "scale": "ring.scale", "force.L": "force.L"}
 
 
 def _need(obj: dict, field: str, path: str):
@@ -133,7 +134,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     grid = isinstance(n_raw, list)
     if grid and not n_raw:
         raise ConfigError("ring.N: grid must not be empty")
-    L = _need(ring, "L", "ring")
+    L = check_real(_need(ring, "L", "ring"), "ring.L", positive=True)
     j_max = _need(ring, "J_max", "ring")
     scale = ring.get("scale", "auto")
     if scale is None:  # RingConfig reads None as the automatic rescale, spelled "auto" here
@@ -142,12 +143,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
         scale = None
 
     force_obj = _need(obj, "force", "config")
-    inherit_L = isinstance(force_obj, dict) and "L" not in force_obj
-    try:
-        force = ForceSpec.from_json({**force_obj, "L": L} if inherit_L else force_obj)
-    except ConfigError as exc:
-        # force.L defaults to ring.L, so a bad inherited period is ring.L's fault
-        raise exc.within("ring" if inherit_L and exc.field == "L" else "force") from None
+    with _within("force"):  # force.L defaults to ring.L
+        force = ForceSpec.from_json({"L": L, **force_obj} if isinstance(force_obj, dict) else force_obj)
 
     rings = []
     for i, N in enumerate(n_raw if grid else [n_raw]):
@@ -275,19 +272,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> dict:
         if cfg.force.a0 == 0.0:
             e0 = ode.energy(rc, sol.states[0])
             drift = max(abs(ode.energy(rc, st) - e0) for st in sol.states) / abs(e0)
-        summary.append(
-            {
-                "N": rc.N,
-                "t_end": cfg.t_end,
-                "n_steps": sol.n_steps,
-                "n_rejected_steps": sol.n_rejected_steps,
-                "n_rhs_evals": sol.n_rhs_evals,
-                "min_step": sol.min_step,
-                "max_step": sol.max_step,
-                "local_error_bound": sol.local_error_bound,
-                "max_energy_drift": drift,
-            }
-        )
+        stats = {f.name: getattr(sol, f.name) for f in fields(sol) if f.name != "states"}
+        summary.append({"N": rc.N, "t_end": cfg.t_end, **stats, "max_energy_drift": drift})
     return {"runs": summary}
 
 
@@ -456,17 +442,17 @@ def cmd_verify(cfg: ExperimentConfig) -> dict:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="experiment config JSON")
-    common.add_argument("--out", default=None, help="override output directory")
-
     parser = argparse.ArgumentParser(
         prog="coulomb-chain",
         description="Velocity Taylor expansion and diagnostics for the repulsive ring chain",
+        epilog="commands:\n" + "".join(f"  {name:<10}{fn.__doc__.splitlines()[0]}\n"
+                                        for name, fn in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=fn.__doc__)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("--config", required=True, help="experiment config JSON")
+    parser.add_argument("--out", default=None, help="override output directory")
     return parser
 
 

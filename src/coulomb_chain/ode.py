@@ -104,10 +104,7 @@ class ODESolution:
 
 
 def _gaps(x: np.ndarray, L: float) -> np.ndarray:
-    g = np.empty_like(x)
-    g[:-1] = x[1:] - x[:-1]
-    g[-1] = x[0] + L - x[-1]
-    return g
+    return np.diff(x, append=x[0] + L)
 
 
 def _kernel_rows(g0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -69,6 +69,24 @@ def test_radius_window_is_upper_half():
     assert est.window == (8, 16)
 
 
+@pytest.mark.parametrize("j_max, tail_fraction, window", [(8, 0.5, (3, 8)), (9, 0.5, (5, 9)),
+                                                          (12, 0.2, (7, 12))])
+def test_radius_window_holds_three_odd_orders(sine_force, j_max, tail_fraction, window):
+    # From rest every even order vanishes, so the top fraction of J_max = 8
+    # (orders 4..8) or of 12 at 0.2 (10..12) holds two odd orders only; the
+    # window widens to three, or a series that does not end reads as one that
+    # does (R_hat infinite and degenerate).
+    for N in (16, 32):
+        ring = RingConfig(N=N, L=1.0, force=sine_force, j_max=j_max)
+        est = estimate_radius(compute_coefficients(ring), tail_fraction=tail_fraction)
+        assert est.window == window
+        assert not est.degenerate
+        assert math.isfinite(est.r_hat) and est.r_hat > 0
+    constant = RingConfig(N=6, L=1.0, force=ForceSpec(L=1.0, a0=2.0), j_max=j_max, scale=1.0)
+    est = estimate_radius(compute_coefficients(constant), tail_fraction=tail_fraction)
+    assert est.degenerate and est.r_hat == math.inf
+
+
 def test_radius_sparse_zeros_no_nan():
     data = np.zeros((4, 17))
     for j in range(1, 17):

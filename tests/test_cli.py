@@ -271,6 +271,44 @@ def test_config_error_names_field(tmp_path, capsys, section, key, value, path):
     assert not out.exists()  # rejected before any work
 
 
+NO_FORCE_L = {**SINE_CONFIG, "force": {k: v for k, v in SINE_CONFIG["force"].items() if k != "L"}}
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (-1, "must be positive and finite, got -1"),
+        ("x", "expected a number, got 'x'"),
+        (0, "must be positive and finite, got 0"),
+        (True, "expected a number, got True"),
+        (1e400, "must be positive and finite, got inf"),  # written as Infinity
+    ],
+)
+def test_bad_ring_L_is_named_when_the_force_inherits_it(tmp_path, capsys, value, message):
+    # force.L defaults to ring.L, so a bad period the force would inherit is
+    # ring.L's fault.
+    obj = copy.deepcopy(NO_FORCE_L)
+    obj["ring"]["L"] = value
+    code, out = run("coeffs", tmp_path, obj)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: ring.L: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("L", [1, 1.0, 2.5])
+def test_inherited_force_period_writes_the_same_table(tmp_path, L):
+    tables = {}
+    for name, force in (("explicit", {**NO_FORCE_L["force"], "L": float(L)}),
+                        ("inherited", NO_FORCE_L["force"])):
+        obj = {**NO_FORCE_L, "ring": {**NO_FORCE_L["ring"], "L": L}, "force": force}
+        (tmp_path / name).mkdir()
+        code, out = run("coeffs", tmp_path / name, obj)
+        assert code == 0
+        tables[name] = [(out / f"coeffs_N8.{fmt}").read_bytes() for fmt in ("csv", "json")]
+    assert tables["inherited"] == tables["explicit"]
+    assert json.loads(tables["inherited"][1])["config"]["force"]["L"] == L
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -394,6 +432,23 @@ def test_radius_degenerate_for_constant_force(tmp_path):
     payload = json.loads((out / "radius.json").read_text())
     assert payload["radius"][0]["degenerate"] is True
     assert payload["radius"][0]["R_hat"] is None
+
+
+def test_radius_and_compare_at_the_smallest_truncation(tmp_path):
+    # At J_max = 8 the fit window takes orders 3..8, three odd ones: the sine
+    # series does not end, and compare stops at half its radius.
+    obj = copy.deepcopy(SINE_CONFIG)
+    obj["ring"].update(N=[16, 32], J_max=8)
+    obj["ode"]["t_end"] = 0.1
+    code, out = run("radius", tmp_path, obj)
+    assert code == 0
+    radius = json.loads((out / "radius.json").read_text())["radius"]
+    assert [(r["window"], r["degenerate"]) for r in radius] == [([3, 8], False)] * 2
+    assert all(0.1 < r["R_hat"] < 0.2 for r in radius)
+    code, out = run("compare", tmp_path, obj)
+    assert code == 0
+    for r, c in zip(radius, json.loads((out / "compare.json").read_text())["per_N"]):
+        assert c["R_hat"] == r["R_hat"] and c["horizon"] == 0.5 * r["R_hat"]
 
 
 def test_radius_rejects_shallow_truncation_before_any_table(tmp_path, capsys, monkeypatch):
@@ -838,6 +893,34 @@ def test_step_underflow_exits_1(tmp_path, monkeypatch, capsys, attr, value, mess
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (out / "simulate.json").exists()
+
+
+@pytest.mark.parametrize("options_first", [False, True])
+def test_options_come_before_or_after_the_command(tmp_path, options_first):
+    cfg = write_config(tmp_path, SINE_CONFIG)
+    options = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(options + ["radius"] if options_first else ["radius"] + options) == 0
+    assert (tmp_path / "out" / "radius.json").exists()
+
+
+@pytest.mark.parametrize("command", [["bogus"], [], ["coeffs", "radius"]])
+def test_a_bad_command_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, SINE_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "usage: coulomb-chain" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_names_every_command_with_its_summary(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("coeffs", "simulate", "compare", "radius", "verify", "sweep"):
+        summary = getattr(cli, f"cmd_{name}").__doc__.splitlines()[0]
+        assert [name, summary] in [line.split(maxsplit=1) for line in lines], name
 
 
 def test_missing_config_file(tmp_path, capsys):

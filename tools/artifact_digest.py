@@ -36,7 +36,10 @@ running ``coeffs`` and ``radius``; the force -0.5 sin(2 pi x) on N = 4
 and 8, which vanishes at particle 0, so live columns and trajectories
 hold exact zeros; and the constant field a0 = 0.3, whose every order but
 the first is zero; the last two run ``coeffs``, ``simulate`` and
-``compare``.
+``compare``.  The sine force on N = 16 and 32 at J_max = 8, the smallest
+truncation ``radius`` accepts, with ``t_end`` = 0.1 runs ``radius`` and
+``compare``: the radius fit's window must hold three odd orders there, and
+``compare`` stops at half the estimated radius, below ``t_end``.
 The first line lists the package's public names, ``coulomb_chain.__all__``
 sorted, so the digest also pins the API.  Two checkouts give byte-identical
 artifacts and the same public names exactly when a plain ``diff`` of their
@@ -86,6 +89,8 @@ EXTRA = (
      ("coeffs", "simulate", "compare")),
     ("wide-N", "constant", {"ring": {"N": [4, 8]}, "force": {"a0": 0.3, "harmonics": []}},
      ("coeffs", "simulate", "compare")),
+    ("wide-N", "shallow", {"ring": {"N": [16, 32], "J_max": 8}, "force": SINE,
+                           "ode": {"t_end": 0.1}}, ("radius", "compare")),
 )
 
 
