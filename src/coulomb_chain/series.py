@@ -83,8 +83,19 @@ those of the tables bit for bit.
 
 The loop's cost does not depend on N: the reciprocal and square take
 O(W J**2) and the composition O(W K J**2) multiply-adds for W packed and
-proxy columns and K harmonics, and it holds (4K+5) ceil(J/2) rows of W
-for the series, plus O(K) more.  Outside it, a proxy ring costs 2 n N
+proxy columns and K harmonics, and it holds (2K+4) ceil(J/2) rows of W
+for the series, plus O(K) more.  Each convolution is one ``np.einsum``
+over two forward slices, written straight into its output row with no
+product array: the reciprocal and E keep order r in row ceil(J/2)-1-r,
+so the rows read forward give the reversed operand, and the square's
+products are symmetric under k <-> r-k.  einsum adds the rounded
+products in ascending row order, the order of ``np.add.reduce(axis=0)``
+over the product array, so the tables keep their bits wherever multiply
+and add are separate roundings (a test checks this on each numpy build).
+Where every addend is a zero, einsum's sum reads +0.0 and the
+reduction's could read -0.0; on a ring's own points, adding the composed
+force, itself such an einsum, turns any -0.0 of a column into +0.0.
+Outside it, a proxy ring costs 2 n N
 multiply-adds per odd column in one matrix product, n <= B_J + 1 (P/2 + 1
 at order 1), and O(P sqrt N) trig values once.
 
@@ -349,21 +360,23 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
     neg_delta = -delta
 
     # Odd columns c_1, c_3, ..; the series gap, recip, u_terms and E keep row
-    # r for t-order 2r.  E holds (Re, Im) exp(i w_h u) per harmonic with
-    # order r in row rows-1-r, and u_terms holds one row r * u_r, which
-    # broadcasts over every (harmonic, part), so the convolution of one order
-    # is a product of two forward slices.
+    # r for t-order 2r, recip and E with order r in row rows-1-r, so each
+    # convolution is one einsum over two forward slices, summed in ascending
+    # row order straight into its output.  E holds (Re, Im) exp(i w_h u) per
+    # harmonic and u_terms one row r * u_r, which einsum broadcasts over
+    # every (harmonic, part).  The workspace is (2K+4) rows of W per order,
+    # plus O(K) single rows.
     rows, K = (J + 1) // 2, len(force.harmonics)
-    cols, gap, recip, prod = (np.empty((rows, width)) for _ in range(4))
+    cols, gap, recip, u_terms = (np.empty((rows, width)) for _ in range(4))
     u = np.empty(width)
     pair = np.empty((2, width))  # w and the composed force of one order
     w, composed = pair
-    turns = np.empty((K, 2, width))
-    u_terms = np.empty((rows, 1, 1, width))
-    E, terms = (np.empty((rows, K, 2, width)) for _ in range(2))
-    # (Re, Im) of i w S is (-w Im S, w Re S): the pair reversed, times this.
+    turns, S = (np.empty((K, 2, width)) for _ in range(2))
+    E = np.empty((rows, K, 2, width))
+    # (Re, Im) of i w S is (-w Im S, w Re S): the pair swapped, times this.
     freq = [2.0 * np.pi * h.k / force.L for h in force.harmonics]
     rotate = np.array([(-f, f) for f in freq]).reshape(K, 2, 1)
+    band1 = _band(force, 1)
     # E_h starts from a power of two near the harmonic's amplitude, and its
     # (p, q) rows are divided by it: no bit changes in normal range, and E_h
     # keeps the magnitude of the harmonic's share of the column, so a huge
@@ -391,7 +404,7 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
         turns /= amp[:, None, None]
         E[rows - 1, :, 0] = amp[:, None]  # amp exp(0)
         E[rows - 1, :, 1] = 0.0
-        np.divide(1.0, delta, out=recip[0])
+        np.divide(1.0, delta, out=recip[rows - 1])
         # Order 1 is the force sample; w starts constant, so no interaction term.
         np.multiply(fk[0], s, out=cols[0])
         if R:
@@ -409,20 +422,20 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
                 gap[r, last] = u[first] - u[last]  # each packed ring's own wrap
             if R:
                 np.fft.irfft(spectra[r - 1] * (forward / m), n=P, out=block(gap[r]))
-            np.multiply(u, r, out=u_terms[r, 0, 0])
-            np.multiply(gap[1 : r + 1], recip[r - 1 :: -1], out=prod[:r])
-            np.add.reduce(prod[:r], axis=0, out=recip[r])
-            recip[r] /= neg_delta
-            np.multiply(recip[: r + 1], recip[r::-1], out=prod[: r + 1])
-            np.add.reduce(prod[: r + 1], axis=0, out=w)  # order m of (delta + R)**(-2)
+            np.multiply(u, r, out=u_terms[r])
+            np.einsum("kn,kn->n", gap[1 : r + 1], recip[rows - r :], out=recip[rows - 1 - r])
+            recip[rows - 1 - r] /= neg_delta
+            # order m of (delta + R)**(-2); the products are symmetric in k <-> r-k
+            tail = recip[rows - 1 - r :]
+            np.einsum("kn,kn->n", tail[::-1], tail, out=w)
             # r E_r = i w sum_{k=1..r} (k u_k) E_{r-k}, in rows of t**2.
-            np.multiply(u_terms[1 : r + 1], E[rows - r :], out=terms[1 : r + 1])
-            np.add.reduce(terms[1 : r + 1], axis=0, out=terms[0])
-            np.multiply(terms[0, :, ::-1], rotate / r, out=E[rows - 1 - r])
+            np.einsum("rn,rhcn->hcn", u_terms[1 : r + 1], E[rows - r :], out=S)
+            np.multiply(S[:, 1], rotate[:, 0] / r, out=E[rows - 1 - r, :, 0])
+            np.multiply(S[:, 0], rotate[:, 1] / r, out=E[rows - 1 - r, :, 1])
             np.einsum("hcn,hcn->n", turns, E[rows - 1 - r], out=composed)
 
             # c_j = (s/j) (w_{i-1} - w_i + composed), projected to its band
-            band = (r + 1) * _band(force, 1)  # B_j
+            band = (r + 1) * band1  # B_j
             if packed:
                 out = cols[r, :Wl]
                 np.subtract(w[: Wl - 1], w[1:Wl], out=out[1:])

@@ -512,12 +512,13 @@ def test_deep_profile_peak_memory():
 
 def test_deep_grid_workspace_holds_one_displacement_row_per_order():
     # On the deep-truncation grid (W = 240 packed columns, 48 rows, K = 3)
-    # the loop holds (4K+5) rows of W: cols, gap, recip, prod, one r * u_r
-    # row per order, and E and its terms per (harmonic, part); 2K copies of
-    # r * u_r would take 2K-1 more.  The bound adds one row for the jet, the
-    # (p, q) rows and the one-row arrays, and one ufunc buffer of
-    # np.getbufsize() doubles, which numpy allocates for a product with a
-    # reversed operand.  A first call fills numpy's FFT caches.
+    # the loop holds (2K+4) rows of W per order: cols, gap, recip, one
+    # r * u_r row per order, and E per (harmonic, part); 2K copies of r * u_r
+    # would take 2K-1 more.  The bound adds one row per order for the jet,
+    # the (p, q) rows, the composition's (K, 2, W) sum and the one-row
+    # arrays, and nothing for a product array or a ufunc buffer: each
+    # convolution is one einsum over forward slices, which forms neither.
+    # A first call fills numpy's FFT caches.
     rings = [RingConfig(N=n, L=1.0, force=SEED1_THREE, j_max=96) for n in (16, 32, 64, 128)]
     rows, width, K = 48, 240, len(SEED1_THREE.harmonics)
     coefficient_profiles(rings)
@@ -527,7 +528,44 @@ def test_deep_grid_workspace_holds_one_displacement_row_per_order():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= ((4 * K + 6) * rows * width + np.getbufsize()) * 8
+    assert peak <= (2 * K + 5) * rows * width * 8
+
+
+@pytest.mark.parametrize("force", [SEED1_THREE, SEED7_THREE], ids=["seed-1", "seed-7"])
+def test_deep_grid_matches_dense_reference(force):
+    # The deep-truncation grid is packed on its own points at J_max = 96,
+    # where each convolution sums up to 48 rows: its tables and profiles
+    # are the dense loop's bit for bit, signed zeros included.
+    rings = [RingConfig(N=n, L=1.0, force=force, j_max=96) for n in (16, 32, 64, 128)]
+    assert all(on_lattice(ring) for ring in rings)
+    for ring, table, profile in zip(rings, coefficient_tables(rings), coefficient_profiles(rings)):
+        dense = engine_reference(ring)
+        np.testing.assert_array_equal(
+            table.data.view(np.uint64), dense.data.view(np.uint64), err_msg=str(ring))
+        np.testing.assert_array_equal(
+            profile.max_abs.view(np.uint64), dense.max_abs.view(np.uint64), err_msg=str(ring))
+
+
+def test_einsum_rounds_like_multiply_then_add_reduce(rng):
+    # The engine's bits rest on each einsum of its loop adding its rounded
+    # products in ascending row order, as np.multiply followed by
+    # np.add.reduce(axis=0) does.  A numpy build whose einsum fuses the
+    # multiply and the add (an FMA kernel) rounds once per term instead.
+    width, K = 240, 3
+    cause = ("np.einsum does not round like np.multiply then np.add.reduce on this numpy "
+             "build (a fused multiply-add?), so the coefficient tables are not the dense "
+             "reference's bits")
+    for r in (1, 2, 3, 17, 48):
+        a, b = rng.standard_normal((2, r, width)) * 10.0 ** rng.uniform(-3, 3, (2, r, width))
+        E = rng.standard_normal((r, K, 2, width))
+        contractions = [
+            (np.einsum("kn,kn->n", a, b), a * b),  # the reciprocal
+            (np.einsum("kn,kn->n", a[::-1], b), a[::-1] * b),  # the square
+            (np.einsum("rn,rhcn->hcn", a, E), a[:, None, None] * E),  # the composition
+        ]
+        for got, products in contractions:
+            expected = np.add.reduce(products, axis=0)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), f"r = {r}: {cause}"
 
 
 def test_grid_rings_share_force_and_depth(sine_force):
