@@ -81,10 +81,6 @@ class TrajectoryState:
     x: np.ndarray
     v: np.ndarray
 
-    def gaps(self, L: float) -> np.ndarray:
-        """Cyclic gaps to the right neighbor; they sum to L by construction."""
-        return _gaps(self.x, L)
-
 
 @dataclass(frozen=True, eq=False)
 class ODESolution:
@@ -104,6 +100,7 @@ class ODESolution:
 
 
 def _gaps(x: np.ndarray, L: float) -> np.ndarray:
+    """Cyclic gaps to the right neighbor; they sum to L by construction."""
     return np.diff(x, append=x[0] + L)
 
 
@@ -309,7 +306,7 @@ def energy(config: RingConfig, state: TrajectoryState) -> float:
     """
     if config.force.a0 != 0.0:
         raise ConfigError("energy requires a zero-mean force (a0 == 0)")
-    g = state.gaps(config.L)
+    g = _gaps(state.x, config.L)
     kinetic = 0.5 * float(np.dot(state.v, state.v))
     interaction = float(np.sum(1.0 / g))
     external = float(np.sum(eval_potential(config.force, state.x)))

@@ -52,11 +52,16 @@ growth of noise inside the band, which is slower.
 **Two kinds of ring.**  A ring with N <= 2 B_J (B_J the band of the top
 order) runs on its own N points: such rings are packed side by side, the
 differences are slices with one wrap column per ring, and a column is
-projected only at the orders with 2 B_j < N.  A ring with N > 2 B_J runs on
-a proxy grid of P points, the smallest power of two above 2 B_J, where a
-band-limited column is fixed by its samples: the force jet is taken at
-x_l = l L/P, and a shift by one lattice spacing multiplies mode m by
-exp(i theta), theta = 2 pi m / N, so the forward difference is the symbol
+projected only at the orders with 2 B_j < N.  Packed rings keep slice
+differences because one ufunc call covers every packed ring: giving each
+ring size its own ``rfft`` block costs three FFT calls per size and order,
+and a prototype of that ran ``coefficient_profiles`` on a deep grid
+(J = 96, N = 16..128) 2.6 times slower (12.4 ms against 4.8 ms).  A ring
+with N > 2 B_J runs on a proxy grid of P points, the smallest power of two
+above 2 B_J, where a band-limited column is fixed by its samples: the
+force jet is taken at x_l = l L/P, and a shift by one lattice spacing
+multiplies mode m by exp(i theta), theta = 2 pi m / N, so the forward
+difference is the symbol
 exp(i theta) - 1 = -2 sin(theta/2)**2 + i sin(theta) and the backward one
 1 - exp(-i theta) = 2 sin(theta/2)**2 + i sin(theta) in ``rfft`` space.
 A ring with 2 B_J < N <= P stays on the proxy grid, although it could run
@@ -117,16 +122,17 @@ orders; it enumerates every ordered tuple (j_1..j_m) with
 (j_1+1)+...+(j_m+1) = j-1 and is exponential in j.  Each order j_p's two
 tuple-entry rows, the scaled gap s * nabla_plus(c_{., j_p}) / (j_p+1) and
 the scaled displacement s * c_{., j_p} / (j_p+1), are built once, as soon
-as the order is final, so a tuple costs one multiply per entry, a
-finiteness scan and, on the gap side, one backward difference.  It does
-not project.  Neither it nor its helpers, which sit beside it, are exported:
-``ordered_compositions``; ``force_grid``, the force jet F^(k)(x_i(0)) on
-the whole rest lattice; and ``nabla_plus`` and ``nabla_minus``, the
-forward and backward differences of a grid function (a 1-D float array
-of length N read with indices mod N), one subtraction of shifted slices
-plus the wrap entry each, the same bits as ``np.roll(g, -1) - g`` and
-``g - np.roll(g, 1)``.  The engine takes none of them: it runs its own
-jet and differences on the points it runs on.
+as the order is final, so a tuple costs one multiply per entry and, on the
+gap side, one backward difference; each order's sum is checked for
+overflow once.  The differences are those of a grid function, indices
+mod N: the forward one, nabla_plus g(i) = g(i+1) - g(i), is ``np.diff``
+with the first entry appended, and the backward one,
+nabla_minus g(i) = g(i) - g(i-1), subtracts one index gather, the same
+bits as ``np.roll(g, -1) - g`` and ``g - np.roll(g, 1)``.  It does not
+project.  Neither it nor its helpers, which sit beside it, are exported:
+``ordered_compositions`` and ``force_grid``, the force jet F^(k)(x_i(0))
+on the whole rest lattice.  The engine takes none of them: it runs its
+own jet and differences on the points it runs on.
 """
 
 from __future__ import annotations
@@ -284,8 +290,12 @@ def _band(force: ForceSpec, j: int) -> int:
 
 
 def _power_of_two(x: float) -> float:
-    """The power of two 2**e with x < 2**e <= 2 x, for finite x > 0; 1.0 for x = 0."""
-    return math.ldexp(1.0, math.frexp(x)[1])
+    """The power of two 2**e with x < 2**e <= 2 x, for finite x > 0; 1.0 for x = 0.
+
+    The exponent is clamped at 1023, the top of double range, so x >= 2**1023
+    gives 2**1023 rather than an OverflowError.
+    """
+    return math.ldexp(1.0, min(math.frexp(x)[1], 1023))
 
 
 def _project(column: np.ndarray, band: int) -> None:
@@ -484,22 +494,6 @@ def force_grid(config: RingConfig, k_max: int) -> np.ndarray:
     return force_jet(config.force, initial_positions(config), k_max)
 
 
-def nabla_plus(g: np.ndarray) -> np.ndarray:
-    """Forward difference of a grid function: result(i) = g(i+1) - g(i), indices mod N."""
-    out = np.empty_like(g)
-    np.subtract(g[1:], g[:-1], out=out[:-1])
-    out[-1] = g[0] - g[-1]
-    return out
-
-
-def nabla_minus(g: np.ndarray) -> np.ndarray:
-    """Backward difference of a grid function: result(i) = g(i) - g(i-1), indices mod N."""
-    out = np.empty_like(g)
-    np.subtract(g[1:], g[:-1], out=out[1:])
-    out[0] = g[0] - g[-1]
-    return out
-
-
 def oracle_coefficients(config: RingConfig) -> CoefficientTable:
     """Slow literal evaluation of the coefficient recursion up to order config.j_max.
 
@@ -526,23 +520,17 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
     if J > 9:
         raise ConfigError(f"oracle enumeration is limited to j_max <= 9, got {J}")
 
-    def finite(values: np.ndarray, j: int) -> np.ndarray:
-        if not np.isfinite(values).all():
-            raise OverflowError(
-                f"oracle_coefficients: coefficient overflow at order {j} for N={N}, j_max={J}"
-            )
-        return values
-
     fk = force_grid(config, (J - 1) // 2)
     c = np.zeros((J + 1, N))
     c[1] = s * fk[0]
     gap = np.empty_like(c)  # gap[jp] = s * nabla_plus(c[jp]) / (jp + 1)
     disp = np.empty_like(c)  # disp[jp] = s * c[jp] / (jp + 1)
+    left = np.arange(N) - 1  # prod - prod[left] is nabla_minus(prod)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(3, J + 1):
             # Order j reads orders up to j - 2; the newest of them is final now.
             top = j - 2
-            gap[top] = s * nabla_plus(c[top]) / (top + 1)
+            gap[top] = s * np.diff(c[top], append=c[top, :1]) / (top + 1)
             disp[top] = s * c[top] / (top + 1)
             acc = np.zeros(N)
             for m in range(1, (j - 1) // 2 + 1):
@@ -552,7 +540,7 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
                     prod = np.ones(N)
                     for jp in tup:
                         prod *= gap[jp]
-                    acc -= pref * nabla_minus(finite(prod, j))
+                    acc -= pref * (prod - prod[left])
             for k in range(1, (j - 1) // 2 + 1):
                 f = fk[k] / math.factorial(k)
                 # Each product starts from a power of two near max |f|, which
@@ -565,7 +553,12 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
                     for jp in tup:
                         prod *= disp[jp]
                     acc += (s / j) * (f * prod)
-            c[j] = finite(acc, j)
+            # An overflowing product leaves this order's sum inf or NaN.
+            if not np.isfinite(acc).all():
+                raise OverflowError(
+                    f"oracle_coefficients: coefficient overflow at order {j} for N={N}, j_max={J}"
+                )
+            c[j] = acc
     return CoefficientTable(L=config.L, scale=s, data=c.T)
 
 

@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 from coulomb_chain import (
     CollisionError, RingConfig, TrajectoryState, eval_force, initial_positions, ode,
 )
-from coulomb_chain.series import force_grid, nabla_minus, nabla_plus
+from coulomb_chain.series import force_grid
 
 
 def explicit_c3(config: RingConfig) -> np.ndarray:
@@ -24,7 +24,8 @@ def explicit_c3(config: RingConfig) -> np.ndarray:
     """
     delta = config.delta
     f0, f1 = force_grid(config, 1)
-    return nabla_minus(nabla_plus(f0)) / (3.0 * delta**3) + f0 * f1 / 6.0
+    forward = np.roll(f0, -1) - f0
+    return (forward - np.roll(forward, 1)) / (3.0 * delta**3) + f0 * f1 / 6.0
 
 
 def initial_state(config: RingConfig) -> TrajectoryState:

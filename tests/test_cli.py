@@ -401,6 +401,19 @@ def test_overflow_exit_code(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("command", ["coeffs", "radius", "sweep", "verify", "compare"])
+def test_amplitude_near_the_top_of_double_range_reports_the_overflow_order(
+        tmp_path, capsys, command):
+    # hypot(a, b) >= 2**1023 once took the power-of-two seed out of range.
+    obj = {"ring": {"N": [8, 16], "L": 1.0, "J_max": 9},
+           "force": {"harmonics": [{"k": 1, "b": 1e308}]}}
+    code, _ = run(command, tmp_path, obj)
+    assert code == 3
+    assert capsys.readouterr().err.strip() == (
+        "error: coefficient overflow at order 3: rescale 0.17677669529663687"
+        " too large for N=8, j_max=9")
+
+
 @pytest.mark.parametrize("amplitude", [1e150, 1e200])
 def test_overflowing_integration_is_a_stiffness_error(tmp_path, amplitude):
     # The squared norm of the starting right-hand side overflows in scipy's

@@ -12,7 +12,7 @@ from coulomb_chain import (
     force_jet,
     initial_positions,
 )
-from coulomb_chain.series import force_grid, nabla_minus, nabla_plus
+from coulomb_chain.series import force_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -21,66 +21,8 @@ def differenced(config, k, q):
     """The k-th force derivative on the rest lattice, forward-differenced q times."""
     g = force_grid(config, k)[k]
     for _ in range(q):
-        g = nabla_plus(g)
+        g = np.roll(g, -1) - g
     return g
-
-
-def test_forward_difference_of_constant_is_zero():
-    np.testing.assert_array_equal(nabla_plus([3.0, 3.0, 3.0, 3.0]), np.zeros(4))
-    np.testing.assert_array_equal(nabla_minus([3.0, 3.0, 3.0, 3.0]), np.zeros(4))
-
-
-def test_forward_difference_hand_values():
-    np.testing.assert_array_equal(nabla_plus([1.0, 4.0, 9.0]), [3.0, 5.0, -8.0])
-
-
-def test_backward_difference_hand_values():
-    np.testing.assert_array_equal(nabla_minus([1.0, 4.0, 9.0]), [-8.0, 3.0, 5.0])
-
-
-def test_period_two_antisymmetry():
-    a, b = 1.7, -0.4
-    np.testing.assert_array_equal(nabla_plus([a, b]), [b - a, a - b])
-
-
-@pytest.mark.parametrize("n", range(2, 10))
-def test_differences_match_the_roll_forms_bit_for_bit(rng, n):
-    # Signed zeros, subnormals, values near the top of double range and plain
-    # normals, in random places; the slice forms subtract the same pairs.
-    edge = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308, 8.9e307])
-    for _ in range(50):
-        g = np.where(rng.random(n) < 0.5, rng.choice(edge, n), rng.normal(size=n))
-        with np.errstate(over="ignore"):  # +-1.7e308 differ by more than the top double
-            plus, minus = np.roll(g, -1) - g, g - np.roll(g, 1)
-            slice_plus, slice_minus = nabla_plus(g), nabla_minus(g)
-        np.testing.assert_array_equal(slice_plus.view(np.uint64), plus.view(np.uint64))
-        np.testing.assert_array_equal(slice_minus.view(np.uint64), minus.view(np.uint64))
-
-
-def test_second_difference_identity(rng):
-    g = rng.normal(size=11)
-    second = nabla_minus(nabla_plus(g))
-    expected = np.roll(g, -1) - 2 * g + np.roll(g, 1)
-    np.testing.assert_allclose(second, expected, rtol=0, atol=1e-14)
-
-
-def test_differences_commute_exactly(rng):
-    for n in (2, 3, 8, 101):
-        g = rng.normal(size=n)
-        np.testing.assert_array_equal(nabla_plus(nabla_minus(g)), nabla_minus(nabla_plus(g)))
-
-
-def test_product_rule(rng):
-    g = rng.normal(size=17)
-    f = rng.normal(size=17)
-    lhs = nabla_plus(g * f)
-    rhs = np.roll(f, -1) * nabla_plus(g) + g * nabla_plus(f)
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
-
-
-def test_telescoping(rng):
-    g = rng.normal(size=64)
-    assert abs(np.sum(nabla_plus(g))) <= 1e-12 * np.sum(np.abs(g))
 
 
 def test_force_grid_quarter_points():

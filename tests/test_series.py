@@ -791,6 +791,33 @@ def test_overflow_raises(sine_force):
         oracle_coefficients(config)
 
 
+@pytest.mark.parametrize("x, expected", [
+    (0.0, 1.0), (0.75, 1.0), (1.0, 2.0), (3.0, 4.0), (5e-324, 2.0**-1073),
+    (2.0**1022, 2.0**1023), (2.0**1023, 2.0**1023), (1e308, 2.0**1023),
+    (np.finfo(float).max, 2.0**1023),
+])
+def test_power_of_two_clamps_at_the_top_of_double_range(x, expected):
+    assert series._power_of_two(x) == expected
+
+
+def test_oracle_overflow_in_a_gap_product_names_its_order():
+    # The sine ring above overflows on both sides of order 9.  On a long ring
+    # delta**(-2-m) is tiny, so here only the gap product of (1, 1, 1, 1)
+    # leaves double range and the force side stays finite; the per-order
+    # check on the sum still names order 9.
+    force = ForceSpec(L=1e15, harmonics=(Harmonic(1, 0.0, 0.5),))
+    s = 1e40
+    c = oracle_coefficients(RingConfig(N=8, L=1e15, force=force, j_max=8, scale=s)).data.T
+    with np.errstate(over="ignore"):
+        gap = s * np.diff(c, append=c[:, :1], axis=1) / np.arange(1, 10)[:, None]
+        overflowing = [tup for m in range(1, 5) for tup in ordered_compositions(8 - m, m)
+                       if not np.isfinite(np.prod(gap[list(tup)], axis=0)).all()]
+    assert overflowing == [(1, 1, 1, 1)]
+    config = RingConfig(N=8, L=1e15, force=force, j_max=9, scale=s)
+    with pytest.raises(OverflowError, match="^oracle_coefficients: coefficient overflow at order 9"):
+        oracle_coefficients(config)
+
+
 def test_auto_scale_default(sine_force):
     config = RingConfig(N=64, L=1.0, force=sine_force, j_max=4)
     assert config.scale == pytest.approx(auto_scale(64))
@@ -813,13 +840,13 @@ def test_matches_enumeration_oracle(sine_force):
 def test_enumeration_oracle_differences_each_order_once(monkeypatch, sine_force, j_max):
     # Orders 1..j_max-2 are read by a later order; each is differenced once.
     calls = []
-    nabla_plus = series.nabla_plus
+    diff = np.diff
 
-    def counted(g):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return nabla_plus(g)
+        return diff(*args, **kwargs)
 
-    monkeypatch.setattr(series, "nabla_plus", counted)
+    monkeypatch.setattr(np, "diff", counted)
     oracle_coefficients(RingConfig(N=5, L=1.0, force=sine_force, j_max=j_max))
     assert len(calls) == j_max - 2
 
