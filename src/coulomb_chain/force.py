@@ -26,6 +26,11 @@ sine (a = 0, b > 0), phi = 0 and R = b, so both give the bits of
 b sin(w x).  ``eval_potential`` uses the same phase form,
 R cos(w x + phi) / w.  Points are reduced modulo L only when one lies
 outside [0, L).
+
+``ForceSpec._phases`` holds (w, phi, R) per harmonic, w = 2 pi k / L, and
+is the one home of w and R: the kernels, ``c_f_bound`` and the
+coefficient engine read w there, and the phase-form kernels and the
+engine read R.
 """
 
 from __future__ import annotations
@@ -188,9 +193,8 @@ def force_jet(spec: ForceSpec, x, k_max: int, *, turns: np.ndarray | None = None
         raise ConfigError(f"harmonic turns must have shape {shape}, got {turns.shape}")
     if x.size and not (x.min() >= 0.0 and x.max() < spec.L):
         x = np.mod(x, spec.L)
-    for i, h in enumerate(spec.harmonics):
+    for i, (h, (w, _, _)) in enumerate(zip(spec.harmonics, spec._phases)):
         p, q = turns[i, 0, ...], turns[i, 1, ...]  # views, also for scalar x
-        w = 2.0 * np.pi * h.k / spec.L
         theta = w * x
         cos, sin = np.cos(theta), np.sin(theta)
         np.multiply(h.a, cos, out=p)
@@ -219,7 +223,7 @@ def c_f_bound(spec: ForceSpec) -> float:
     at n = 0 for weak forces; it is crude but safe.
     """
     amp = abs(spec.a0) + sum(abs(h.a) + abs(h.b) for h in spec.harmonics)
-    w_max = max((2.0 * math.pi * h.k / spec.L for h in spec.harmonics), default=0.0)
+    w_max = max((w for w, _, _ in spec._phases), default=0.0)
     return max(1.0, amp, w_max)
 
 

@@ -198,7 +198,11 @@ def integrate(
     ``t_eval`` defaults to 11 uniform samples on [0, t_end]; its samples
     must be finite and lie in [0, t_end].  An accepted step is never longer
     (to within 1e-9 relative) than the smallest spacing of 0 and the
-    samples, so a denser ``t_eval`` gives shorter steps.  Raises
+    samples, so a denser ``t_eval`` gives shorter steps.  States come at
+    the sorted sample times: those at t = 0 are the start, and each later
+    one is read from the dense output of the step that first reaches it.
+    ``n_steps``, ``min_step`` and ``max_step`` are read from the one list
+    of accepted step sizes.  Raises
     StiffnessError if the controller's step underflows, also where its
     step-size norms overflow, and CollisionError if a gap of the initial
     state is at or below the floor or an accepted step breaks the particle
@@ -251,14 +255,11 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         solver = DOP853(rhs, 0.0, y0, t_end, rtol=rel_tol, atol=abs_tol, max_step=max_step)
 
-    states: list[TrajectoryState] = []
-    next_idx = 0
-    while next_idx < t_eval.size and t_eval[next_idx] <= 0.0:
-        states.append(state(float(t_eval[next_idx]), y0))
-        next_idx += 1
-
-    n_steps = n_rejected = 0
-    shortest, longest = np.inf, 0.0
+    # Samples at t <= 0 are the start; each step adds the samples it newly
+    # reaches, so len(states) is the index of the next sample.
+    states = [state(t, y0) for t in t_eval[: np.searchsorted(t_eval, 0.0, side="right")].tolist()]
+    steps: list[float] = []  # accepted step sizes
+    n_rejected = 0
     err_bound = 0.0
     while solver.status == "running":
         nfev = solver.nfev
@@ -274,38 +275,34 @@ def integrate(
                 f"accepted step {h:.3e} underflowed below "
                 f"{MIN_STEP_FRACTION * t_end:.3e}"
             )
-        n_steps += 1
-        shortest, longest = min(shortest, h), max(longest, h)
+        steps.append(float(h))
         err_bound += rel_tol * float(np.max(np.abs(solver.y))) + abs_tol
         # Ordering must survive every accepted step, not just the samples.
         if (_padded_gaps(g0, solver.y[:N], *work[:2]) <= 0.0).any():
             raise CollisionError(f"particle ordering violated at t={solver.t:.6e}")
-        if next_idx < t_eval.size and t_eval[next_idx] <= solver.t:
+        reached = t_eval[len(states) : np.searchsorted(t_eval, solver.t, side="right")].tolist()
+        if reached:
             dense = solver.dense_output()
-            while next_idx < t_eval.size and t_eval[next_idx] <= solver.t:
-                tq = float(t_eval[next_idx])
-                states.append(state(tq, dense(tq)))
-                next_idx += 1
+            states += [state(t, dense(t)) for t in reached]
 
     return ODESolution(
         states=states,
         local_error_bound=err_bound,
-        n_steps=n_steps,
+        n_steps=len(steps),
         n_rejected_steps=n_rejected,
         n_rhs_evals=int(solver.nfev),
-        min_step=float(shortest) if n_steps else 0.0,
-        max_step=float(longest),
+        min_step=min(steps, default=0.0),
+        max_step=max(steps, default=0.0),
     )
 
 
 def energy(config: RingConfig, state: TrajectoryState) -> float:
     """Total energy: kinetic + sum 1/gap + external potential.
 
-    Requires a zero-mean force so a periodic potential exists; conserved
-    along exact trajectories, so its drift measures integration error.
+    Requires a zero-mean force so a periodic potential exists
+    (``eval_potential`` raises ConfigError otherwise); conserved along exact
+    trajectories, so its drift measures integration error.
     """
-    if config.force.a0 != 0.0:
-        raise ConfigError("energy requires a zero-mean force (a0 == 0)")
     g = _gaps(state.x, config.L)
     kinetic = 0.5 * float(np.dot(state.v, state.v))
     interaction = float(np.sum(1.0 / g))

@@ -363,7 +363,7 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
     R, Wl, width = len(proxy), int(sizes[: len(packed)].sum()), int(sizes.sum())
     last = np.cumsum(sizes[: len(packed)]) - 1  # each packed ring's last column
     first = last - sizes[: len(packed)] + 1
-    x = np.concatenate([np.arange(ring.N) * ring.delta for ring in packed]
+    x = np.concatenate([initial_positions(ring) for ring in packed]
                        + [np.arange(P) * (force.L / P) for _ in proxy])
     delta, s = (np.repeat([getattr(ring, name) for ring in packed + proxy], sizes)
                 for name in ("delta", "scale"))
@@ -384,14 +384,13 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
     turns, S = (np.empty((K, 2, width)) for _ in range(2))
     E = np.empty((rows, K, 2, width))
     # (Re, Im) of i w S is (-w Im S, w Re S): the pair swapped, times this.
-    freq = [2.0 * np.pi * h.k / force.L for h in force.harmonics]
-    rotate = np.array([(-f, f) for f in freq]).reshape(K, 2, 1)
+    rotate = np.array([(-f, f) for f, _, _ in force._phases]).reshape(K, 2, 1)
     band1 = _band(force, 1)
     # E_h starts from a power of two near the harmonic's amplitude, and its
     # (p, q) rows are divided by it: no bit changes in normal range, and E_h
     # keeps the magnitude of the harmonic's share of the column, so a huge
     # amplitude under a tiny rescale does not push it into the subnormals.
-    amp = np.array([_power_of_two(math.hypot(h.a, h.b)) for h in force.harmonics])
+    amp = np.array([_power_of_two(R) for _, _, R in force._phases])
 
     def block(a: np.ndarray) -> np.ndarray:
         """The (..., R, P) view of the proxy columns of ``a``."""
