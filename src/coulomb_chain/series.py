@@ -47,7 +47,19 @@ rounding noise, which the delta**(-3) differences amplify from order to
 order (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 11), so
 every computed column c_j, j >= 3, is projected to the modes <= B_j by an
 ``rfft``, wherever 2 B_j is below the ring's point count.  That leaves the
-growth of noise inside the band, which is slower.
+growth of noise inside the band, which is slower.  The true spectrum of a
+column falls steeply with the mode number, so the top modes of the band
+carry mostly noise, and that noise is what grows; on a proxy ring (below)
+each column's spectrum is therefore also filtered as Krasny filtered a
+vortex sheet (J. Fluid Mech. 167 (1986) 65): every mode whose modulus is
+below tau = ``FILTER_LEVEL`` = 1e-15 times the ring's largest modulus at
+that order is set to zero.  Mode 0, the mean current, is kept: it can lie
+below the cut, about 5e-15 of the column maximum at order 61 on a
+two-harmonic force at N = 2**16 and smaller at larger N, and is not noise.
+On the sine force at J = 97 the root-test radius R_hat sqrt(N) then reads
+0.806 to 1.665 for N = 2**8 .. 2**20, against 0.60 to 0.69 unfiltered, and
+agrees with a 60-80-digit recursion to 1.1e-4.  Packed rings are not
+filtered yet: they would need an ``rfft`` round trip at every order.
 
 **Two kinds of ring.**  A ring with N <= 2 B_J (B_J the band of the top
 order) runs on its own N points: such rings are packed side by side, the
@@ -163,6 +175,11 @@ __all__ = [
 #: it as exact zeros, and relative errors (``verify``'s oracle cross-check,
 #: ``compare``'s velocity error) never divide by less than it.
 TINY = 1e-300
+
+#: Krasny filter level: after a proxy ring's column is cut to its band, each
+#: mode but mode 0 whose modulus is below this fraction of the ring's
+#: largest modulus at that order is set to zero.
+FILTER_LEVEL = 1e-15
 
 @dataclass(frozen=True, eq=False)
 class CoefficientProfile:
@@ -458,6 +475,9 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
                 w_hat, composed_hat = np.fft.rfft(block(pair))
                 spectra[r] = (composed_hat - backward * w_hat) * (proxy_s / j)
                 spectra[r, :, band + 1 :] = 0.0
+                modulus = np.abs(spectra[r])
+                cut = modulus < FILTER_LEVEL * modulus.max(axis=1, keepdims=True)
+                spectra[r, :, 1:][cut[:, 1:]] = 0.0  # mode 0, the current, stays
                 np.fft.irfft(spectra[r], n=P, out=block(cols[r]))
 
     # The split keeps grid order, so the rings take its first columns and blocks in turn.

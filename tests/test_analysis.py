@@ -16,6 +16,7 @@ from coulomb_chain import (
     RingConfig,
     bound_check,
     c_f_bound,
+    coefficient_profiles,
     compute_coefficients,
     estimate_radius,
     exponent_fit,
@@ -121,6 +122,20 @@ def test_radius_theorem_consistency(sine_force):
     est = estimate_radius(tables[2])  # N=64
     assert not est.degenerate
     assert est.r_hat >= (1.0 / report.chi_min_max) * 64.0 ** (-5.0 / 6.0)
+
+
+# R_hat * sqrt(N) for the sine force at J = 97, N = 4**4 .. 4**10, from the
+# proxy-grid recursion written out in 60-80-digit mpmath (exact grid points
+# and difference symbols, DFTs as explicit sums): the "mp proxy loop" row of
+# ROADMAP item 13.  Unfiltered, rounding noise grows through the band and
+# the estimate reads 0.69, 0.62, 0.60, 0.61, 0.64, 0.66, 0.69.
+MP_PROXY_RADIUS = [0.80602, 0.94302, 1.08357, 1.22654, 1.37123, 1.51711, 1.66506]
+
+
+def test_radius_of_deep_proxy_rings_matches_the_mp_recursion(sine_force):
+    rings = [RingConfig(N=4**k, L=1.0, force=sine_force, j_max=97) for k in range(4, 11)]
+    scaled = [estimate_radius(p).r_hat * p.N**0.5 for p in coefficient_profiles(rings)]
+    assert scaled == pytest.approx(MP_PROXY_RADIUS, rel=2e-4)
 
 
 def test_radius_monotone_trend(sine_force):

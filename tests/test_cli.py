@@ -131,7 +131,7 @@ TWO_HARMONIC_ARTIFACTS = {
         "trajectory_N64.csv": "b839ad8da6541644ed9398f07748d54b6bb1bcfd1441be0a7546f36927423a7e",
     },
     "compare": {
-        "compare.json": "e6acfc7e048bc8e54d9782b544957550148f31ff72eeb465383e5025d751b1c5",
+        "compare.json": "2e1ccdcef30106cc8231700454307b4178ff43fb05e73b1c0c3e330bbb2ede16",
     },
 }
 

@@ -654,17 +654,17 @@ PINNED_CSV = {
     (8, 9): "246684a061fd362e4d6ff6ec5e75d27a3b782e9d12cdaa3e829d206c56a73074",
     (8, 24): "7f75f6c851682440ebe7eda30b0d54f0d280ee4d2f63baf5f9bf4b9e4da683d9",
     (64, 9): "504416380e258e83a444f588e0462d3fd32ef43dbdccc94e3bb2625a5f1926ea",
-    (64, 24): "a45966bc791ab5dd85c994053a47be21fce9f9ba5e60202d8cd299e51eed5aff",
-    (256, 9): "441fec952e1bbdb7442a6f9ddeb3f00d3d04481ba8994b54db45308297c7b849",
-    (256, 24): "876a9e6fe7bfde9c75e07ea7775ab243d3a455d2797642c2a447cb83ea09d645",
+    (64, 24): "4934ded4588ae6000cccf5ea66511f3ec041cba1056d5aad155e84dfc0b1fe20",
+    (256, 9): "acefef798c5669cb28e26f711c17f6a03dfe59982b56d75d31a4df35f0eec4a0",
+    (256, 24): "4e2d74120d313e3f6c70e90f49b6cc2598157f60ecf14705241f40c8de7ffc84",
 }
 PINNED_JSON = {
     (8, 9): "b1ace59ea42b6b80be262cced4ea8462908665e8642506488e265f1735c46b1e",
     (8, 24): "0864670010aada075fddbe9efb234ca7b57fbc31c17fcddd888367796db2592c",
     (64, 9): "8f2dde84a9ca2964447375ef8d3fb23215d7991897f9e536b59fa483fdfb6052",
-    (64, 24): "4dc4042e0f9a56cdb54b0980a6ec43d214850268d86bca9ff478bcca0e8248ab",
-    (256, 9): "946bb288fe21f224a44fff217e400043a94fe64fc7c412cda8c9b590238412b4",
-    (256, 24): "b814d6886dd9b6d410a566c599477b93413f0aef56e0bd92b746c19ad205c57d",
+    (64, 24): "0ee1b3e9ecb07f52a95cd30166ae6605ab92e6cc10c93a89457875933a658a66",
+    (256, 9): "d30e5f2b0496518e492685ee48de8e70a95f60a5217b8feed725b7f087f6a8fa",
+    (256, 24): "632190300b6fdd66975aea86d3094b918ce1074d5d6b1be8ee160229a5e87e9a",
 }
 
 
