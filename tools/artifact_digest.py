@@ -40,6 +40,9 @@ the first is zero; the last two run ``coeffs``, ``simulate`` and
 truncation ``radius`` accepts, with ``t_end`` = 0.1 runs ``radius`` and
 ``compare``: the radius fit's window must hold three odd orders there, and
 ``compare`` stops at half the estimated radius, below ``t_end``.
+The sine force at J_max = 97 on N = 2**8, 2**10, .., 2**20, all proxy
+rings deep enough for the spectral filter to decide the tail, runs
+``radius``.
 The first line lists the package's public names, ``coulomb_chain.__all__``
 sorted, so the digest also pins the API.  Two checkouts give byte-identical
 artifacts and the same public names exactly when a plain ``diff`` of their
@@ -91,6 +94,8 @@ EXTRA = (
      ("coeffs", "simulate", "compare")),
     ("wide-N", "shallow", {"ring": {"N": [16, 32], "J_max": 8}, "force": SINE,
                            "ode": {"t_end": 0.1}}, ("radius", "compare")),
+    ("wide-N", "deep_sine", {"ring": {"N": [4**k for k in range(4, 11)], "J_max": 97},
+                             "force": SINE}, ("radius",)),
 )
 
 
