@@ -135,8 +135,9 @@ orders; it enumerates every ordered tuple (j_1..j_m) with
 tuple-entry rows, the scaled gap s * nabla_plus(c_{., j_p}) / (j_p+1) and
 the scaled displacement s * c_{., j_p} / (j_p+1), are built once, as soon
 as the order is final, so a tuple costs one multiply per entry and, on the
-gap side, one backward difference; each order's sum is checked for
-overflow once.  The differences are those of a grid function, indices
+gap side, one backward difference; the gap rows are held divided by a
+power of two near their maximum, so a product of gaps overflows only where
+its term does, and each order's sum is checked for overflow once.  The differences are those of a grid function, indices
 mod N: the forward one, nabla_plus g(i) = g(i+1) - g(i), is ``np.diff``
 with the first entry appended, and the backward one,
 nabla_minus g(i) = g(i) - g(i-1), subtracts one index gather, the same
@@ -532,8 +533,14 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
     the engine's table reaches.  Each term then carries scale**(m+1) (A) or
     scale**(k+1) (B), applied the way the engine's displacement
     u = scale * c / (j_p+1) carries it: one factor of scale per tuple entry
-    and one for the term, so no power of scale is formed on its own.
-    Raises OverflowError at the first order that leaves double range.
+    and one for the term, so no power of scale is formed on its own.  Each
+    gap row is kept divided by 2**e, e the binary exponent of its largest
+    entry, and a term's difference, times its prefactor, is multiplied back
+    by 2 to the sum of its entries' exponents with ``np.ldexp``: exact in
+    normal range, so no bit changes, while a product of large gaps whose
+    term is finite no longer overflows on the way (a term that does
+    overflow reads inf).  Raises OverflowError at the first order that
+    leaves double range.
     """
     J, N, delta, s = config.j_max, config.N, config.delta, config.scale
     if J > 9:
@@ -542,24 +549,28 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
     fk = force_grid(config, (J - 1) // 2)
     c = np.zeros((J + 1, N))
     c[1] = s * fk[0]
-    gap = np.empty_like(c)  # gap[jp] = s * nabla_plus(c[jp]) / (jp + 1)
+    gap = np.empty_like(c)  # gap[jp] = s * nabla_plus(c[jp]) / (jp + 1) / 2**expo[jp]
+    expo = [0] * (J + 1)
     disp = np.empty_like(c)  # disp[jp] = s * c[jp] / (jp + 1)
     left = np.arange(N) - 1  # prod - prod[left] is nabla_minus(prod)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(3, J + 1):
             # Order j reads orders up to j - 2; the newest of them is final now.
             top = j - 2
-            gap[top] = s * np.diff(c[top], append=c[top, :1]) / (top + 1)
+            row = s * np.diff(c[top], append=c[top, :1]) / (top + 1)
+            expo[top] = math.frexp(float(np.max(np.abs(row))))[1]
+            gap[top] = np.ldexp(row, -expo[top])
             disp[top] = s * c[top] / (top + 1)
             acc = np.zeros(N)
             for m in range(1, (j - 1) // 2 + 1):
                 d_m = (-1) ** m * (m + 1)
                 pref = d_m * delta ** (-2.0 - m) * s / j
                 for tup in ordered_compositions(j - 1 - m, m):
-                    prod = np.ones(N)
-                    for jp in tup:
+                    prod, e = gap[tup[0]].copy(), expo[tup[0]]
+                    for jp in tup[1:]:
                         prod *= gap[jp]
-                    acc -= pref * (prod - prod[left])
+                        e += expo[jp]
+                    acc -= np.ldexp(pref * (prod - prod[left]), e)
             for k in range(1, (j - 1) // 2 + 1):
                 f = fk[k] / math.factorial(k)
                 # Each product starts from a power of two near max |f|, which

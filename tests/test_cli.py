@@ -414,6 +414,18 @@ def test_amplitude_near_the_top_of_double_range_reports_the_overflow_order(
         " too large for N=8, j_max=9")
 
 
+def test_verify_accepts_a_ring_whose_raw_gap_products_overflow(tmp_path):
+    # On the N = 3 cross-check ring the raw product gap[1]**4 leaves double
+    # range although every term of order 9 is finite; coeffs accepts the
+    # config, so verify must check it rather than report an overflow.
+    obj = {"ring": {"N": [8], "L": 1e15, "J_max": 9, "scale": 1e40},
+           "force": {"harmonics": [{"k": 1, "b": 0.5}]}}
+    assert run("coeffs", tmp_path, obj)[0] == 0
+    code, out = run("verify", tmp_path, obj)
+    assert code == 0
+    assert json.loads((out / "verify.json").read_text())["oracle_max_rel_err"] <= 1e-10
+
+
 @pytest.mark.parametrize("amplitude", [1e150, 1e200])
 def test_overflowing_integration_is_a_stiffness_error(tmp_path, amplitude):
     # The squared norm of the starting right-hand side overflows in scipy's

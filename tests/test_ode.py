@@ -192,6 +192,20 @@ def test_requested_samples_are_honored(sine_force):
     assert sol.local_error_bound > 0
 
 
+def test_unsorted_and_repeated_samples(sine_force):
+    # States come at the sorted times; the t = 0 samples are the start and a
+    # repeated time is read from the same dense output twice.
+    config = RingConfig(N=8, L=1.0, force=sine_force, j_max=4, scale=1.0)
+    sol = integrate(config, 0.08, t_eval=[0.05, 0.0, 0.013, 0.0, 0.05, 0.08])
+    assert [st.t for st in sol.states] == [0.0, 0.0, 0.013, 0.05, 0.05, 0.08]
+    rest = initial_state(config)
+    for st in sol.states[:2]:
+        np.testing.assert_array_equal(st.x, rest.x)
+        np.testing.assert_array_equal(st.v, rest.v)
+    first, second = sol.states[3:5]
+    assert first.x.tobytes() == second.x.tobytes() and first.v.tobytes() == second.v.tobytes()
+
+
 def test_gaps_sum_to_circumference(sine_force):
     config = RingConfig(N=8, L=1.0, force=sine_force, j_max=4, scale=1.0)
     sol = integrate(config, 0.1, 1e-10, 1e-12)
