@@ -137,15 +137,16 @@ the scaled displacement s * c_{., j_p} / (j_p+1), are built once, as soon
 as the order is final, so a tuple costs one multiply per entry and, on the
 gap side, one backward difference; the gap rows are held divided by a
 power of two near their maximum, so a product of gaps overflows only where
-its term does, and each order's sum is checked for overflow once.  The differences are those of a grid function, indices
-mod N: the forward one, nabla_plus g(i) = g(i+1) - g(i), is ``np.diff``
-with the first entry appended, and the backward one,
-nabla_minus g(i) = g(i) - g(i-1), subtracts one index gather, the same
-bits as ``np.roll(g, -1) - g`` and ``g - np.roll(g, 1)``.  It does not
-project.  Neither it nor its helpers, which sit beside it, are exported:
-``ordered_compositions`` and ``force_grid``, the force jet F^(k)(x_i(0))
-on the whole rest lattice.  The engine takes none of them: it runs its
-own jet and differences on the points it runs on.
+its term does, and each order's sum is checked for overflow once.  The
+differences are those of a grid function, indices mod N: the forward one,
+nabla_plus g(i) = g(i+1) - g(i), is ``np.diff`` with the first entry
+appended, and the backward one, nabla_minus g(i) = g(i) - g(i-1),
+subtracts one index gather, the same bits as ``np.roll(g, -1) - g`` and
+``g - np.roll(g, 1)``.  It does not project.  Neither it nor its helpers,
+which sit beside it, are exported: ``ordered_compositions`` and
+``force_grid``, the force jet F^(k)(x_i(0)) on the whole rest lattice.
+The engine takes none of them: it runs its own jet and differences on the
+points it runs on.
 """
 
 from __future__ import annotations
