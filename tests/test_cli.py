@@ -69,10 +69,10 @@ PINNED_ARTIFACTS = {
         "coeffs_N8.json": "8969c9391cdb21c2ba8ee062ccfd1e3f3777a834bb3115216f9662797eb6d051",
         "coeffs_N16.csv": "bc322ac284012232d72f0975d67d9cc96f18a2e9f95c7e086ae80d9c037b9e36",
         "coeffs_N16.json": "891e853f714b0c86353604379309696898a02603011a04684ac19f628eccbfd0",
-        "coeffs_N32.csv": "2dbb9fe8bbce84a9436552321b37b2cf161b17a492047c81ebdaa7ce51df497a",
-        "coeffs_N32.json": "67d9e9af9e262a7c3c44c7c704ca0844b9cb58c1ed4eefd9e10ea8aace4641ff",
-        "coeffs_N64.csv": "edbc6fdb9cf1f8a6b35f8085dc3c85085aa0331d0f05b0d61b713c4737de32cc",
-        "coeffs_N64.json": "ae5dde1d88b6ccd81f66710c9944460b21c25649e2322c91a375e7964c78359d",
+        "coeffs_N32.csv": "48692320f67079f987f643d660e9ba9d79f92dec78950fba77e3143aa3e2ac5b",
+        "coeffs_N32.json": "b175dcf772aa930c8f9e28c65b09696cc933e7589a69d0c722bd25a86d1de5be",
+        "coeffs_N64.csv": "1ef13a89d2ea7d3563d468234d0c8e214421b26dca50804cc6b1033814fb0b98",
+        "coeffs_N64.json": "08eefa6f7066dc1b321a0980a3a4af47c569e65fdac9f1a0bad066981e3ec5cc",
     },
     "simulate": {
         "simulate.json": "1a9f003f3e4ae19090b4fe156b4e5b06183cfc530d57a37d380e93872756d77a",
@@ -82,7 +82,7 @@ PINNED_ARTIFACTS = {
         "trajectory_N64.csv": "b35cd23bc4ae7ac601ac34144f65ae9e2a758ba580ad4300d93d79309ae3890e",
     },
     "compare": {
-        "compare.json": "06b9d66ff32d30955c6d8b03916c9aab7273ac04507841e1e8726baff95daba8",
+        "compare.json": "9a9695b4ee8f9043e224f9ef97526b78a37abf7297d1f6c17f3fb18619b91f65",
     },
     "radius": {
         "radius.csv": "4023a5687807d90add062e6e92c62a902232b477fd5b202d4d09e03f2b5d43bf",
@@ -92,9 +92,9 @@ PINNED_ARTIFACTS = {
         "verify.json": "2e340feb44e1ed2ce70a28323abf002b06944132b7b885dd395396e66eaaa8e3",
     },
     "sweep": {
-        "exponents.csv": "137072f659ebf4af854bce59a0848b016773ad3057d9b65ea4f9b967712652bd",
+        "exponents.csv": "4edb1a4ef3455c8c61679dd64a5bafccebec9a24e7a2e6aa74e6eeaf13b7c786",
         "radius.csv": "4023a5687807d90add062e6e92c62a902232b477fd5b202d4d09e03f2b5d43bf",
-        "sweep.json": "ae0a21a8425521d159499ed4567d1eb59c232e6e015d521b63be4184df37c176",
+        "sweep.json": "30ed283397bd641e7fb4965b74e92bfab6b0d71a77235fad506c169eb4142edc",
     },
 }
 PINNED_VERIFY_STDOUT = (
@@ -131,7 +131,7 @@ TWO_HARMONIC_ARTIFACTS = {
         "trajectory_N64.csv": "b839ad8da6541644ed9398f07748d54b6bb1bcfd1441be0a7546f36927423a7e",
     },
     "compare": {
-        "compare.json": "2e1ccdcef30106cc8231700454307b4178ff43fb05e73b1c0c3e330bbb2ede16",
+        "compare.json": "c6db20ac7372d229caa53d71d112321776626124767ac09ddc77620e95546ab8",
     },
 }
 

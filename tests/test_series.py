@@ -413,27 +413,27 @@ def test_overflow_in_the_middle_of_a_packed_slab(sine_force):
 @pytest.mark.parametrize("n", [21, 22, 256, 2**14, 2**18, 20011])
 def test_lattice_values_match_a_40_digit_sum_of_their_spectrum(monkeypatch, rng, n):
     # A proxy ring's lattice values sum each odd column's P-point spectrum
-    # (P = 32 here) over its modes up to N/2, counting the Nyquist mode of
-    # N = 22 once, by its real part.  Each value lies within 8 ulps of the
-    # column max of the 40-digit sum: at every point of a small ring, at 150
-    # sampled points and each column's argmax and argmin of a large one.
+    # (P = 32 here) over its band B_j = 2, 4, .., 10, below N/2.  Each value
+    # lies within 8 ulps of the column max of the 40-digit sum: at every
+    # point of a small ring, at 150 sampled points and each column's argmax
+    # and argmin of a large one.
     seen = []
     lattice = series._lattice
 
     def spy(spectra, bands, N, P):
         spectra = [spectrum.copy() for spectrum in spectra]
-        seen.append((spectra, N, P))
+        seen.append((spectra, bands, N, P))
         return lattice(spectra, bands, N, P)
 
     monkeypatch.setattr(series, "_lattice", spy)
     table = compute_coefficients(RingConfig(N=n, L=1.0, force=SEED7_TWO, j_max=9))
-    ((spectra, N, P),) = seen
-    assert (N, P, len(spectra)) == (n, 32, 5)
+    ((spectra, bands, N, P),) = seen
+    assert (N, P, len(spectra), list(bands)) == (n, 32, 5, [2, 4, 6, 8, 10])
     with mp.workdps(40):
         for k, spectrum in enumerate(spectra):
             column = table.data[:, 2 * k + 1]
-            modes = [mpc(complex(x)) * (1 if m in (0, N / 2) else 2) / P
-                     for m, x in enumerate(spectrum[: min(P, N) // 2 + 1])]
+            modes = [mpc(complex(x)) * (1 if m == 0 else 2) / P
+                     for m, x in enumerate(spectrum[: bands[k] + 1])]
             points = (range(N) if N <= 256 else np.unique(np.r_[
                 rng.choice(N, 150, replace=False), column.argmax(), column.argmin()]))
             ulp = np.spacing(np.abs(column).max())
@@ -441,6 +441,29 @@ def test_lattice_values_match_a_40_digit_sum_of_their_spectrum(monkeypatch, rng,
                 exact = sum(mp.re(x * mp.expjpi(mpf(2 * m * int(i)) / N))
                             for m, x in enumerate(modes))
                 assert abs(column[i] - exact) <= 8 * ulp, (k, i)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 4096])
+@pytest.mark.parametrize("force, j_max", [("sine", 9), ("seed-7-two", 9), ("seed-7-three", 13)])
+def test_order_one_of_a_proxy_ring_is_its_force_sample(sine_force, rng, force, j_max, n):
+    # A proxy ring with N != P sums order 1 over its band B_1 = K_max, as it
+    # does every order; the modes above it hold rounding noise only.  Its
+    # values lie within 6e-16 of the column max of the 40-digit sample
+    # scale F(i L/N): at every point for N <= 1000, at 150 sampled points
+    # and the column's argmax and argmin for N = 4096.
+    force = {"sine": sine_force, "seed-7-two": SEED7_TWO, "seed-7-three": SEED7_THREE}[force]
+    config = RingConfig(N=n, L=1.0, force=force, j_max=j_max)
+    assert not on_lattice(config) and n != 1 << (2 * band(config, j_max)).bit_length()  # N != P
+    column = compute_coefficients(config).data[:, 1]
+    points = (range(n) if n <= 1000 else np.unique(np.r_[
+        rng.choice(n, 150, replace=False), column.argmax(), column.argmin()]))
+    with mp.workdps(40):
+        theta = [2 * mp.pi * int(i) / n for i in points]  # 2 pi x_i / L
+        sample = [mpf(config.scale) * (force.a0 + sum(
+            h.a * mp.cos(h.k * t) + h.b * mp.sin(h.k * t) for h in force.harmonics)) for t in theta]
+        top = max(abs(f) for f in sample)
+        error = max(abs(column[i] - f) for i, f in zip(points, sample)) / top
+    assert error <= 6e-16
 
 
 def test_tables_do_not_depend_on_the_blas_thread_count():
@@ -653,18 +676,18 @@ def assert_writers_match_references(table):
 PINNED_CSV = {
     (8, 9): "246684a061fd362e4d6ff6ec5e75d27a3b782e9d12cdaa3e829d206c56a73074",
     (8, 24): "7f75f6c851682440ebe7eda30b0d54f0d280ee4d2f63baf5f9bf4b9e4da683d9",
-    (64, 9): "504416380e258e83a444f588e0462d3fd32ef43dbdccc94e3bb2625a5f1926ea",
+    (64, 9): "f774ae66719cc4ff9bba8ee387a4bc883677aa628d13ee7b050d68dbe522a317",
     (64, 24): "4934ded4588ae6000cccf5ea66511f3ec041cba1056d5aad155e84dfc0b1fe20",
-    (256, 9): "acefef798c5669cb28e26f711c17f6a03dfe59982b56d75d31a4df35f0eec4a0",
-    (256, 24): "4e2d74120d313e3f6c70e90f49b6cc2598157f60ecf14705241f40c8de7ffc84",
+    (256, 9): "97c5622b52b74672aeb4b1148fa5cd65f02e45a7f1d2bab5f65e562ef2cfb1e7",
+    (256, 24): "88ffd0badb78c1f328cbfcc2acda546de84ece01822e3120c89c7acf72ad9097",
 }
 PINNED_JSON = {
     (8, 9): "b1ace59ea42b6b80be262cced4ea8462908665e8642506488e265f1735c46b1e",
     (8, 24): "0864670010aada075fddbe9efb234ca7b57fbc31c17fcddd888367796db2592c",
-    (64, 9): "8f2dde84a9ca2964447375ef8d3fb23215d7991897f9e536b59fa483fdfb6052",
+    (64, 9): "1c6efaaf02b2a2eb0911889052faeaae2521c5ee92d3bf81ea8f411b17689fc5",
     (64, 24): "0ee1b3e9ecb07f52a95cd30166ae6605ab92e6cc10c93a89457875933a658a66",
-    (256, 9): "d30e5f2b0496518e492685ee48de8e70a95f60a5217b8feed725b7f087f6a8fa",
-    (256, 24): "632190300b6fdd66975aea86d3094b918ce1074d5d6b1be8ee160229a5e87e9a",
+    (256, 9): "499edf534aa8775824c1ae9a0f40e94b34e4a9398bd7e00434802c8971a8f115",
+    (256, 24): "f61dbf6c693bc357a3af0c58a9ad622e25d0459c20902562ac48b93e5bef8e13",
 }
 
 

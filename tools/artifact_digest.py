@@ -15,15 +15,18 @@ a ring of N <= 2 B_J particles on its own points and a larger one on a
 proxy grid (B_J = ceil(J_max/2) times the top harmonic index).  With the
 wide-N grid's force and J_max (B_J = 10) they are: N = 20 and 21, on
 either side of 2 B_J, running ``coeffs`` and ``radius``; N = 22, an even
-proxy ring below its P = 32 points, whose lattice values reach the
-Nyquist mode N/2, running ``coeffs`` and ``radius``; N = 20011, a proxy
-ring whose size is not a power of two, running ``coeffs`` and
+proxy ring below its P = 32 points, whose Nyquist mode N/2 = 11 lies one
+above its top band B_J, running ``coeffs`` and ``radius``; N = 20011, a
+proxy ring whose size is not a power of two, running ``coeffs`` and
 ``radius``; and the grid N = 3, 20, 21, 100, 20011, which mixes both
 kinds in one loop, running ``coeffs``, ``radius``, ``sweep`` and
 ``verify``.  With the deep-J grid's force and J_max (B_J = 144), N = 288
 and 289 run ``coeffs`` and ``radius`` on either side of 2 B_J.  The sine
 force 0.5 sin(2 pi x) at J_max = 5 (B_J = 3) runs ``verify`` on N = 16
 and 32, so that its cross-check ring N = 8 runs on the P = 8 proxy grid.
+That run and ``wide-N_huge`` (below) at N = 16, on P = 16, are the two
+that keep the engine's branch for a proxy ring with N == P, whose
+lattice is its grid, so its columns are read with no lattice sum.
 The validate grid with ``output.formats`` set to ``["json"]`` runs all six
 commands, so the digest also pins which files a JSON-only run writes.
 Three more reach the float-to-text kernel's exact zeros and hand it
