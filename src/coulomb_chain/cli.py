@@ -21,8 +21,10 @@ says.  The formats choose the rest: the coefficient tables
 Outputs are deterministic (fixed ordering, fixed float formatting) and files
 are written atomically (temp + rename).  Exit codes: 0 ok, 1 integrator
 step underflow, 2 config error (also an output directory that cannot be
-created or written), 3 overflow, 4 collision (a starting gap at the floor or
-an accepted step that breaks the ordering), 5 verification failure, exactly
+created or written), 3 overflow, 4 collision (an accepted step that breaks
+the ordering: the commands start from the uniform lattice, whose gap L/N is
+above the floor, so a starting gap at the floor arises only through the
+library's ``ode.integrate(initial=...)``), 5 verification failure, exactly
 when the report's ``passed`` is false (only ``verify.json`` has that key).
 """
 
@@ -312,10 +314,8 @@ def _compare_one(cfg: ExperimentConfig, rc: RingConfig, table: series.Coefficien
     # even orders vanish, so it is the highest odd order j <= J_max.
     j = table.j_max - 1 + table.j_max % 2
     v_max = max(float(np.max(np.abs(sol.states[-1].v))), series.TINY)
-    try:
-        tail = float(table.max_abs[j]) * abs(horizon / table.scale) ** j / v_max
-    except OverflowError:  # (horizon/scale)**j leaves double range; in logs the scale cancels
-        tail = math.exp(table.log_max_abs(j) + j * math.log(horizon) - math.log(v_max))
+    # In logs, so the rescale cancels inside the profile and no power overflows.
+    tail = math.exp(table.log_max_abs(j) + j * math.log(horizon) - math.log(v_max))
     return {
         "N": rc.N,
         "horizon": horizon,

@@ -81,27 +81,30 @@ on its own points, because the grid is the more accurate there: against a
 50-digit recursion the worst column error of the sine force at N = 28,
 J = 24 reads 8.4e-13 on the grid and 3.2e-12 on the ring's own points.
 The proxy rings run as one block of P columns each, after the packed
-rings, in the same per-order loop; each order takes one ``rfft`` of w and
-the composed force, one ``irfft`` of the projected column and one of the
-next gap.  When P != N, a proxy ring's lattice values are summed from the
-spectrum of each odd column, one column at a time, over its band, the
-n = B_j + 1 modes 0..B_j, by ``_lattice``.  The rule holds for order 1
-too, the force sample, whose modes above B_1 = K_max are rounding noise:
-on the seed-7 and sine forces at N = 100, 1000 and 4096 its
+rings, in the same per-order loop; each order takes one ``rfft`` of w
+and the composed force, one ``irfft`` of the projected column and one of
+the next gap.  Each kind of ring has one reading rule: a packed ring's
+columns are views of the loop's rows, and a proxy ring's lattice values,
+N == P included, are summed by ``_lattice`` from the spectrum of each
+odd column, one column at a time, over its band, the n = B_j + 1 modes
+0..B_j.  The rule holds for order 1 too, the force sample, whose modes
+above B_1 = K_max are rounding noise: on the seed-7 and sine forces its
 column-relative error against a 40-digit sample of the force reads
-3.3e-16 to 5.5e-16, where a sum over every mode up to min(P, N)/2 reads
-7.7e-16 to 1.3e-15.  As N > 2 B_J, no band reaches the Nyquist mode N/2.  ``_lattice`` splits point i = l M + q into
-Q = 2**floor(log2 sqrt N) blocks of M = ceil(N/Q) points (Bailey's
-four-step split), so a column is one complex product of a (Q, n) phase
-table with the spectrum and one real matrix product (Q, 2n) @ (2n, M)
-against a table of cos and -sin, built once per ring.  Its values are
-those of the zero-padded ``irfft(X[:n] N/P, n=N)``, X the column's
-spectrum, up to a few ulps of the column maximum, for any N, and do not
-change with the number of BLAS threads, which split the product's output,
-not its sums.  ``coefficient_tables`` keeps them and
-``coefficient_profiles`` reduces each to its maximum and minimum, which are
-exact and carry NaN and inf, so the profiles and the overflow error are
-those of the tables bit for bit.
+3.3e-16 to 5.5e-16 at N = 100, 1000 and 4096 and 2.5e-16 to 3.9e-16
+at N == P, where the raw P-point sample reads 6.0e-16 to 1.2e-15 at
+N == P and a sum over every mode up to min(P, N)/2 reads 7.7e-16 to
+1.3e-15.  As N > 2 B_J, no band reaches the Nyquist mode N/2.
+``_lattice`` splits point i = l M + q into Q = 2**floor(log2 sqrt N)
+blocks of M = ceil(N/Q) points (Bailey's four-step split), so a column
+is one complex product of a (Q, n) phase table with the spectrum and one
+real matrix product (Q, 2n) @ (2n, M) against a table of cos and -sin,
+built once per ring.  Its values are those of the zero-padded
+``irfft(X[:n] N/P, n=N)``, X the column's spectrum, up to a few ulps of
+the column maximum, for any N, and do not change with the number of
+BLAS threads, which split the product's output, not its sums.  ``coefficient_tables`` keeps them and
+``coefficient_profiles`` reduces each to its maximum and minimum, which
+are exact and carry NaN and inf, so the profiles and the overflow error
+are those of the tables bit for bit.
 
 The loop's cost does not depend on N: the reciprocal and square take
 O(W J**2) and the composition O(W K J**2) multiply-adds for W packed and
@@ -334,13 +337,14 @@ def _lattice(spectra: Iterable[np.ndarray], bands: list[int], N: int, P: int
     """The N lattice values of each P-point ``rfft`` spectrum, up to its band, one at a time.
 
     The values are those of ``irfft(spectrum[:band+1] N/P, n=N)`` for every
-    band below N/2, order 1's included, which a proxy ring's N > 2 B_J
-    ensures.  Point i = l M + q of Q blocks of M points (Bailey's four-step
-    split) is the sum over the modes m of Re(b_lm exp(2 pi i m q/N)), with
-    b_lm = w_m/P X_m exp(2 pi i m l M/N) and w_m = 2 but for w_0 = 1, so a
-    column is one complex product and one real product (Q, 2n) @ (2n, M) of
-    (Re, Im) b against (cos, -sin) rows, n = band + 1.  Each phase 2 pi k/N
-    takes k reduced to [-N/2, N/2) in integers.
+    band below N/2, which a proxy ring's N > 2 B_J ensures; at N == P they
+    are the grid values of the band-limited column.  Point i = l M + q of Q
+    blocks of M points (Bailey's four-step split) is the sum over the modes
+    m of Re(b_lm exp(2 pi i m q/N)), with b_lm = w_m/P X_m exp(2 pi i m l M/N)
+    and w_m = 2 but for w_0 = 1, so a column is one complex product and one
+    real product (Q, 2n) @ (2n, M) of (Re, Im) b against (cos, -sin) rows,
+    n = band + 1.  Each phase 2 pi k/N takes k reduced to [-N/2, N/2) in
+    integers.
     """
     Q = 1 << (N.bit_length() - 1) // 2  # 2**floor(log2 sqrt N)
     M = -(-N // Q)
@@ -365,9 +369,9 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
 
     Yields ``(ring, columns)`` in grid order, where ``columns`` holds the
     lattice values of c_1, c_3, .. (rescaled): the (rows, N) view of the
-    loop's rows when it ran on the lattice, else one column at a time,
-    summed from its spectrum by ``_lattice``, to be drawn before the next
-    ring under the consumer's error state (overflow runs on as inf and nan).
+    loop's rows for a packed ring, else one column at a time, summed from
+    its spectrum by ``_lattice``, to be drawn before the next ring under
+    the consumer's error state (overflow runs on as inf and nan).
     """
     if not rings:
         return
@@ -490,8 +494,6 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
         if ring.N <= 2 * B:
             lo = next(packed_first)
             yield ring, cols[:, lo : lo + ring.N]
-        elif ring.N == P:  # the proxy grid is the lattice
-            yield ring, block(cols)[:, next(proxy_block)]
         else:  # summed on the lattice over each order's band
             yield ring, _lattice(spectra[:, next(proxy_block)], bands, ring.N, P)
 

@@ -1,7 +1,8 @@
-"""Test-only oracles: closed forms and a multiple-precision recursion the
-coefficient engine is checked against, the unpadded ring acceleration the
-integrator's kernel is checked against, and the rest start and the
-acceleration of one state, built from the integrator's kernel."""
+"""Test-only oracles: closed forms and two multiple-precision recursions, on
+the lattice and on the proxy grid, that the coefficient engine is checked
+against, the unpadded ring acceleration the integrator's kernel is checked
+against, and the rest start and the acceleration of one state, built from
+the integrator's kernel."""
 
 import math
 
@@ -9,7 +10,8 @@ import numpy as np
 from mpmath import mp, mpf
 
 from coulomb_chain import (
-    CollisionError, RingConfig, TrajectoryState, eval_force, initial_positions, ode,
+    CoefficientProfile, CollisionError, RingConfig, TrajectoryState, eval_force,
+    initial_positions, ode,
 )
 from coulomb_chain.series import force_grid
 
@@ -81,54 +83,141 @@ def with_left_acceleration(config: RingConfig, x0: np.ndarray, g0: np.ndarray,
     return out
 
 
+def _mp_odd_columns(force, J: int, x: list, delta, forward, column) -> list[list]:
+    """The unscaled odd columns c_1, c_3, .. up to order J of the recursion on the points ``x``.
+
+    ``forward(u)`` is the gap row nabla_plus(u), and ``column(w, composed, j)``
+    is c_j from the rows w = [(delta + R)**(-2)]_{j-1} and
+    composed = [F(x + u)]_{j-1}.  The force is composed from the
+    powers u**k, sum_k F^(k)(x_i)/k! [u**k]_{j-1} (the engine composes
+    through exp(i w u)), with u_m = c_{m-1}/m and the reciprocal and square
+    of the gap series delta + nabla_plus(u).  The force's derivatives at
+    ``x`` are exact to the working precision; only its amplitudes come in as
+    doubles.  From rest only even t-orders of the series are nonzero, so
+    row r holds order 2r.
+    """
+    n, L = len(x), mpf(force.L)
+    k_cap = (J - 1) // 2
+    fk = [[mpf(force.a0) if k == 0 else mpf(0)] * n for k in range(k_cap + 1)]
+    for h in force.harmonics:
+        w = 2 * mp.pi * h.k / L
+        for k in range(k_cap + 1):
+            wk = w**k / math.factorial(k)
+            fk[k] = [f + wk * (h.a * mp.cos(w * xi + k * mp.pi / 2)
+                               + h.b * mp.sin(w * xi + k * mp.pi / 2))
+                     for f, xi in zip(fk[k], x)]
+    cols = [fk[0]]
+    u, recip, w2 = [None], [[1 / delta] * n], [[1 / delta**2] * n]
+    gap = [None]
+    powers = [None] + [[None] for _ in range(k_cap)]  # powers[k][r] = [t**(2r)] u**k
+    for j in range(3, J + 1, 2):
+        r = (j - 1) // 2
+        u.append([c / (j - 1) for c in cols[-1]])
+        gap.append(forward(u[r]))
+        recip.append([-sum(gap[q][i] * recip[r - q][i] for q in range(1, r + 1)) / delta
+                      for i in range(n)])
+        w2.append([sum(recip[q][i] * recip[r - q][i] for q in range(r + 1)) for i in range(n)])
+        powers[1].append(u[r])
+        for k in range(2, k_cap + 1):
+            powers[k].append([sum(u[q][i] * powers[k - 1][r - q][i]
+                                  for q in range(1, r - k + 2)) if r >= k else mpf(0)
+                              for i in range(n)])
+        cols.append(column(w2[r], [sum(fk[k][i] * powers[k][r][i] for k in range(1, r + 1))
+                                   for i in range(n)], j))
+    return cols
+
+
 def mp_coefficients(config: RingConfig, digits: int = 50) -> list[list]:
     """The rescaled odd columns c_{ij} scale**j, j = 1, 3, .., j_max, at ``digits`` digits.
 
-    The unprojected recursion on the N lattice points, per particle, with
-    the force composed from the powers u**k (the engine composes through
-    exp(i w u) and projects each column to its band): u_m = c_{m-1}/m,
-    the reciprocal and square of the gap series delta + nabla_plus(u), and
-    c_j = (w_{i-1} - w_i + sum_k F^(k)(x_i)/k! [u**k]_{j-1}) / j.  The rest
-    positions i L/N and the force's derivatives are exact to the working
-    precision; only its amplitudes come in as doubles.  From rest only even
-    t-orders of the series are nonzero, so row r holds order 2r.
+    The unprojected recursion of ``_mp_odd_columns`` on the N lattice points
+    i L/N, whose differences are index shifts mod N:
+    c_j = (w_{i-1} - w_i + composed_i) / j.  The engine projects each
+    column to its band.
     """
     N, J = config.N, config.j_max
-    force = config.force
     with mp.workdps(digits):
-        L = mpf(force.L)
-        delta = L / N
-        x = [i * L / N for i in range(N)]
-        k_cap = (J - 1) // 2
-        fk = [[mpf(force.a0) if k == 0 else mpf(0)] * N for k in range(k_cap + 1)]
-        for h in force.harmonics:
-            w = 2 * mp.pi * h.k / L
-            for k in range(k_cap + 1):
-                wk = w**k / math.factorial(k)
-                fk[k] = [f + wk * (h.a * mp.cos(w * xi + k * mp.pi / 2)
-                                   + h.b * mp.sin(w * xi + k * mp.pi / 2))
-                         for f, xi in zip(fk[k], x)]
-        cols = [fk[0]]
-        u, recip, w2 = [None], [[1 / delta] * N], [[1 / delta**2] * N]
-        gap = [None]
-        powers = [None] + [[None] for _ in range(k_cap)]  # powers[k][r] = [t**(2r)] u**k
-        for j in range(3, J + 1, 2):
-            r = (j - 1) // 2
-            u.append([c / (j - 1) for c in cols[-1]])
-            gap.append([u[r][(i + 1) % N] - u[r][i] for i in range(N)])
-            recip.append([-sum(gap[q][i] * recip[r - q][i] for q in range(1, r + 1)) / delta
-                          for i in range(N)])
-            w2.append([sum(recip[q][i] * recip[r - q][i] for q in range(r + 1)) for i in range(N)])
-            powers[1].append(u[r])
-            for k in range(2, k_cap + 1):
-                powers[k].append([sum(u[q][i] * powers[k - 1][r - q][i]
-                                      for q in range(1, r - k + 2)) if r >= k else mpf(0)
-                                  for i in range(N)])
-            cols.append([(w2[r][i - 1] - w2[r][i]
-                          + sum(fk[k][i] * powers[k][r][i] for k in range(1, r + 1))) / j
-                         for i in range(N)])
+        L = mpf(config.force.L)
+        cols = _mp_odd_columns(
+            config.force, J, [i * L / N for i in range(N)], L / N,
+            lambda u: [u[(i + 1) % N] - u[i] for i in range(N)],
+            lambda w, composed, j: [(w[i - 1] - w[i] + composed[i]) / j for i in range(N)])
         s = mpf(config.scale)
         return [[c * s**j for c in col] for j, col in zip(range(1, J + 1, 2), cols)]
+
+
+def mp_proxy_loop(config: RingConfig, digits: int = 60) -> tuple[int, list[list]]:
+    """The engine's proxy-grid recursion at ``digits`` digits: P and each odd column's spectrum.
+
+    Returns (P, spectra): spectra[k] holds the modes 0..B_j, B_j = ceil(j/2)
+    K_max, of the P-point DFT X_m = sum_l c_j(x_l) exp(-2 pi i m l/P) of the
+    rescaled column j = 2k + 1 on the engine's proxy grid x_l = l L/P, P the
+    smallest power of two above 2 B_J.  The recursion is that of
+    ``_mp_odd_columns`` on the grid points, exact to the working precision;
+    each difference is the exact lattice symbol on the DFT, exp(i theta) - 1
+    forward and 1 - exp(-i theta) backward, theta = 2 pi m/N, and each
+    column keeps only its band: X = (DFT(composed) - (1 - exp(-i theta))
+    DFT(w)) / j over the modes 0..B_j.  Every DFT is an explicit sum.  Unlike
+    the engine it applies no filter.  With N = P the lattice is the grid.
+    """
+    N, J, force = config.N, config.j_max, config.force
+    K = max((h.k for h in force.harmonics), default=0)
+    bands = {j: (j + 1) // 2 * K for j in range(1, J + 1, 2)}
+    top = max(bands.values())
+    P = 1 << (2 * top).bit_length()
+    with mp.workdps(digits):
+        L = mpf(force.L)
+        # roots[m][l] = exp(2 pi i m l/P), symbols[m] = exp(2 pi i m/N)
+        roots = [[mp.expjpi(mpf(2 * m * l % (2 * P)) / P) for l in range(P)]
+                 for m in range(top + 1)]
+        symbols = [mp.expjpi(mpf(2 * m) / N) for m in range(top + 1)]
+
+        def dft(values, band):
+            return [sum(v * mp.conj(e) for v, e in zip(values, roots[m])) for m in range(band + 1)]
+
+        def grid(spectrum):
+            return [sum((1 if m == 0 else 2) * mp.re(x * roots[m][l])
+                        for m, x in enumerate(spectrum)) / P for l in range(P)]
+
+        def forward(u):
+            return grid([x * (symbols[m] - 1) for m, x in enumerate(dft(u, top))])
+
+        def column(w, composed, j):
+            return grid([(c - (1 - mp.conj(symbols[m])) * x) / j for m, (c, x)
+                         in enumerate(zip(dft(composed, bands[j]), dft(w, bands[j])))])
+
+        cols = _mp_odd_columns(force, J, [l * L / P for l in range(P)], L / N, forward, column)
+        s = mpf(config.scale)
+        return P, [dft([c * s**j for c in col], bands[j]) for j, col in zip(bands, cols)]
+
+
+def mp_lattice(spectra: list[list], N: int, P: int, points) -> list[list]:
+    """The values at the lattice points ``points`` of each ``mp_proxy_loop`` spectrum.
+
+    Point i of a spectrum X is (1/P) sum_m w_m Re(X_m exp(2 pi i m i/N)),
+    w_0 = 1 and w_m = 2 above: the band-limited column it samples, at
+    x = i L/N, at the working precision.
+    """
+    top = max(len(spectrum) for spectrum in spectra)
+    roots = [[mp.expjpi(mpf(2 * m * int(i) % (2 * N)) / N) for m in range(top)] for i in points]
+    return [[sum((1 if m == 0 else 2) * mp.re(x * e) for m, (x, e) in enumerate(zip(spectrum, row)))
+             / P for row in roots] for spectrum in spectra]
+
+
+def lattice_profile(config: RingConfig, P: int, spectra: list[list]) -> CoefficientProfile:
+    """The magnitude profile of ``config``'s ring from the ``mp_proxy_loop`` output (P, spectra).
+
+    Each spectrum is rounded to doubles and read at all N lattice points by
+    a zero-padded ``irfft``, so max_abs[j] is the lattice maximum of |c_j|
+    to a few ulps, at any N.
+    """
+    N, J = config.N, config.j_max
+    max_abs = np.zeros(J + 1)
+    for j, spectrum in zip(range(1, J + 1, 2), spectra):
+        padded = np.zeros(N // 2 + 1, complex)
+        padded[: len(spectrum)] = [complex(x) for x in spectrum]
+        max_abs[j] = np.abs(np.fft.irfft(padded * (N / P), n=N)).max()
+    return CoefficientProfile(N=N, L=config.L, scale=config.scale, max_abs=max_abs)
 
 
 def clean_order_max(table, config: RingConfig, tol: float = 1e-6) -> tuple[int, float]:

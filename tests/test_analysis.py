@@ -128,7 +128,12 @@ def test_radius_theorem_consistency(sine_force):
 # proxy-grid recursion written out in 60-80-digit mpmath (exact grid points
 # and difference symbols, DFTs as explicit sums): the "mp proxy loop" row of
 # ROADMAP item 13.  Unfiltered, rounding noise grows through the band and
-# the estimate reads 0.69, 0.62, 0.60, 0.61, 0.64, 0.66, 0.69.
+# the estimate reads 0.69, 0.62, 0.60, 0.61, 0.64, 0.66, 0.69.  Each value
+# is regenerated, to the five decimals shown, by
+# ``estimate_radius(profile).r_hat * ring.N**0.5`` with
+# ``profile = oracles.lattice_profile(ring, *oracles.mp_proxy_loop(ring, digits=80))``
+# on ``ring = RingConfig(N=4**k, L=1.0, force=sine_force, j_max=97)``: P = 128,
+# about 20 s per ring.
 MP_PROXY_RADIUS = [0.80602, 0.94302, 1.08357, 1.22654, 1.37123, 1.51711, 1.66506]
 
 

@@ -67,8 +67,8 @@ PINNED_ARTIFACTS = {
     "coeffs": {
         "coeffs_N8.csv": "41deaaeb0f77f3e7b8e883b112fcd8626f355dc350e17740917084e132fa4326",
         "coeffs_N8.json": "8969c9391cdb21c2ba8ee062ccfd1e3f3777a834bb3115216f9662797eb6d051",
-        "coeffs_N16.csv": "bc322ac284012232d72f0975d67d9cc96f18a2e9f95c7e086ae80d9c037b9e36",
-        "coeffs_N16.json": "891e853f714b0c86353604379309696898a02603011a04684ac19f628eccbfd0",
+        "coeffs_N16.csv": "d029fc3385207aebea80d4903d018834dca02b9eb14817f1dba5825db4bcd716",
+        "coeffs_N16.json": "f78c532ec7b73f0e026a8a40da601b4f1c757b25d2363ac2bc288d5106462d76",
         "coeffs_N32.csv": "48692320f67079f987f643d660e9ba9d79f92dec78950fba77e3143aa3e2ac5b",
         "coeffs_N32.json": "b175dcf772aa930c8f9e28c65b09696cc933e7589a69d0c722bd25a86d1de5be",
         "coeffs_N64.csv": "1ef13a89d2ea7d3563d468234d0c8e214421b26dca50804cc6b1033814fb0b98",
@@ -82,19 +82,19 @@ PINNED_ARTIFACTS = {
         "trajectory_N64.csv": "b35cd23bc4ae7ac601ac34144f65ae9e2a758ba580ad4300d93d79309ae3890e",
     },
     "compare": {
-        "compare.json": "9a9695b4ee8f9043e224f9ef97526b78a37abf7297d1f6c17f3fb18619b91f65",
+        "compare.json": "fa65eef00529c4fe2cc322738b995ef13ac71ffa5d1f5d69dc3e70c2958d5170",
     },
     "radius": {
-        "radius.csv": "4023a5687807d90add062e6e92c62a902232b477fd5b202d4d09e03f2b5d43bf",
-        "radius.json": "10aef21662d573ec3d79c09c440aaf62b1f3ac074cf323dd27042c1f0c297d68",
+        "radius.csv": "0d39da252e59f97930e1931df8ccd33e1ea7e478f60800ce56558c2d7b034208",
+        "radius.json": "c024a4902e416c72f50dc5404a64c0816156cac707f4eea04ea6265494292e68",
     },
     "verify": {
-        "verify.json": "2e340feb44e1ed2ce70a28323abf002b06944132b7b885dd395396e66eaaa8e3",
+        "verify.json": "e53c5ad5382aa051ced4bd05429f771a4932477358275780b3bfec5331465cdc",
     },
     "sweep": {
-        "exponents.csv": "4edb1a4ef3455c8c61679dd64a5bafccebec9a24e7a2e6aa74e6eeaf13b7c786",
-        "radius.csv": "4023a5687807d90add062e6e92c62a902232b477fd5b202d4d09e03f2b5d43bf",
-        "sweep.json": "30ed283397bd641e7fb4965b74e92bfab6b0d71a77235fad506c169eb4142edc",
+        "exponents.csv": "b0626e70261feb8e62a4e75a82e70acfb1464a5a5c0339c57c5ebdfbdb6830d3",
+        "radius.csv": "0d39da252e59f97930e1931df8ccd33e1ea7e478f60800ce56558c2d7b034208",
+        "sweep.json": "137b9916d07984f5943dda65c6269845daeb667b64e77cb620005b94be688d3e",
     },
 }
 PINNED_VERIFY_STDOUT = (
@@ -131,7 +131,7 @@ TWO_HARMONIC_ARTIFACTS = {
         "trajectory_N64.csv": "b839ad8da6541644ed9398f07748d54b6bb1bcfd1441be0a7546f36927423a7e",
     },
     "compare": {
-        "compare.json": "c6db20ac7372d229caa53d71d112321776626124767ac09ddc77620e95546ab8",
+        "compare.json": "2311c24c49acfb481a38d401c665b5e717e1a575b849decd3f8fc075c7bc49bc",
     },
 }
 

@@ -14,7 +14,7 @@ import sympy as sp
 from mpmath import mp, mpc, mpf
 
 from conftest import SEED1_THREE, SEED7_THREE, SEED7_TWO, assert_columns_close
-from oracles import clean_order_max, explicit_c3
+from oracles import clean_order_max, explicit_c3, lattice_profile, mp_lattice, mp_proxy_loop
 from coulomb_chain import (
     CoefficientProfile,
     CoefficientTable,
@@ -26,6 +26,7 @@ from coulomb_chain import (
     coefficient_profiles,
     coefficient_tables,
     compute_coefficients,
+    estimate_radius,
     evaluate_velocity,
     force_jet,
     initial_positions,
@@ -201,11 +202,14 @@ def test_zero_force_table_is_zero():
 
 
 def test_first_order_is_the_force_sample(sine_force):
-    config = RingConfig(N=8, L=1.0, force=sine_force, j_max=6)
+    # A packed ring (N = 2 B_J) keeps the force sample bit for bit; a proxy
+    # ring sums it over its band (test_order_one_of_a_proxy_ring_is_its_force_sample).
+    config = RingConfig(N=6, L=1.0, force=sine_force, j_max=6)
+    assert on_lattice(config)
     table = compute_coefficients(config)
     expected = config.scale * force_grid(config, 0)[0]
     np.testing.assert_array_equal(table.data[:, 1], expected)
-    np.testing.assert_array_equal(table.data[:, 2], np.zeros(8))
+    np.testing.assert_array_equal(table.data[:, 2], np.zeros(6))
 
 
 def test_even_orders_vanish(sine_force):
@@ -339,6 +343,32 @@ def test_every_order_matches_the_multiple_precision_recursion(force, n, j_max, s
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize("n, bound", [(64, 1e-9), (4096, 2e-6)])
+def test_deep_proxy_rings_match_the_mp_proxy_loop(sine_force, rng, n, bound):
+    # The sine force at J = 41 runs on P = 64 points, with N == P and N > P.
+    # The 40-digit lattice recursion cannot check it: its unprojected noise
+    # reads column errors of 1.0 from order 31 at N = 256.  Against the
+    # 60-digit proxy loop the worst column error read 3.0e-10 at N = 64 and
+    # 6.1e-7 at N = 4096, both at order 41: every point of the small ring,
+    # 150 sampled points and each column's argmax and argmin of the large
+    # one.  The profiles then agree to the same bound, and so do the radii.
+    config = RingConfig(N=n, L=1.0, force=sine_force, j_max=41)
+    P, spectra = mp_proxy_loop(config)
+    assert P == 64
+    table = compute_coefficients(config)
+    columns = table.data[:, 1::2].T
+    points = (range(n) if n <= 64 else np.unique(np.r_[
+        rng.choice(n, 150, replace=False), columns.argmax(axis=1), columns.argmin(axis=1)]))
+    with mp.workdps(60):
+        for k, exact in enumerate(mp_lattice(spectra, n, P, points)):
+            top = max(abs(v) for v in exact)
+            error = max(abs(columns[k, i] - v) for i, v in zip(points, exact)) / top
+            assert error <= bound, (2 * k + 1, error)
+    profile = lattice_profile(config, P, spectra)
+    np.testing.assert_allclose(table.max_abs, profile.max_abs, rtol=bound, atol=0.0)
+    assert estimate_radius(table).r_hat == pytest.approx(estimate_radius(profile).r_hat, rel=bound)
+
+
 def assert_grid_matches_one_ring_walks(rings):
     """The grid walk gives every ring's table and profile of its own walk, bit for bit.
 
@@ -443,17 +473,20 @@ def test_lattice_values_match_a_40_digit_sum_of_their_spectrum(monkeypatch, rng,
                 assert abs(column[i] - exact) <= 8 * ulp, (k, i)
 
 
-@pytest.mark.parametrize("n", [100, 1000, 4096])
-@pytest.mark.parametrize("force, j_max", [("sine", 9), ("seed-7-two", 9), ("seed-7-three", 13)])
+@pytest.mark.parametrize("force, j_max, n", [
+    *((force, j_max, n) for force, j_max in (("sine", 9), ("seed-7-two", 9), ("seed-7-three", 13))
+      for n in (100, 1000, 4096)),
+    ("sine", 9, 16), ("seed-7-two", 9, 32), ("seed-7-three", 13, 64),  # N == P
+])
 def test_order_one_of_a_proxy_ring_is_its_force_sample(sine_force, rng, force, j_max, n):
-    # A proxy ring with N != P sums order 1 over its band B_1 = K_max, as it
-    # does every order; the modes above it hold rounding noise only.  Its
-    # values lie within 6e-16 of the column max of the 40-digit sample
-    # scale F(i L/N): at every point for N <= 1000, at 150 sampled points
-    # and the column's argmax and argmin for N = 4096.
+    # A proxy ring sums order 1 over its band B_1 = K_max, as it does every
+    # order, whether or not N == P; the modes above it hold rounding noise
+    # only.  Its values lie within 6e-16 of the column max of the 40-digit
+    # sample scale F(i L/N): at every point for N <= 1000, at 150 sampled
+    # points and the column's argmax and argmin for N = 4096.
     force = {"sine": sine_force, "seed-7-two": SEED7_TWO, "seed-7-three": SEED7_THREE}[force]
     config = RingConfig(N=n, L=1.0, force=force, j_max=j_max)
-    assert not on_lattice(config) and n != 1 << (2 * band(config, j_max)).bit_length()  # N != P
+    assert not on_lattice(config)
     column = compute_coefficients(config).data[:, 1]
     points = (range(n) if n <= 1000 else np.unique(np.r_[
         rng.choice(n, 150, replace=False), column.argmax(), column.argmin()]))
@@ -677,7 +710,7 @@ PINNED_CSV = {
     (8, 9): "246684a061fd362e4d6ff6ec5e75d27a3b782e9d12cdaa3e829d206c56a73074",
     (8, 24): "7f75f6c851682440ebe7eda30b0d54f0d280ee4d2f63baf5f9bf4b9e4da683d9",
     (64, 9): "f774ae66719cc4ff9bba8ee387a4bc883677aa628d13ee7b050d68dbe522a317",
-    (64, 24): "4934ded4588ae6000cccf5ea66511f3ec041cba1056d5aad155e84dfc0b1fe20",
+    (64, 24): "ca964cef33c774f26b1834efc58e8d87d9648619975a75e41500b19282838ef7",
     (256, 9): "97c5622b52b74672aeb4b1148fa5cd65f02e45a7f1d2bab5f65e562ef2cfb1e7",
     (256, 24): "88ffd0badb78c1f328cbfcc2acda546de84ece01822e3120c89c7acf72ad9097",
 }
@@ -685,7 +718,7 @@ PINNED_JSON = {
     (8, 9): "b1ace59ea42b6b80be262cced4ea8462908665e8642506488e265f1735c46b1e",
     (8, 24): "0864670010aada075fddbe9efb234ca7b57fbc31c17fcddd888367796db2592c",
     (64, 9): "1c6efaaf02b2a2eb0911889052faeaae2521c5ee92d3bf81ea8f411b17689fc5",
-    (64, 24): "0ee1b3e9ecb07f52a95cd30166ae6605ab92e6cc10c93a89457875933a658a66",
+    (64, 24): "a6225e986eada8414511636403710a48b714493ccb3828b0b72a140555973a65",
     (256, 9): "499edf534aa8775824c1ae9a0f40e94b34e4a9398bd7e00434802c8971a8f115",
     (256, 24): "f61dbf6c693bc357a3af0c58a9ad622e25d0459c20902562ac48b93e5bef8e13",
 }

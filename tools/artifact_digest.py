@@ -24,9 +24,10 @@ kinds in one loop, running ``coeffs``, ``radius``, ``sweep`` and
 and 289 run ``coeffs`` and ``radius`` on either side of 2 B_J.  The sine
 force 0.5 sin(2 pi x) at J_max = 5 (B_J = 3) runs ``verify`` on N = 16
 and 32, so that its cross-check ring N = 8 runs on the P = 8 proxy grid.
-That run and ``wide-N_huge`` (below) at N = 16, on P = 16, are the two
-that keep the engine's branch for a proxy ring with N == P, whose
-lattice is its grid, so its columns are read with no lattice sum.
+That ring, ``wide-N_huge`` (below) at N = 16 and ``wide-N_shallow``
+(below) at N = 16, both on P = 16, are proxy rings with N == P, whose
+lattice is their grid; they are read like any other proxy ring, by the
+sum over each column's band.
 The validate grid with ``output.formats`` set to ``["json"]`` runs all six
 commands, so the digest also pins which files a JSON-only run writes.
 Three more reach the float-to-text kernel's exact zeros and hand it
