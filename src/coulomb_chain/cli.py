@@ -310,12 +310,12 @@ def _compare_one(cfg: ExperimentConfig, rc: RingConfig, table: series.Coefficien
         v_series = series.evaluate_velocity(table, st.t)
         denom = max(float(np.max(np.abs(st.v))), series.TINY)
         max_rel = max(max_rel, float(np.max(np.abs(v_series - st.v))) / denom)
-    # The last nonzero term of the series at the horizon, in the error's units:
-    # even orders vanish, so it is the highest odd order j <= J_max.
+    # The last nonzero term of the series at the horizon, in the error's units
+    # (the last sample is the horizon, so denom is its max |v|): even orders
+    # vanish, so it is the highest odd order j <= J_max.  In logs, so the
+    # rescale cancels inside the profile and no power overflows.
     j = table.j_max - 1 + table.j_max % 2
-    v_max = max(float(np.max(np.abs(sol.states[-1].v))), series.TINY)
-    # In logs, so the rescale cancels inside the profile and no power overflows.
-    tail = math.exp(table.log_max_abs(j) + j * math.log(horizon) - math.log(v_max))
+    tail = math.exp(table.log_max_abs(j) + j * math.log(horizon) - math.log(denom))
     return {
         "N": rc.N,
         "horizon": horizon,
@@ -350,12 +350,11 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
     """Exponent fits, radius trend and bound checks."""
     profiles = series.coefficient_profiles(cfg.rings)
     fits = []
-    if len(profiles) >= 4:
-        for j in range(1, min(9, cfg.j_max) + 1, 2):
-            try:
-                fits.append(ana.exponent_fit(profiles, j))
-            except ConfigError:
-                continue  # identically-zero column (e.g. constant force)
+    for j in range(1, min(9, cfg.j_max) + 1, 2):
+        try:
+            fits.append(ana.exponent_fit(profiles, j))
+        except ConfigError:
+            continue  # fewer than 4 rings, or an identically-zero column (constant force)
     payload = {
         **_radius_report(cfg, profiles),
         "exponents": [e.to_json() for e in fits],

@@ -228,12 +228,9 @@ def integrate(
     if t_eval.size and not (t_eval[0] >= 0.0 and t_eval[-1] <= t_end):
         raise ConfigError("samples must be finite and lie within [0, t_end]", "t_eval")
     spacing = np.diff(t_eval, prepend=0.0)
-    spacing = spacing[spacing > 0.0]
-    max_step = np.inf
-    if spacing.size:
-        # a hair over the spacing, so rounding in the sum of steps leaves no
-        # sliver step before a sample or the horizon
-        max_step = float(spacing.min()) * (1.0 + 1e-9)
+    # a hair over the smallest spacing, so rounding in the sum of steps leaves
+    # no sliver step before a sample or the horizon; inf without a spacing
+    max_step = float(spacing[spacing > 0.0].min(initial=np.inf)) * (1.0 + 1e-9)
 
     def rhs(_t, y):
         dy = np.empty(2 * N)

@@ -221,7 +221,10 @@ class CoefficientProfile:
     def log_max_abs(self, j: int) -> float:
         """log(max_i |c_{ij}|) evaluated without leaving the log domain.
 
-        Returns -inf when the order-j column vanishes identically.
+        Returns -inf when the stored column c_{ij} * scale**j is all 0.0:
+        the order-j column vanishes identically, or its rescaled values
+        underflowed.  A small explicit scale does the latter: on the sine
+        force at N = 8, J_max = 12, scale = 1e-31 stores order 11 as 0.0.
         """
         m = float(self.max_abs[j])
         if m == 0.0:

@@ -67,15 +67,52 @@ class _Loads(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _loads(*dirs: Path) -> set[str]:
+    """The names that the modules of ``dirs`` load, as ``_Loads`` collects them."""
+    loads = _Loads()
+    for path in sorted(p for d in dirs for p in d.glob("*.py")):
+        loads.visit(ast.parse(path.read_text(), str(path)))
+    return loads.names
+
+
 @pytest.mark.parametrize("module", [coulomb_chain, coulomb_chain.cli], ids=lambda m: m.__name__)
 def test_every_public_name_has_a_caller_outside_the_tests(module):
     # A load in code, not a word in a docstring or an __all__ string, and
     # not a longer name such as _acceleration for acceleration.  The package
     # re-exports the library; the CLI's commands are public on their own.
-    loads = _Loads()
-    for path in sorted(PACKAGE_DIR.glob("*.py")) + sorted(BENCH_DIR.glob("*.py")):
-        loads.visit(ast.parse(path.read_text(), str(path)))
-    assert sorted(set(module.__all__) - loads.names) == []
+    assert sorted(set(module.__all__) - _loads(PACKAGE_DIR, BENCH_DIR)) == []
+
+
+def test_the_public_names_only_the_benchmark_calls():
+    # The package calls neither name; bench/run.py does, in its mpmath
+    # reference check and its traced baseline.  A change that stops the
+    # benchmark calling one shrinks this set, and then that name goes.
+    public = set(coulomb_chain.__all__) | set(coulomb_chain.cli.__all__)
+    unloaded = public - _loads(PACKAGE_DIR)
+    assert unloaded == {"compute_coefficients", "majorant_lemma_check"}
+    assert unloaded <= _loads(BENCH_DIR)
+
+
+def test_each_kind_of_ring_carries_benchmark_traffic(monkeypatch, tmp_path):
+    # The engine runs a ring of N <= 2 B_J particles on its own points
+    # (packed) and a larger one on a proxy grid; each path stays while a
+    # workload runs it.  Deep-J runs only packed rings, wide-N and validate
+    # only proxy rings, and every workload's verify cross-check rings are
+    # packed at J_max = 9.
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    workloads = importlib.import_module("workloads")
+    band = coulomb_chain.series._band
+    for name, packed in (("deep-J", True), ("wide-N", False), ("validate", False)):
+        workload = workloads.build(name, 1, tmp_path)
+        for op in workload.ops:
+            if op.command == "simulate":  # the integrator runs no engine
+                continue
+            cfg = coulomb_chain.cli.parse_config(op.cfg)
+            B = band(cfg.force, cfg.j_max)
+            assert [ring.N <= 2 * B for ring in cfg.rings] == [packed] * len(cfg.rings), op
+        force = coulomb_chain.ForceSpec.from_json(workload.configs["grid"]["force"])
+        sizes = coulomb_chain.cli._cross_check_sizes(force)
+        assert all(n <= 2 * band(force, 9) for n in sizes), (name, sizes)
 
 
 def test_benchmark_tracer_binds_every_layer(monkeypatch):
