@@ -58,7 +58,11 @@ __all__ = [
     "majorant_lemma_check",
 ]
 
-_LOG_FLOOR = math.log(TINY)  # tail entries below TINY count as exact zeros
+# Tail orders whose unscaled maximum, log_max_abs(j), lies below TINY count as
+# exact zeros.  The floor is on the unscaled log, so a column stored below TINY
+# is fitted: on the sine force at J = 161, N = 2**20 the stored columns 139..143
+# are subnormal and fitted, and only the columns stored as 0.0, 145..161, drop.
+_LOG_FLOOR = math.log(TINY)
 #: Radius estimates need at least this many orders (the fit uses the top half).
 MIN_RADIUS_ORDER = 8
 TREND_NOISE = 0.05  # relative rise of R_hat to the next grid N that still counts as monotone

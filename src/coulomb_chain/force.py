@@ -24,8 +24,8 @@ agree to a few eps times the amplitude sum (each lies within 5 of the
 40-digit force on the tested two- and three-harmonic forces).  For a pure
 sine (a = 0, b > 0), phi = 0 and R = b, so both give the bits of
 b sin(w x).  ``eval_potential`` uses the same phase form,
-R cos(w x + phi) / w.  Points are reduced modulo L only when one lies
-outside [0, L).
+R cos(w x + phi) / w.  All three reduce points modulo L, through
+``_on_circle``, only when one lies outside [0, L).
 
 ``ForceSpec._phases`` holds (w, phi, R) per harmonic, w = 2 pi k / L, and
 is the one home of w and R: the kernels, ``c_f_bound`` and the
@@ -130,22 +130,31 @@ class ForceSpec:
         return cls(L=obj.get("L"), a0=obj.get("a0", 0.0), harmonics=tuple(harmonics))
 
 
+def _on_circle(spec: ForceSpec, x) -> np.ndarray:
+    """``x`` as floats, reduced modulo L only when some entry lies outside [0, L).
+
+    A NaN fails both tests, so it goes through ``np.mod`` too.  ``np.mod``
+    is exact and returns the entries inside unchanged except -0.0, which it
+    maps to +0.0; each kernel's sum starts from +0.0, which absorbs that
+    sign (for ``eval_potential`` cos(w (-0.0) + phi) is cos(phi)), so
+    skipping the reduction changes no bit of any kernel's values.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.mod(x, spec.L) if x.size and not (x.min() >= 0.0 and x.max() < spec.L) else x
+
+
 def eval_force(spec: ForceSpec, x, *, out: np.ndarray | None = None):
     """F at ``x``, an array of its shape (0-d for a scalar), one sine per harmonic.
 
     Each harmonic adds R sin(w x + phi) to a row that starts at +0.0, then
-    a nonzero ``a0`` is added.  ``x`` is reduced modulo L only when some
-    entry lies outside [0, L); the value is bit-identical to reducing every
-    entry first.  The values are written into ``out`` when it is given
-    (shape of ``x``; its contents are not read) and returned.
+    a nonzero ``a0`` is added.  The values are written into ``out`` when it
+    is given (shape of ``x``; its contents are not read) and returned.
     """
-    x = np.asarray(x, dtype=float)
+    x = _on_circle(spec, x)
     if out is None:
         out = np.empty(x.shape)
     elif out.shape != x.shape:
         raise ConfigError(f"force values must have shape {x.shape}, got {out.shape}")
-    if x.size and not (x.min() >= 0.0 and x.max() < spec.L):
-        x = np.mod(x, spec.L)
     out[...] = 0.0
     theta = np.empty(x.shape)
     for w, phi, amp in spec._phases:
@@ -170,11 +179,7 @@ def force_jet(spec: ForceSpec, x, k_max: int, *, turns: np.ndarray | None = None
     negated and added; IEEE negation is exact and rounding is symmetric in
     sign, so the bits are the same.  Row 0 is accumulated exactly as
     ``jet[0] += a cos(theta) + b sin(theta)`` per harmonic, then ``+ a0``;
-    the constant part appears in no other row.  ``x`` is reduced with
-    ``np.mod`` only when some entry lies outside [0, L) (a NaN fails both
-    tests).  ``np.mod`` is exact and returns the entries inside unchanged
-    except -0.0, which it maps to +0.0; row 0 starts from +0.0, which
-    absorbs that sign, so skipping the reduction changes no bit of it.
+    the constant part appears in no other row.
 
     Returns the rows, shape ``(k_max+1,) + x.shape``.  Each harmonic's pair
     (p, q) is written into ``turns`` when it is given (shape
@@ -184,15 +189,13 @@ def force_jet(spec: ForceSpec, x, k_max: int, *, turns: np.ndarray | None = None
     """
     if k_max < 0:
         raise ConfigError(f"derivative order must be >= 0, got {k_max}")
-    x = np.asarray(x, dtype=float)
+    x = _on_circle(spec, x)
     jet = np.zeros((k_max + 1,) + x.shape)
     shape = (len(spec.harmonics), 2) + x.shape
     if turns is None:
         turns = np.empty(shape)
     elif turns.shape != shape:
         raise ConfigError(f"harmonic turns must have shape {shape}, got {turns.shape}")
-    if x.size and not (x.min() >= 0.0 and x.max() < spec.L):
-        x = np.mod(x, spec.L)
     for i, (h, (w, _, _)) in enumerate(zip(spec.harmonics, spec._phases)):
         p, q = turns[i, 0, ...], turns[i, 1, ...]  # views, also for scalar x
         theta = w * x
@@ -237,8 +240,8 @@ def eval_potential(spec: ForceSpec, x):
     """
     if spec.a0 != 0.0:
         raise ConfigError("potential exists only for zero-mean forces (a0 == 0)")
-    xm = np.mod(np.asarray(x, dtype=float), spec.L)
-    out = np.zeros_like(xm)
+    x = _on_circle(spec, x)
+    out = np.zeros_like(x)
     for w, phi, amp in spec._phases:
-        out += amp * np.cos(w * xm + phi) / w
+        out += amp * np.cos(w * x + phi) / w
     return out

@@ -35,11 +35,8 @@ CollisionError.  The right-hand side and the ordering check work on padded
 rows of length N+1, allocated once per integration, whose index 0 holds the
 left neighbour of entry 0: each cyclic neighbour difference, sum and product
 is one ufunc on two slices, and the collision-floor test is one min
-reduction.  With the force's one sine per harmonic (``force.eval_force``)
-this cut an RHS call from about 120 to 88 us, integrate time per call
-averaged over the validate grid (N = 128..1024, two harmonics, one CPU of a
-2-vCPU x86-64 host).  Rejected attempts are counted from the RHS calls of
-each step (DOP853 spends ``n_stages`` per attempt).  scipy is imported inside
+reduction.  Rejected attempts are counted from the RHS calls of each step
+(DOP853 spends ``n_stages`` per attempt).  scipy is imported inside
 ``integrate``, so importing this module (and the CLI) does not pay for
 loading ``scipy.integrate``.
 

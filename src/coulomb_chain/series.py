@@ -79,7 +79,9 @@ exp(i theta) - 1 = -2 sin(theta/2)**2 + i sin(theta) and the backward one
 A ring with 2 B_J < N <= P stays on the proxy grid, although it could run
 on its own points, because the grid is the more accurate there: against a
 50-digit recursion the worst column error of the sine force at N = 28,
-J = 24 reads 8.4e-13 on the grid and 3.2e-12 on the ring's own points.
+J = 24 reads 8.4e-13 on the grid and 3.2e-12 on the ring's own points,
+and the grid's is 2.3 to 2.9 times less at N = 64 (sine at J = 40, the
+seed-7 forces at J = 29 and 19).
 The proxy rings run as one block of P columns each, after the packed
 rings, in the same per-order loop; each order takes one ``rfft`` of w
 and the composed force, one ``irfft`` of the projected column and one of
@@ -91,20 +93,19 @@ odd column, one column at a time, over its band, the n = B_j + 1 modes
 above B_1 = K_max are rounding noise: on the seed-7 and sine forces its
 column-relative error against a 40-digit sample of the force reads
 3.3e-16 to 5.5e-16 at N = 100, 1000 and 4096 and 2.5e-16 to 3.9e-16
-at N == P, where the raw P-point sample reads 6.0e-16 to 1.2e-15 at
-N == P and a sum over every mode up to min(P, N)/2 reads 7.7e-16 to
-1.3e-15.  As N > 2 B_J, no band reaches the Nyquist mode N/2.
+at N == P.  As N > 2 B_J, no band reaches the Nyquist mode N/2.
 ``_lattice`` splits point i = l M + q into Q = 2**floor(log2 sqrt N)
 blocks of M = ceil(N/Q) points (Bailey's four-step split), so a column
 is one complex product of a (Q, n) phase table with the spectrum and one
 real matrix product (Q, 2n) @ (2n, M) against a table of cos and -sin,
 built once per ring.  Its values are those of the zero-padded
-``irfft(X[:n] N/P, n=N)``, X the column's spectrum, up to a few ulps of
-the column maximum, for any N, and do not change with the number of
-BLAS threads, which split the product's output, not its sums.  ``coefficient_tables`` keeps them and
-``coefficient_profiles`` reduces each to its maximum and minimum, which
-are exact and carry NaN and inf, so the profiles and the overflow error
-are those of the tables bit for bit.
+``irfft(X[:n] N/P, n=N)``, X the column's spectrum, to within 8 ulps of
+the column maximum (a 40-digit sum of the same modes reads at most 4),
+for any N, and do not change with the number of BLAS threads, which
+split the product's output, not its sums.  ``coefficient_tables`` keeps
+them and ``coefficient_profiles`` reduces each to its maximum and
+minimum, which are exact and carry NaN and inf, so the profiles and the
+overflow error are those of the tables bit for bit.
 
 The loop's cost does not depend on N: the reciprocal and square take
 O(W J**2) and the composition O(W K J**2) multiply-adds for W packed and
@@ -145,16 +146,16 @@ the scaled displacement s * c_{., j_p} / (j_p+1), are built once, as soon
 as the order is final, so a tuple costs one multiply per entry and, on the
 gap side, one backward difference; the gap rows are held divided by a
 power of two near their maximum, so a product of gaps overflows only where
-its term does, and each order's sum is checked for overflow once.  The
-differences are those of a grid function, indices mod N: the forward one,
-nabla_plus g(i) = g(i+1) - g(i), is ``np.diff`` with the first entry
-appended, and the backward one, nabla_minus g(i) = g(i) - g(i-1),
-subtracts one index gather, the same bits as ``np.roll(g, -1) - g`` and
-``g - np.roll(g, 1)``.  It does not project.  Neither it nor its helpers,
-which sit beside it, are exported: ``ordered_compositions`` and
-``force_grid``, the force jet F^(k)(x_i(0)) on the whole rest lattice.
-The engine takes none of them: it runs its own jet and differences on the
-points it runs on.
+its term does, and the table it returns rejects the first order that
+overflows, as the engine's does.  The differences are those of a grid
+function, indices mod N: the forward one, nabla_plus g(i) = g(i+1) - g(i),
+is ``np.diff`` with the first entry appended, and the backward one,
+nabla_minus g(i) = g(i) - g(i-1), subtracts one index gather, the same
+bits as ``np.roll(g, -1) - g`` and ``g - np.roll(g, 1)``.  It does not
+project.  Neither it nor its helpers, which sit beside it, are exported:
+``ordered_compositions`` and ``force_grid``, the force jet F^(k)(x_i(0))
+on the whole rest lattice.  The engine takes none of them: it runs its
+own jet and differences on the points it runs on.
 """
 
 from __future__ import annotations
@@ -491,14 +492,13 @@ def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable
                 spectra[r, :, 1:][cut[:, 1:]] = 0.0  # mode 0, the current, stays
                 np.fft.irfft(spectra[r], n=P, out=block(cols[r]))
 
-    # The split keeps grid order, so the rings take its first columns and blocks in turn.
-    packed_first, proxy_block = iter(first), iter(range(R))
+    # The split keeps grid order, so each kind of ring draws its columns in turn:
+    # views of the rows, or sums on the lattice over each order's band, which a
+    # generator starts only when it is drawn.
+    views = iter([cols[:, lo : lo + ring.N] for ring, lo in zip(packed, first)])
+    sums = iter([_lattice(spectra[:, k], bands, ring.N, P) for k, ring in enumerate(proxy)])
     for ring in rings:
-        if ring.N <= 2 * B:
-            lo = next(packed_first)
-            yield ring, cols[:, lo : lo + ring.N]
-        else:  # summed on the lattice over each order's band
-            yield ring, _lattice(spectra[:, next(proxy_block)], bands, ring.N, P)
+        yield ring, next(views if ring.N <= 2 * B else sums)
 
 
 def ordered_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -590,12 +590,8 @@ def oracle_coefficients(config: RingConfig) -> CoefficientTable:
                     for jp in tup:
                         prod *= disp[jp]
                     acc += (s / j) * (f * prod)
-            # An overflowing product leaves this order's sum inf or NaN.
-            if not np.isfinite(acc).all():
-                raise OverflowError(
-                    f"oracle_coefficients: coefficient overflow at order {j} for N={N}, j_max={J}"
-                )
             c[j] = acc
+    # An overflowing product leaves its order's sum inf or NaN, which the table rejects.
     return CoefficientTable(L=config.L, scale=s, data=c.T)
 
 

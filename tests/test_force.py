@@ -154,6 +154,25 @@ def test_potential_requires_zero_mean():
         eval_potential(ForceSpec(L=1.0, a0=1.0), 0.3)
 
 
+@pytest.mark.parametrize("harmonics", [
+    (Harmonic(1, 0.0, 0.5),),
+    (Harmonic(1, 0.4, -0.2), Harmonic(3, 0.0, 1.1)),
+], ids=["sine", "two"])
+def test_potential_off_the_circle_has_the_bits_of_the_reduced_points(harmonics, rng):
+    # The points are reduced modulo L only when some point lies outside
+    # [0, L); a point alone exercises both branches, -0.0 the skipped one.
+    L = 1.5
+    spec = ForceSpec(L=L, harmonics=harmonics)
+    xs = np.concatenate([[0.0, -0.0, L, -L, np.nextafter(L, 0.0)],
+                         rng.uniform(-3 * L, 3 * L, size=300)])
+    reduced = np.mod(xs, L)
+    np.testing.assert_array_equal(eval_potential(spec, xs).view(np.uint64),
+                                  eval_potential(spec, reduced).view(np.uint64))
+    alone = np.array([eval_potential(spec, x) for x in xs.tolist()])
+    alone_reduced = np.array([eval_potential(spec, x) for x in reduced.tolist()])
+    np.testing.assert_array_equal(alone.view(np.uint64), alone_reduced.view(np.uint64))
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ConfigError):
         ForceSpec(L=0.0)

@@ -843,7 +843,7 @@ def test_overflow_raises(sine_force):
     with pytest.raises(OverflowError):
         compute_coefficients(config)
     config = RingConfig(N=16, L=1.0, force=sine_force, j_max=9, scale=1e40)
-    with pytest.raises(OverflowError, match="^oracle_coefficients: coefficient overflow at order 9"):
+    with pytest.raises(OverflowError, match="^coefficient overflow at order 9: "):
         oracle_coefficients(config)
 
 
