@@ -134,16 +134,6 @@ def _tail_window(j_max: int, tail_fraction: float) -> tuple[int, int]:
     return max(2, j_lo), j_max
 
 
-def _usable_tail(table: CoefficientProfile, window: tuple[int, int]) -> tuple[list[int], list[float]]:
-    js, logs = [], []
-    for j in range(window[0], window[1] + 1):
-        la = table.log_max_abs(j)
-        if math.isfinite(la) and la > _LOG_FLOOR:
-            js.append(j)
-            logs.append(la)
-    return js, logs
-
-
 def _line_fit(x, y) -> tuple[float, float, np.ndarray]:
     """The least-squares line y ~ slope x + intercept: its slope, intercept and residuals."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -177,12 +167,13 @@ def estimate_radius(table: CoefficientProfile, tail_fraction: float = 0.5) -> Ra
             f"radius estimation needs j_max >= {MIN_RADIUS_ORDER}, got {table.j_max}"
         )
     window = _tail_window(table.j_max, check_tail_fraction(tail_fraction))
-    js, logs = _usable_tail(table, window)
+    # a vanishing column's log is -inf; a profile's max_abs is finite, so no other log fails
+    js = [j for j in range(window[0], window[1] + 1) if table.log_max_abs(j) > _LOG_FLOOR]
     degenerate = len(js) < 3
     if degenerate:  # a terminating series converges everywhere
         r_hat, rms = math.inf, math.nan
     else:
-        slope, _, resid = _line_fit(js, logs)
+        slope, _, resid = _line_fit(js, [table.log_max_abs(j) for j in js])
         r_hat, rms = math.exp(-slope), float(np.sqrt(np.mean(resid**2)))
     return RadiusEstimate(N=table.N, j_max=table.j_max, r_hat=r_hat, window=window,
                           fit_residual=rms, degenerate=degenerate)
@@ -277,8 +268,10 @@ def bound_check(tables: list[CoefficientProfile], c_f: float) -> BoundReport:
     ever formed.  chi_min(N, j) must not increase with N (within
     ``BOUND_NOISE``) for the growth bound |c_{ij}| < chi**j N**((5/6)j - 3/2)
     to hold with an N-independent chi; the max over the grid is the
-    empirical chi.
+    empirical chi.  Raises ConfigError without a table.
     """
+    if not tables:
+        raise ConfigError("bound check needs at least one table")
     tabs = sorted(tables, key=lambda t: t.N)
     Ns = tuple(t.N for t in tabs)
     j_top = min(t.j_max for t in tabs)

@@ -279,13 +279,16 @@ def cmd_simulate(cfg: ExperimentConfig) -> dict:
     return {"runs": summary}
 
 
-def _radius_report(cfg: ExperimentConfig, profiles) -> dict:
-    """The ``radius`` and ``trend`` JSON fields; writes ``radius.csv`` too when CSV is on.
+def _estimates(cfg: ExperimentConfig, profiles) -> list:
+    """One root-test estimate per profile; none when J_max is too short to fit a tail."""
+    if cfg.j_max < ana.MIN_RADIUS_ORDER:
+        return []
+    return [ana.estimate_radius(p, tail_fraction=cfg.tail_fraction) for p in profiles]
 
-    One root-test estimate per profile; none when J_max is too short to fit a tail.
-    """
-    estimates = ([ana.estimate_radius(p, tail_fraction=cfg.tail_fraction) for p in profiles]
-                 if cfg.j_max >= ana.MIN_RADIUS_ORDER else [])
+
+def _radius_report(cfg: ExperimentConfig, profiles) -> dict:
+    """The ``radius`` and ``trend`` JSON fields; writes ``radius.csv`` too when CSV is on."""
+    estimates = _estimates(cfg, profiles)
     if estimates and "csv" in cfg.formats:
         rows = "".join(
             f"{e.N},{e.j_max},{e.method},{e.r_hat:.17g},{e.window[0]},{e.window[1]},"
@@ -300,8 +303,7 @@ def _radius_report(cfg: ExperimentConfig, profiles) -> dict:
 
 
 def _compare_one(cfg: ExperimentConfig, rc: RingConfig, table: series.CoefficientTable) -> dict:
-    r_hat = (ana.estimate_radius(table, tail_fraction=cfg.tail_fraction).r_hat
-             if cfg.j_max >= ana.MIN_RADIUS_ORDER else math.inf)
+    r_hat = min((e.r_hat for e in _estimates(cfg, [table])), default=math.inf)
     horizon = min(cfg.t_end, 0.5 * r_hat)
     times = np.linspace(horizon / cfg.sample_count, horizon, cfg.sample_count)
     sol = ode.integrate(rc, horizon, cfg.rel_tol, cfg.abs_tol, t_eval=times)
@@ -415,25 +417,18 @@ def cmd_verify(cfg: ExperimentConfig) -> dict:
     A check the configured rings give no data for prints SKIP and does not
     fail the run; its JSON value is null.
     """
-    ok = True
-
-    def check(name: str, passed: bool | None, detail: str = "") -> None:
-        nonlocal ok
-        ok = ok and passed is not False
-        word = "SKIP" if passed is None else "PASS" if passed else "FAIL"
-        suffix = f"  ({detail})" if detail else ""
-        print(f"{word}  {name}{suffix}")
-
     report = ana.bound_check(series.coefficient_profiles(cfg.rings), c_f_bound(cfg.force))
-    check("order-3 magnitude bound", report.hard_c3_ok,
-          "J_max < 3" if report.hard_c3_ok is None else "")
-
     max_err = _oracle_max_rel_err(cfg)
-    if max_err is None:
-        check("composition-sum cross-check", None, "J_max < 3")
-    else:
-        check("composition-sum cross-check", max_err <= 1e-10, f"max rel err {max_err:.2e}")
-    return {"bounds": report.to_json(), "oracle_max_rel_err": max_err, "passed": ok}
+    # both checks need order 3, so both skip exactly when J_max < 3
+    checks = [("order-3 magnitude bound", report.hard_c3_ok, ""),
+              ("composition-sum cross-check", None if max_err is None else max_err <= 1e-10,
+               "" if max_err is None else f"max rel err {max_err:.2e}")]
+    for name, passed, detail in checks:
+        word = "SKIP" if passed is None else "PASS" if passed else "FAIL"
+        detail = "J_max < 3" if passed is None else detail
+        print(f"{word}  {name}" + (f"  ({detail})" if detail else ""))
+    return {"bounds": report.to_json(), "oracle_max_rel_err": max_err,
+            "passed": all(p is not False for _, p, _ in checks)}
 
 
 # ---------------------------------------------------------------------------

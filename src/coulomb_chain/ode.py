@@ -199,7 +199,8 @@ def integrate(
     the sorted sample times: those at t = 0 are the start, and each later
     one is read from the dense output of the step that first reaches it.
     ``n_steps``, ``min_step`` and ``max_step`` are read from the one list
-    of accepted step sizes.  Raises
+    of accepted step sizes.  Raises ConfigError (field ``initial``) if the
+    positions or velocities of ``initial`` are not of shape (N,),
     StiffnessError if the controller's step underflows, also where its
     step-size norms overflow, and CollisionError if a gap of the initial
     state is at or below the floor or an accepted step breaks the particle
@@ -213,6 +214,9 @@ def integrate(
         g0 = np.full(N, config.delta)
     else:
         x0, v0 = np.asarray(initial.x, float), np.asarray(initial.v, float)
+        if x0.shape != (N,) or v0.shape != (N,):
+            raise ConfigError(f"x and v must have shape ({N},), got {x0.shape} and {v0.shape}",
+                              "initial")
         g0 = _gaps(x0, config.L)
     _check_floor(config, g0)  # only trial stages may cross the floor
     g0, dg0, work = _kernel_rows(g0)

@@ -219,6 +219,11 @@ def test_bound_check_hard_and_trend(sine_force):
     assert set(report.chi_sqrt) == set(report.chi_min)
 
 
+def test_bound_check_without_tables_is_a_config_error():
+    with pytest.raises(ConfigError, match="^bound check needs at least one table$"):
+        bound_check([], 1.0)
+
+
 def test_bound_check_constant_force_chi_zero():
     tables = [
         compute_coefficients(RingConfig(N=n, L=1.0, force=ForceSpec(L=1.0, a0=1.0), j_max=9))

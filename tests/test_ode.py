@@ -140,6 +140,36 @@ def test_nonphysical_trial_stage_is_rejected_not_fatal(sine_force, monkeypatch):
     assert drift <= 1e-9
 
 
+def test_an_accepted_step_that_breaks_the_ordering_raises(monkeypatch):
+    # With no force the particles fly free and no trial stage is rejected, so
+    # particle 0, 0.01 behind particle 1 at speed 1000, passes it inside an
+    # accepted step; the check after each accepted step must catch it.
+    def free(config, x0, g0, dg0, u, out, work):
+        out[:] = 0.0
+
+    monkeypatch.setattr(ode, "_acceleration", free)
+    N = 8
+    config = make_config(N=N)
+    x = np.arange(N) / N
+    x[1] = x[0] + 0.01
+    v = np.zeros(N)
+    v[0] = 1000.0
+    with pytest.raises(CollisionError, match="^particle ordering violated at t="):
+        integrate(config, 1e-3, initial=TrajectoryState(t=0.0, x=x, v=v))
+
+
+@pytest.mark.parametrize("n_x, n_v", [(3, 3), (32, 32), (16, 3), (3, 16)])
+def test_initial_state_of_the_wrong_length_is_a_config_error(n_x, n_v):
+    # A zero-filled short state would otherwise read as a collapsed gap, and
+    # any other length as a numpy broadcast error.
+    config = make_config(N=16)
+    x = np.arange(n_x) / 16 if n_x == 16 else np.zeros(n_x)
+    state = TrajectoryState(t=0.0, x=x, v=np.zeros(n_v))
+    with pytest.raises(ConfigError, match=r"^initial: x and v must have shape \(16,\)") as err:
+        integrate(config, 1e-3, initial=state)
+    assert err.value.field == "initial"
+
+
 def test_step_count_is_stability_limited(sine_force):
     # Integrating displacements keeps the RHS free of eps*L noise in the gaps,
     # so the controller is no longer accuracy-limited: 14 steps here, where
