@@ -24,8 +24,11 @@ step underflow, 2 config error (also an output directory that cannot be
 created or written), 3 overflow, 4 collision (an accepted step that breaks
 the ordering: the commands start from the uniform lattice, whose gap L/N is
 above the floor, so a starting gap at the floor arises only through the
-library's ``ode.integrate(initial=...)``), 5 verification failure, exactly
-when the report's ``passed`` is false (only ``verify.json`` has that key).
+library's ``ode.integrate(initial=...)``; and DOP853 rejects every step
+whose stages, the accepted state's included, reach the floor, so 4 stays a
+guard for a solver or BLAS build in which that stage's NaN does not reach
+the error norm, see ``ode``), 5 verification failure, exactly when the
+report's ``passed`` is false (only ``verify.json`` has that key).
 """
 
 from __future__ import annotations

@@ -27,14 +27,26 @@ giant steps, and the dense interpolant is far less accurate mid-step than
 at step ends; so no accepted step is longer than the smallest spacing of
 the requested samples.
 
-A trial Runge-Kutta stage whose gaps reach the floor is not physical: the
-right-hand side returns NaN for it, DOP853's error norm is then not below
-one, and the controller rejects the step and retries with a shorter one.
-Only an accepted step that breaks the particle ordering raises
-CollisionError.  The right-hand side and the ordering check work on padded
-rows of length N+1, allocated once per integration, whose index 0 holds the
-left neighbour of entry 0: each cyclic neighbour difference, sum and product
-is one ufunc on two slices, and the collision-floor test is one min
+A trial Runge-Kutta stage with a gap at or below the floor, or a NaN gap,
+is not physical: the kernel writes NaN into every acceleration of it, as
+the coefficient engine carries overflow as inf/nan to the one place that
+reports it.  DOP853's error norm is then NaN, not below one, and the
+controller rejects the step and retries with a shorter one; no exception
+is raised per stage.  The one floor check that raises CollisionError is
+the start state's, in ``integrate``.
+
+DOP853 also evaluates the right-hand side at each accepted state (its last
+stage, ``f_new`` in scipy's ``rk_step``), and a NaN there makes the error
+norm NaN through ``np.dot(K.T, E5)`` although ``E5[-1] == 0`` (checked
+with OpenBLAS 0.3.31).  So no accepted state has a gap at the floor, and the
+ordering check after each accepted step cannot fire here, from the lattice
+start or any other.  It stays as the guard, and the CLI's exit code 4, for
+a solver or BLAS build whose product skips the zero weight.
+
+The right-hand side and the ordering check work on padded rows of length
+N+1, allocated once per integration, whose index 0 holds the left
+neighbour of entry 0: each cyclic neighbour difference, sum and product is
+one ufunc on two slices, and the collision-floor test is one min
 reduction.  Rejected attempts are counted from the RHS calls of each step
 (DOP853 spends ``n_stages`` per attempt).  scipy is imported inside
 ``integrate``, so importing this module (and the CLI) does not pay for
@@ -119,20 +131,6 @@ def _padded_gaps(g0: np.ndarray, u: np.ndarray, du: np.ndarray, g: np.ndarray) -
     return np.add(g0, du, out=g)
 
 
-def _check_floor(config: RingConfig, g: np.ndarray) -> None:
-    """Raise CollisionError if any gap in ``g`` is at or below the floor.
-
-    The error names the smallest gap; a NaN gap elsewhere is passed over.
-    """
-    floor = GAP_FLOOR_FACTOR * config.delta
-    if (g <= floor).any():
-        worst = int(np.nanargmin(g))
-        raise CollisionError(
-            f"gap {worst} shrank to {g[worst]:.3e} (floor {floor:.3e}); "
-            "numerical fault in the integration"
-        )
-
-
 def _acceleration(
     config: RingConfig,
     x0: np.ndarray,
@@ -153,14 +151,14 @@ def _acceleration(
         g_i - g_{i-1} = dg0_i + (u_{i+1} - 2 u_i + u_{i-1}),
 
     so no difference of O(L) positions, and no difference of two O(N**2)
-    terms, enters it.  Raises CollisionError when any gap is at or below the
-    collision floor; a NaN gap passes, and the two particles it joins get
-    NaN accelerations.
+    terms, enters it.  When any gap is at or below the collision floor, or
+    NaN, every entry of ``out`` is NaN: the stage is not physical.
     """
     du, g, row = work
     _padded_gaps(g0, u, du, g)
     if not g.min() > GAP_FLOOR_FACTOR * config.delta:  # also when some gap is NaN
-        _check_floor(config, g[1:])
+        out.fill(np.nan)
+        return
     dg = np.subtract(du[1:], du[:-1], out=row[1:])
     dg += dg0
     np.add(g[1:], g[:-1], out=out)
@@ -200,11 +198,11 @@ def integrate(
     one is read from the dense output of the step that first reaches it.
     ``n_steps``, ``min_step`` and ``max_step`` are read from the one list
     of accepted step sizes.  Raises ConfigError (field ``initial``) if the
-    positions or velocities of ``initial`` are not of shape (N,),
-    StiffnessError if the controller's step underflows, also where its
-    step-size norms overflow, and CollisionError if a gap of the initial
-    state is at or below the floor or an accepted step breaks the particle
-    ordering.
+    positions or velocities of ``initial`` are not of shape (N,) or not
+    finite, StiffnessError if the controller's step underflows, also where
+    its step-size norms overflow, and CollisionError if a gap of the
+    initial state is at or below the floor or an accepted step breaks the
+    particle ordering.
     """
     t_end, rel_tol, abs_tol = check_settings(t_end, rel_tol, abs_tol)
     N = config.N
@@ -217,8 +215,13 @@ def integrate(
         if x0.shape != (N,) or v0.shape != (N,):
             raise ConfigError(f"x and v must have shape ({N},), got {x0.shape} and {v0.shape}",
                               "initial")
+        if not (np.isfinite(x0).all() and np.isfinite(v0).all()):
+            raise ConfigError("x and v must be finite", "initial")
         g0 = _gaps(x0, config.L)
-    _check_floor(config, g0)  # only trial stages may cross the floor
+        worst, floor = int(np.argmin(g0)), GAP_FLOOR_FACTOR * config.delta
+        if g0[worst] <= floor:  # only trial stages may cross the floor
+            raise CollisionError(f"initial gap {worst} is {g0[worst]:.3e}, "
+                                 f"at or below the floor {floor:.3e}")
     g0, dg0, work = _kernel_rows(g0)
     y0 = np.concatenate([np.zeros(N), v0])
 
@@ -236,10 +239,7 @@ def integrate(
     def rhs(_t, y):
         dy = np.empty(2 * N)
         dy[:N] = y[N:]
-        try:
-            _acceleration(config, x0, g0, dg0, y[:N], dy[N:], work)
-        except CollisionError:
-            dy[N:] = np.nan  # non-physical trial stage: DOP853 rejects the step
+        _acceleration(config, x0, g0, dg0, y[:N], dy[N:], work)
         return dy
 
     def state(t, y):

@@ -10,7 +10,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from coulomb_chain import (
-    CoefficientProfile, CollisionError, RingConfig, TrajectoryState, eval_force,
+    CoefficientProfile, RingConfig, TrajectoryState, eval_force,
     initial_positions, ode,
 )
 from coulomb_chain.series import force_grid
@@ -38,7 +38,12 @@ def initial_state(config: RingConfig) -> TrajectoryState:
 def acceleration(config: RingConfig, state: TrajectoryState) -> np.ndarray:
     """Net acceleration of every particle in ``state``, by the integrator's kernel.
 
-    Raises CollisionError when any gap is at or below the collision floor.
+    Every entry is NaN when any gap is at or below the collision floor, or
+    NaN.  Inside ``ode.integrate`` such a row makes DOP853 reject the step,
+    also at an accepted state's last stage (its error norm takes the NaN
+    through ``np.dot(K.T, E5)`` although ``E5[-1] == 0``), so no accepted
+    step reaches the floor; the ordering check and CLI exit code 4 stay as
+    the guard for a solver or BLAS build that skips that zero weight.
     """
     x = np.asarray(state.x, dtype=float)
     g0, dg0, work = ode._kernel_rows(ode._gaps(x, config.L))
@@ -54,7 +59,9 @@ def with_left_acceleration(config: RingConfig, x0: np.ndarray, g0: np.ndarray,
     Each neighbour op is one ufunc on ``a[1:], a[:-1]`` plus a scalar op for
     the wrap ``op(a[0], a[-1])``, with the same operation order as
     ``ode._acceleration``: (g_i + g_{i-1}) * dg / (g_i g_{i-1}) / (g_i g_{i-1}).
-    Every gap at or below the floor raises CollisionError; NaN gaps pass.
+    A gap at or below the floor, or a NaN gap, gives an all-NaN row, as the
+    kernel does; ``acceleration`` says why the integrator needs no more
+    than that and why its ordering check stays.
     """
     def with_left(op, a):
         out = np.empty_like(a)
@@ -70,8 +77,8 @@ def with_left_acceleration(config: RingConfig, x0: np.ndarray, g0: np.ndarray,
 
     g = g0 + forward_diff(u)
     floor = ode.GAP_FLOOR_FACTOR * config.delta
-    if (g <= floor).any():
-        raise CollisionError(f"gap {int(np.argmin(g))} at or below the floor {floor:.3e}")
+    if not (g > floor).all():
+        return np.full_like(g, np.nan)
     dg = with_left(np.subtract, forward_diff(u))
     dg += with_left(np.subtract, g0)
     out = with_left(np.add, g)
