@@ -49,7 +49,7 @@ _K_LO, _K_HI = 16 - 281, 16 + 281  # the exponents k of the 10**k table
 _TOL = 2.0**-40  # rounding margin in units of y, above the error bound 2**-47
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 _MANTISSA = np.uint64((1 << 52) - 1)
-_CHUNK = 8192  # values per pass, which keeps the temporaries in cache
+CHUNK = 8192  # values per pass, which keeps the temporaries in cache; a block of the writers
 _WIDTH = 24  # the longest text: sign, 17 digits, point, e-XXX
 _ALPHABET = b".-+e0123456789"  # a layout row holds 17 digits, these and a NUL
 _COLUMNS = 17 + len(_ALPHABET) + 1
@@ -64,8 +64,8 @@ def float_text_pair(values: np.ndarray, fixed: bool = True,
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     out = ([], [])
-    for start in range(0, v.size, _CHUNK):
-        chunk = v[start : start + _CHUNK]
+    for start in range(0, v.size, CHUNK):
+        chunk = v[start : start + CHUNK]
         neg = np.signbit(chunk)
         (D, X, fast), short = _decimal(chunk, shortest)
         if fixed:

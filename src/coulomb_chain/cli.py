@@ -19,9 +19,10 @@ says.  The formats choose the rest: the coefficient tables
 ``coeffs_N*.{csv,json}`` in either or both, and the CSV side files
 (``trajectory_N*.csv``, ``radius.csv``, ``exponents.csv``) only with csv.
 Outputs are deterministic (fixed ordering, fixed float formatting) and files
-are written atomically (temp + rename).  Exit codes: 0 ok, 1 integrator
-step underflow, 2 config error (also an output directory that cannot be
-created or written), 3 overflow, 4 collision (an accepted step that breaks
+are written atomically (temp + rename; a table's two files are written
+together, block by block, and no temp file outlives a failure).  Exit
+codes: 0 ok, 1 integrator step underflow, 2 config error (also an output
+directory that cannot be created or written), 3 overflow, 4 collision (an accepted step that breaks
 the ordering: the commands start from the uniform lattice, whose gap L/N is
 above the floor, so a starting gap at the floor arises only through the
 library's ``ode.integrate(initial=...)``; and DOP853 rejects every step
@@ -42,12 +43,13 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import analysis as ana
 from . import ode, series
-from ._floattext import float_text_pair
+from ._floattext import CHUNK, float_text_pair
 from .errors import CollisionError, ConfigError, StiffnessError, check_int, check_keys, check_real
 from .force import ForceSpec, c_f_bound
 from .ring import RingConfig
@@ -214,21 +216,40 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # deterministic output helpers
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
+def _atomic_write(paths: Sequence[Path], blocks: Iterable[Sequence[str]]) -> None:
+    """Write the files ``paths``, whole or not at all, from blocks of one text per path.
+
+    Each block's texts are encoded and appended to the paths' ``.tmp``
+    files, which are renamed over the paths once the last block is written.
+    Whatever fails on the way, every temp file not yet renamed is removed; a
+    failed write or rename is a ConfigError naming the file at work.
+    """
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+    path = paths[0]  # the file at work, named if an OSError is raised
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path, tmp in zip(paths, tmps):
+                files.append(stack.enter_context(open(tmp, "wb")))
+            for block in blocks:
+                for path, file, text in zip(paths, files, block):
+                    file.write(text.encode())
+                del block, text  # so the next block is formed without this one
+        for path, tmp in zip(paths, tmps):
+            os.replace(tmp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
         raise ConfigError(f"cannot write {path}: {exc}", "output.directory") from exc
+    finally:
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
 
 
 def _write_json(path: Path, payload) -> None:
     # repr-based floats round-trip losslessly and are deterministic
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _atomic_write([path], [(text,)])
 
 
 # ---------------------------------------------------------------------------
@@ -236,33 +257,38 @@ def _write_json(path: Path, payload) -> None:
 
 def cmd_coeffs(cfg: ExperimentConfig) -> None:
     """Write one coefficient table per grid N, in each configured format."""
-    for table in series.coefficient_tables(cfg.rings):  # one table and its text at a time
+    for table in series.coefficient_tables(cfg.rings):  # one table at a time, in blocks
         base = cfg.out_dir / f"coeffs_N{table.N}"
-        for fmt, text in series.table_texts(table, cfg.force, cfg.formats).items():
-            _atomic_write(base.with_suffix(f".{fmt}"), text)
+        _atomic_write([base.with_suffix(f".{fmt}") for fmt in cfg.formats],
+                      series.table_texts(table, cfg.force, cfg.formats))
 
 
-def _trajectory_csv(states: list[ode.TrajectoryState]) -> str:
-    """``t,i,x,v`` rows, time-major, 17 significant digits.
+def _trajectory_csv(states: list[ode.TrajectoryState]) -> Iterator[str]:
+    """``t,i,x,v`` rows, time-major, 17 significant digits, in blocks of whole states.
 
-    One one-sided ``float_text_pair`` call formats every x and v; a row is
-    six pieces, laid into one list by slice assignment and joined once.
+    A block holds ``max(1, CHUNK // (2 N))`` states, so one one-sided
+    ``float_text_pair`` call formats its x and v in one kernel chunk, or
+    one state where a state holds more; a row is six pieces, laid into one
+    list by slice assignment and joined once per block.
     """
     N = states[0].x.size
-    # (time, x or v, i), raveled
-    texts = float_text_pair(np.array([(st.x, st.v) for st in states]), shortest=False)[0]
+    step = max(1, CHUNK // (2 * N))
     index = [f"{i}," for i in range(N)]
-    pieces = ["t,i,x,v\n"]
-    for s, st in enumerate(states):
-        block = [""] * (6 * N)
-        block[0::6] = [f"{st.t:.17g},"] * N
-        block[1::6] = index
-        block[2::6] = texts[2 * N * s : 2 * N * s + N]
-        block[3::6] = [","] * N
-        block[4::6] = texts[2 * N * s + N : 2 * N * (s + 1)]
-        block[5::6] = ["\n"] * N
-        pieces += block
-    return "".join(pieces)
+    for start in range(0, len(states), step):
+        block = states[start : start + step]
+        # (time, x or v, i), raveled
+        texts = float_text_pair(np.array([(st.x, st.v) for st in block]), shortest=False)[0]
+        pieces = ["t,i,x,v\n"] if start == 0 else []
+        for s, st in enumerate(block):
+            rows = [""] * (6 * N)
+            rows[0::6] = [f"{st.t:.17g},"] * N
+            rows[1::6] = index
+            rows[2::6] = texts[2 * N * s : 2 * N * s + N]
+            rows[3::6] = [","] * N
+            rows[4::6] = texts[2 * N * s + N : 2 * N * (s + 1)]
+            rows[5::6] = ["\n"] * N
+            pieces += rows
+        yield "".join(pieces)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> dict:
@@ -272,7 +298,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> dict:
         t_eval = np.linspace(0.0, cfg.t_end, cfg.sample_count + 1)
         sol = ode.integrate(rc, cfg.t_end, cfg.rel_tol, cfg.abs_tol, t_eval=t_eval)
         if "csv" in cfg.formats:
-            _atomic_write(cfg.out_dir / f"trajectory_N{rc.N}.csv", _trajectory_csv(sol.states))
+            _atomic_write([cfg.out_dir / f"trajectory_N{rc.N}.csv"],
+                          ((block,) for block in _trajectory_csv(sol.states)))
         drift = None
         if cfg.force.a0 == 0.0:
             e0 = ode.energy(rc, sol.states[0])
@@ -298,7 +325,7 @@ def _radius_report(cfg: ExperimentConfig, profiles) -> dict:
             f"{e.fit_residual:.17g},{int(e.degenerate)}\n" for e in estimates
         )
         header = "N,J_max,method,R_hat,window_lo,window_hi,fit_residual,degenerate\n"
-        _atomic_write(cfg.out_dir / "radius.csv", header + rows)
+        _atomic_write([cfg.out_dir / "radius.csv"], [(header + rows,)])
     return {
         "radius": [e.to_json() for e in estimates],
         "trend": ana.radius_trend(estimates).to_json() if estimates else None,
@@ -368,8 +395,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
     if "csv" in cfg.formats:
         rows = "".join(f"{e.j},{e.slope:.17g},{e.half_width:.17g},{e.cap_half:.17g},"
                        f"{e.cap_five_sixths:.17g}\n" for e in fits)
-        _atomic_write(cfg.out_dir / "exponents.csv",
-                      "j,slope,half_width,cap_half,cap_five_sixths\n" + rows)
+        _atomic_write([cfg.out_dir / "exponents.csv"],
+                      [("j,slope,half_width,cap_half,cap_five_sixths\n" + rows,)])
     return payload
 
 

@@ -125,14 +125,18 @@ Outside it, a proxy ring costs 2 n N
 multiply-adds per odd column in one matrix product, n = B_j + 1, and
 O(B_J sqrt N) trig values once.
 
-The one writer, ``table_texts``, returns the CSV or JSON artifact text of
-a table, or both, formatting each value once: one call of the array kernel
-``_floattext.float_text_pair`` gives the bytes of ``%.17g``, of
-``float.__repr__`` or of both for all live columns of a table from one
-pass, and ``table_csv`` and ``table_json`` lay those texts out.  A column
-of +0.0 only, the structurally zero even orders, is printed as a literal
-zero, and the pieces are joined once; at j_max = 9 the writing still costs
-over twenty times the engine's own time.
+The one writer, ``table_texts``, gives the CSV or JSON artifact of a
+table, or both, in blocks of particles, formatting each value once.  A
+block is one chunk of the array kernel ``_floattext.float_text_pair``,
+whose one call per block gives the texts of ``%.17g``, of
+``float.__repr__`` or of both for the block's values of the live columns;
+``table_csv`` and ``table_json`` lay them out and join each block's pieces
+once.  A column of +0.0 only, the structurally zero even orders, is
+printed as a literal zero, and a CSV row of it is two pieces.  So the
+writer holds one block's texts whatever N, and ``coeffs`` writes each
+block as it comes.  On the benchmark's wide-N tables (N = 2**8..2**14,
+j_max = 9) the writing takes about 115 ms against the engine's 2-3 ms,
+the kernel over half of it.
 A table takes its magnitude profile max_i |c_{ij}|, which every report
 reads, in one reduction; ``evaluate_velocity`` sums the velocity series
 with numpy's Horner ``polyval``.
@@ -167,7 +171,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._floattext import float_text_pair
+from ._floattext import CHUNK, float_text_pair
 from .errors import ConfigError
 from .force import ForceSpec, force_jet
 from .ring import RingConfig, initial_positions
@@ -601,68 +605,101 @@ def evaluate_velocity(table: CoefficientTable, t: float) -> np.ndarray:
 
 
 def table_texts(table: CoefficientTable, force: ForceSpec,
-                formats: Iterable[str]) -> dict[str, str]:
-    """The artifact texts of ``formats``, any of "csv" and "json", keyed by format.
+                formats: Iterable[str]) -> Iterator[tuple[str, ...]]:
+    """The artifact texts of ``formats``, any of "csv" and "json", in blocks of particles.
 
-    One ``float_text_pair`` call formats the live columns, those holding a
-    value other than +0.0 (read from the bits: ``max_abs`` folds -0.0 into
-    +0.0 and does not follow later writes to ``data``), raveled i-major,
-    once for both forms and only for the formats asked for; slice
-    assignment spreads each over its order's places, and every other
-    column, the structurally zero even orders, is the literal ``0`` or
-    ``0.0`` throughout.  ``table_csv`` and ``table_json`` lay the texts
-    out.  Raises ValueError on an unknown format.
+    Each block is a tuple of one text per format, in the order of
+    ``formats``, and a format's blocks, joined, are its artifact.  A block
+    holds ``max(1, CHUNK // len(live))`` particles, one kernel chunk of
+    values of the live columns, those holding a value other than +0.0 (read
+    from the bits: ``max_abs`` folds -0.0 into +0.0 and does not follow
+    later writes to ``data``).  One ``float_text_pair`` call formats a
+    block's live values, raveled i-major, once for both forms and only for
+    the formats asked for; every other column, the structurally zero even
+    orders, is the literal ``0`` or ``0.0`` throughout.  ``table_csv`` and
+    ``table_json`` lay out each block.  The live columns and the checks
+    are taken once, at the call, before the first block: raises ValueError
+    on an unknown format and, with "json", on a non-finite value, as
+    ``allow_nan=False`` does.
     """
-    formats = set(formats)
-    if formats - {"csv", "json"}:
-        raise ValueError(f"unknown table formats {sorted(formats - {'csv', 'json'})}")
+    formats = tuple(dict.fromkeys(formats))
+    unknown = set(formats) - {"csv", "json"}
+    if unknown:
+        raise ValueError(f"unknown table formats {sorted(unknown)}")
+    if "json" in formats and not np.isfinite(table.data[:, 1:]).all():
+        raise ValueError(f"coefficient table N={table.N}: non-finite values are not valid JSON")
     live = [j for j in range(1, table.j_max + 1) if table.data[:, j].view(np.uint64).any()]
-    pair = float_text_pair(table.data[:, live], "csv" in formats, "json" in formats)
-    texts = {}
-    for fmt, formatted, zero in zip(("csv", "json"), pair, ("0", "0.0")):
-        if fmt in formats:
-            values = [zero] * (table.N * table.j_max)
-            for k, j in enumerate(live):
-                values[j - 1 :: table.j_max] = formatted[k :: len(live)]
-            texts[fmt] = table_csv(table, values) if fmt == "csv" else table_json(table, force, values)
-    return texts
+    step = max(1, CHUNK // max(1, len(live)))
+    return (_table_block(table, force, formats, live, range(start, min(start + step, table.N)))
+            for start in range(0, table.N, step))
 
 
-def table_csv(table: CoefficientTable, values: list[str]) -> str:
-    """CSV rendering, one row per (i, j), i-major, of the ``%.17g`` texts ``values``.
+def _table_block(table: CoefficientTable, force: ForceSpec, formats: tuple[str, ...],
+                 live: list[int], rows: range) -> tuple[str, ...]:
+    """The texts of the particles ``rows``, one per format; the value texts die on return."""
+    fixed, shortest = float_text_pair(table.data[rows.start : rows.stop, live],
+                                      "csv" in formats, "json" in formats)
+    return tuple(table_csv(table, rows, live, fixed) if fmt == "csv"
+                 else table_json(table, force, rows, live, shortest) for fmt in formats)
 
-    A row is four pieces, the index, ``,j,``, the value's text and the
-    constant tail, laid into one list by slice assignment and joined once.
+
+def table_csv(table: CoefficientTable, rows: range, live: list[int], texts: list[str]) -> str:
+    """CSV rows (i, j), i-major, of the particles ``rows``; particle 0's carry the header.
+
+    ``texts`` are the ``%.17g`` texts of the ``live`` columns of those
+    particles, raveled i-major.  A row of a live column is four pieces, the
+    index, ``,j,``, the value's text and the constant tail; a row of any
+    other column is two, the index and one shared ``,j,0`` plus tail.  One
+    particle's pattern of the shared pieces is repeated over the block, the
+    indices and texts go into their places by slice assignment, and the
+    pieces are joined once.
     """
-    J, N = table.j_max, table.N
-    index = list(map(str, range(N)))
-    pieces = [""] * (4 * N * J)
-    for j in range(J):
-        pieces[4 * j :: 4 * J] = index
-    pieces[1::4] = [f",{j}," for j in range(1, J + 1)] * N
-    pieces[2::4] = values
-    pieces[3::4] = [f",{table.scale:.17g},{N},{table.L:.17g},{J}\n"] * (N * J)
-    pieces[0] = "i,j,c_scaled,scale,N,L,J_max\n" + pieces[0]  # so the text is not copied again
+    tail = f",{table.scale:.17g},{table.N},{table.L:.17g},{table.j_max}\n"
+    pattern, index_at, text_at = [], [], []  # one particle's pieces and their places
+    for j in range(1, table.j_max + 1):
+        index_at.append(len(pattern))
+        if j in live:
+            text_at.append(len(pattern) + 2)
+            pattern += ["", f",{j},", "", tail]
+        else:
+            pattern += ["", f",{j},0{tail}"]
+    width = len(pattern)
+    pieces = pattern * len(rows)
+    index = list(map(str, rows))
+    for at in index_at:
+        pieces[at::width] = index
+    for k, at in enumerate(text_at):
+        pieces[at::width] = texts[k :: len(live)]
+    if rows.start == 0:
+        pieces[0] = "i,j,c_scaled,scale,N,L,J_max\n" + pieces[0]  # so the text is not copied again
     return "".join(pieces)
 
 
-def table_json(table: CoefficientTable, force: ForceSpec, values: list[str]) -> str:
-    """JSON artifact text: config header (with the force), rescale, and row-major coefficients.
+def table_json(table: CoefficientTable, force: ForceSpec, rows: range, live: list[int],
+               texts: list[str]) -> str:
+    """The JSON artifact's part for the particles ``rows``: their coefficients, row-major.
 
-    The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True,
-    allow_nan=False) + "\n"`` for the payload with keys ``config``, ``scale``
-    and ``coefficients``.  Only the small header goes through ``json``; the
-    coefficients are ``values``, the ``float.__repr__`` texts, the
-    encoder's float form, joined once.  Raises ValueError on a non-finite
-    value, as ``allow_nan=False`` does.
+    Joined over the blocks of a table, the parts are the bytes of
+    ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"``
+    for the payload with keys ``config``, ``scale`` and ``coefficients``:
+    particle 0's part opens the object and the list, the last particle's
+    closes them with the config header (with the force) and rescale.  Only
+    that small header goes through ``json``; the coefficients are
+    ``texts``, the ``float.__repr__`` texts of the ``live`` columns, the
+    encoder's float form, and ``0.0`` elsewhere, joined once.
+    ``table_texts`` checks that the values are finite.
     """
-    if not np.isfinite(table.data[:, 1:]).all():
-        raise ValueError(f"coefficient table N={table.N}: non-finite values are not valid JSON")
-    header = json.dumps(
-        {"config": {"N": table.N, "L": table.L, "J_max": table.j_max, "force": force.to_json()},
-         "scale": table.scale},
-        indent=2, sort_keys=True, allow_nan=False,
-    )
-    items = ",\n    ".join(values)
+    J = table.j_max
+    values = ["0.0"] * (len(rows) * J)
+    for k, j in enumerate(live):
+        values[j - 1 :: J] = texts[k :: len(live)]
     # "coefficients" sorts before "config" and "scale", so it opens the object.
-    return f'{{\n  "coefficients": [\n    {items}\n  ],\n{header[2:]}\n'
+    values[0] = ('{\n  "coefficients": [\n    ' if rows.start == 0 else ",\n    ") + values[0]
+    if rows.stop == table.N:
+        header = json.dumps(
+            {"config": {"N": table.N, "L": table.L, "J_max": J, "force": force.to_json()},
+             "scale": table.scale},
+            indent=2, sort_keys=True, allow_nan=False,
+        )
+        values[-1] += f"\n  ],\n{header[2:]}\n"
+    return ",\n    ".join(values)

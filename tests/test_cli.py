@@ -503,6 +503,29 @@ def test_sweep_peak_memory_on_the_wide_grid(tmp_path):
     assert peak < 16 * 2**20
 
 
+def test_coeffs_writer_memory_does_not_grow_with_n(tmp_path, monkeypatch):
+    # coeffs holds the texts of one kernel chunk of a table at a time, not the
+    # table's CSV and JSON texts and their encoded copies, so its peak is the
+    # same at N = 2**12 and 2**14 (J_max = 9), where the CSV takes about
+    # 8 MB; the float-to-text kernel's own temporaries for one chunk of both
+    # forms are about 3 MB of it.  The table is computed before tracing.
+    obj = {**SINE_CONFIG, "force": SEED7_TWO.to_json(),
+           "ring": {"N": [2**12, 2**14], "L": 1.0, "J_max": 9, "scale": "auto"}}
+    cfg = replace(cli.parse_config(obj), out_dir=tmp_path / "out")
+    tables = {table.N: table for table in cli.series.coefficient_tables(cfg.rings)}
+    peaks = {}
+    for n, table in tables.items():
+        monkeypatch.setattr(cli.series, "coefficient_tables", lambda rings: iter([table]))
+        tracemalloc.start()
+        try:
+            cli.cmd_coeffs(cfg)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2**14] < 1.25 * peaks[2**12]
+    assert peaks[2**14] < (tmp_path / "out" / "coeffs_N16384.csv").stat().st_size / 2
+
+
 def test_sweep_on_a_million_particles_takes_under_a_second(tmp_path):
     # The loop runs on a 32-point proxy grid; each ring adds one matrix
     # product of about 2 (B_j + 1) N multiply-adds per odd order.
@@ -783,6 +806,19 @@ def test_trajectory_csv_matches_reference_rendering(tmp_path):
     assert (out / "trajectory_N8.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_trajectory_csv_blocks_hold_whole_states():
+    # A state is 2 N values, so at N = 1024 a block holds CHUNK // 2048 = 4
+    # states: 11 states are 3 blocks, and only the first carries the header.
+    rng = np.random.default_rng(5)
+    states = [coulomb_chain.TrajectoryState(t=0.1 * s, x=rng.standard_normal(1024),
+                                            v=rng.standard_normal(1024)) for s in range(11)]
+    blocks = list(cli._trajectory_csv(states))
+    assert len(blocks) == 3
+    lines = ["t,i,x,v"] + [f"{st.t:.17g},{i},{x:.17g},{v:.17g}" for st in states
+                           for i, (x, v) in enumerate(zip(st.x.tolist(), st.v.tolist()))]
+    assert "".join(blocks) == "\n".join(lines) + "\n"
+
+
 # The files each command writes besides its <command>.json report, only with csv.
 CSV_SIDE_FILES = {
     "coeffs": set(),
@@ -868,6 +904,7 @@ def test_radius_sweep_and_compare_report_one_radius(tmp_path):
     ("taken", "taken"),  # --out names an existing file
     ("taken", "taken/sub"),  # --out lies below a file
     ("out/coeffs_N8.csv/", "out"),  # a directory stands where a table goes
+    ("out/coeffs_N8.json/", "out"),  # ... and the CSV's temp file is complete when it fails
 ])
 def test_unwritable_output_directory_is_a_config_error(tmp_path, capsys, blocker, out):
     if blocker.endswith("/"):

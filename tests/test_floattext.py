@@ -138,17 +138,17 @@ def test_fast_path_formats_nearly_every_table_value(monkeypatch, force, n, j_max
 
     monkeypatch.setattr(_floattext, "_exact_texts", counted)
     table = compute_coefficients(RingConfig(N=n, L=1.0, force=force, j_max=j_max))
-    table_texts(table, force, ["csv", "json"])
+    list(table_texts(table, force, ["csv", "json"]))  # every block
     values = 2 * n * ((j_max + 1) // 2)  # both formats of every odd order
     assert len(fallbacks) <= 0.01 * values
     # A -0.0 makes a zero column live, and its zeros cost no fallback.
     before = len(fallbacks)
     table.data[0, 2] = -0.0
-    table_texts(table, force, ["csv", "json"])
+    list(table_texts(table, force, ["csv", "json"]))  # every block
     assert len(fallbacks) == before
     # The counter sees the fallback: a subnormal goes to Python, alone, in each format.
     table.data[0, 2] = 5e-324
-    table_texts(table, force, ["csv", "json"])
+    list(table_texts(table, force, ["csv", "json"]))  # every block
     assert fallbacks[before:] == [5e-324, 5e-324]
 
 

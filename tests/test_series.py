@@ -256,7 +256,7 @@ def test_invalid_configs_rejected(sine_force):
     assert [type(v) for v in values] == [int, float, int, float]
     table = compute_coefficients(numpy_config)
     plain = compute_coefficients(RingConfig(N=8, L=1.0, force=sine_force, j_max=9, scale=0.5))
-    assert table_texts(table, sine_force, ["csv"]) == table_texts(plain, sine_force, ["csv"])
+    assert joined_texts(table, sine_force, ["csv"]) == joined_texts(plain, sine_force, ["csv"])
 
 
 def test_matches_dense_reference(sine_force):
@@ -692,12 +692,18 @@ def reference_json(table, force):
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def assert_writers_match_references(table):
+def joined_texts(table, force, formats):
+    """Each format's artifact, keyed by format: its ``table_texts`` blocks joined."""
+    blocks = list(table_texts(table, force, formats))
+    return {fmt: "".join(texts) for fmt, texts in zip(dict.fromkeys(formats), zip(*blocks))}
+
+
+def assert_writers_match_references(table, force=SEED7_TWO):
     """``table_texts`` with both formats and each alone gives the references."""
-    texts = {"csv": reference_csv(table), "json": reference_json(table, SEED7_TWO)}
-    assert table_texts(table, SEED7_TWO, ["csv", "json"]) == texts
+    texts = {"csv": reference_csv(table), "json": reference_json(table, force)}
+    assert joined_texts(table, force, ["csv", "json"]) == texts
     for fmt in texts:
-        assert table_texts(table, SEED7_TWO, [fmt]) == {fmt: texts[fmt]}
+        assert joined_texts(table, force, [fmt]) == {fmt: texts[fmt]}
 
 
 # sha256 of the ``table_texts`` CSV and JSON for the seed-7 two-harmonic
@@ -731,7 +737,7 @@ def sha256(text):
 @pytest.mark.parametrize("n, j_max", sorted(PINNED_CSV))
 def test_table_bytes_are_pinned(n, j_max):
     table = compute_coefficients(RingConfig(N=n, L=1.0, force=SEED7_TWO, j_max=j_max))
-    texts = table_texts(table, SEED7_TWO, ["csv", "json"])
+    texts = joined_texts(table, SEED7_TWO, ["csv", "json"])
     assert sha256(texts["csv"]) == PINNED_CSV[n, j_max]
     assert sha256(texts["json"]) == PINNED_JSON[n, j_max]
 
@@ -790,6 +796,19 @@ def test_table_texts_of_a_constant_force_table():
         table_texts(table, SEED7_TWO, ["csv", "xml"])
 
 
+@pytest.mark.parametrize("force, n, j_max, blocks", [
+    (SEED7_TWO, 4100, 9, 3), (SEED7_TWO, 4100, 24, 7),
+    (ForceSpec(L=1.0, a0=2.0, harmonics=()), 8200, 12, 2),
+])
+def test_writers_match_reference_renderers_across_blocks(force, n, j_max, blocks):
+    # A block is one kernel chunk of live values: 1638 particles at J = 9
+    # (5 live columns), 682 at J = 24 (12) and 8192 for the constant force
+    # (1); each table ends in a partial block.
+    table = compute_coefficients(RingConfig(N=n, L=1.0, force=force, j_max=j_max))
+    assert len(list(table_texts(table, force, ["csv"]))) == blocks
+    assert_writers_match_references(table, force)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_table_json_rejects_values_set_after_construction(bad):
     table = CoefficientTable(L=1.0, scale=0.5, data=np.zeros((4, 4)))
@@ -797,7 +816,7 @@ def test_table_json_rejects_values_set_after_construction(bad):
     with pytest.raises(ValueError, match="non-finite"):
         table_texts(table, SEED7_TWO, ["json"])
     # the CSV writes inf and nan
-    assert table_texts(table, SEED7_TWO, ["csv"]) == {"csv": reference_csv(table)}
+    assert joined_texts(table, SEED7_TWO, ["csv"]) == {"csv": reference_csv(table)}
 
 
 def test_max_abs_is_the_column_max_of_magnitudes():
