@@ -88,24 +88,35 @@ and the composed force, one ``irfft`` of the projected column and one of
 the next gap.  Each kind of ring has one reading rule: a packed ring's
 columns are views of the loop's rows, and a proxy ring's lattice values,
 N == P included, are summed by ``_lattice`` from the spectrum of each
-odd column, one column at a time, over its band, the n = B_j + 1 modes
-0..B_j.  The rule holds for order 1 too, the force sample, whose modes
-above B_1 = K_max are rounding noise: on the seed-7 and sine forces its
-column-relative error against a 40-digit sample of the force reads
+odd column, one row block at a time, over its band, the n = B_j + 1
+modes 0..B_j.  The rule holds for order 1 too, the force sample, whose
+modes above B_1 = K_max are rounding noise: on the seed-7 and sine forces
+its column-relative error against a 40-digit sample of the force reads
 3.3e-16 to 5.5e-16 at N = 100, 1000 and 4096 and 2.5e-16 to 3.9e-16
 at N == P.  As N > 2 B_J, no band reaches the Nyquist mode N/2.
 ``_lattice`` splits point i = l M + q into Q = 2**floor(log2 sqrt N)
 blocks of M = ceil(N/Q) points (Bailey's four-step split), so a column
 is one complex product of a (Q, n) phase table with the spectrum and one
 real matrix product (Q, 2n) @ (2n, M) against a table of cos and -sin,
-built once per ring.  Its values are those of the zero-padded
-``irfft(X[:n] N/P, n=N)``, X the column's spectrum, to within 8 ulps of
-the column maximum (a 40-digit sum of the same modes reads at most 4),
-for any N, and do not change with the number of BLAS threads, which
-split the product's output, not its sums.  ``coefficient_tables`` keeps
-them and ``coefficient_profiles`` reduces each to its maximum and
-minimum, which are exact and carry NaN and inf, so the profiles and the
-overflow error are those of the tables bit for bit.
+built once per ring.  The product is formed b = max(1, _BLOCK // M) rows
+at a time, about 2**15 values (256 KiB) that stay in cache, and each
+block is used as it comes: ``coefficient_tables`` writes it into its
+row, and ``coefficient_profiles`` reduces it to its maximum and minimum
+and folds those into the column's with ``np.maximum`` and
+``np.minimum``, which are exact and carry NaN and inf, so the profiles
+and the overflow error are those of the tables bit for bit, and neither
+holds a column of N values.  One profile of N = 2**20 at J = 9 takes
+9.1 ms against 13-15 ms for one product per column (2 cores), and its
+traced peak falls from 16.5 MiB to 1.0 MiB.  The values are those of
+the zero-padded ``irfft(X[:n] N/P, n=N)``, X the column's spectrum, to
+within 8 ulps of the column maximum (a 40-digit sum of the same modes
+reads at most 4), for any N.  Where M is a multiple of 8, as for every
+power of two N >= 64, they do not change with the block's row count or
+the number of BLAS threads, which split the product's output, not its
+sums.  Otherwise OpenBLAS (0.3.31 on AVX-512, as measured) sums the last
+M mod 8 columns with a kernel that depends on the product's size and
+thread count, and they can move by a few ulps of the column maximum
+(3 at J = 9 on the seed-7 force).
 
 The loop's cost does not depend on N: the reciprocal and square take
 O(W J**2) and the composition O(W K J**2) multiply-adds for W packed and
@@ -122,8 +133,9 @@ Where every addend is a zero, einsum's sum reads +0.0 and the
 reduction's could read -0.0; on a ring's own points, adding the composed
 force, itself such an einsum, turns any -0.0 of a column into +0.0.
 Outside it, a proxy ring costs 2 n N
-multiply-adds per odd column in one matrix product, n = B_j + 1, and
-O(B_J sqrt N) trig values once.
+multiply-adds per odd column in row blocks of the matrix product,
+n = B_j + 1, and O(B_J sqrt N) trig values once, and holds the two trig
+tables and one row block.
 
 The one writer, ``table_texts``, gives the CSV or JSON artifact of a
 table, or both, in blocks of particles, formatting each value once.  A
@@ -195,6 +207,12 @@ TINY = 1e-300
 #: mode but mode 0 whose modulus is below this fraction of the ring's
 #: largest modulus at that order is set to zero.
 FILTER_LEVEL = 1e-15
+
+#: Lattice values of a proxy ring's column summed at a time: 2**15, or
+#: 256 KiB, stays in a 2 MiB L2 cache beside the lattice tables.  On the
+#: wide-N grid 2**14 and 2**16 ran slower, and 2**12 slower than one block
+#: per column, each block costing about 10 us of calls.
+_BLOCK = 2**15
 
 @dataclass(frozen=True, eq=False)
 class CoefficientProfile:
@@ -285,17 +303,25 @@ def coefficient_tables(rings: Iterable[RingConfig]) -> Iterator[CoefficientTable
         c = np.zeros((ring.j_max + 1, ring.N))
         # Overflow runs on as inf/nan; CoefficientTable rejects the finished table.
         with np.errstate(over="ignore", invalid="ignore"):
-            for row, column in zip(c[1::2], columns):
-                row[:] = column
+            if isinstance(columns, np.ndarray):  # rows the loop holds copy at once
+                c[1::2] = columns
+            else:
+                for row, blocks in zip(c[1::2], columns):
+                    stop = 0
+                    for block in blocks:
+                        start, stop = stop, stop + block.size
+                        row[start:stop] = block
         yield CoefficientTable(L=ring.L, scale=ring.scale, data=c.T)
 
 
 def coefficient_profiles(rings: Iterable[RingConfig]) -> list[CoefficientProfile]:
     """The magnitude profile of each ring's table, bit for bit, without its table.
 
-    Each odd column is reduced to its maximum and minimum as soon as it is
-    formed, so no more than one column of a ring is held.  Raises the
-    OverflowError of ``coefficient_tables`` for the first ring that overflows.
+    Each block of an odd column is reduced to its maximum and minimum as
+    soon as it is formed, and folded into the column's with ``np.maximum``
+    and ``np.minimum``, which carry NaN as the table's reduction does; so
+    no column of a proxy ring is held whole.  Raises the OverflowError of
+    ``coefficient_tables`` for the first ring that overflows.
     """
     profiles = []
     for ring, columns in _odd_columns(list(rings)):
@@ -304,7 +330,11 @@ def coefficient_profiles(rings: Iterable[RingConfig]) -> list[CoefficientProfile
             if isinstance(columns, np.ndarray):  # rows the loop holds reduce at once
                 max_abs[1::2] = _magnitude(columns.max(axis=1), columns.min(axis=1))
             else:
-                max_abs[1::2] = [_magnitude(column.max(), column.min()) for column in columns]
+                for r, blocks in enumerate(columns):
+                    high, low = -np.inf, np.inf
+                    for block in blocks:
+                        high, low = np.maximum(high, block.max()), np.minimum(low, block.min())
+                    max_abs[2 * r + 1] = _magnitude(high, low)
         profiles.append(CoefficientProfile(N=ring.N, L=ring.L, scale=ring.scale, max_abs=max_abs))
     return profiles
 
@@ -341,8 +371,8 @@ def _project(column: np.ndarray, band: int) -> None:
 
 
 def _lattice(spectra: Iterable[np.ndarray], bands: list[int], N: int, P: int
-             ) -> Iterator[np.ndarray]:
-    """The N lattice values of each P-point ``rfft`` spectrum, up to its band, one at a time.
+             ) -> Iterator[Iterator[np.ndarray]]:
+    """The N lattice values of each P-point ``rfft`` spectrum, up to its band, in row blocks.
 
     The values are those of ``irfft(spectrum[:band+1] N/P, n=N)`` for every
     band below N/2, which a proxy ring's N > 2 B_J ensures; at N == P they
@@ -352,34 +382,54 @@ def _lattice(spectra: Iterable[np.ndarray], bands: list[int], N: int, P: int
     and w_m = 2 but for w_0 = 1, so a column is one complex product and one
     real product (Q, 2n) @ (2n, M) of (Re, Im) b against (cos, -sin) rows,
     n = band + 1.  Each phase 2 pi k/N takes k reduced to [-N/2, N/2) in
-    integers.
+    integers; where Q M = N, as for every power of two, m l M mod N is
+    (m l mod Q) M, so Q of the block phases serve every mode.  Each column
+    is an iterator over its values in point order, b = max(1, _BLOCK // M)
+    rows l of the product at a time, the last block cut at N, so no more
+    than about _BLOCK values of a column are formed at once.
     """
     Q = 1 << (N.bit_length() - 1) // 2  # 2**floor(log2 sqrt N)
     M = -(-N // Q)
+    b = max(1, _BLOCK // M)
     m = np.arange(max(bands) + 1)
-    # The phases m q of the table's M columns, then m l M of the Q blocks.
-    angle = m[:, None] * np.concatenate((np.arange(M), np.arange(0, Q * M, M)))
-    angle = ((angle + N // 2) % N - N // 2) * (2 * np.pi / N)
-    cos, sin = np.cos(angle), np.sin(angle)
+
+    def turns(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of the phases 2 pi k/N."""
+        angle = ((k + N // 2) % N - N // 2) * (2 * np.pi / N)
+        return np.cos(angle), np.sin(angle)
+
+    cos, sin = turns(m[:, None] * np.arange(M))  # the phases m q of the table's M columns
     table = np.empty((2 * m.size, M))
-    table[0::2], table[1::2] = cos[:, :M], -sin[:, :M]
+    table[0::2], table[1::2] = cos, -sin
+    if Q * M == N:  # m l M = ((m l) mod Q) M mod N: Q distinct phases
+        j = np.arange(Q)[:, None] * m % Q
+        cos, sin = (t[j] for t in turns(np.arange(0, N, M)))
+    else:
+        cos, sin = turns(np.arange(0, Q * M, M)[:, None] * m)  # m l M of the Q blocks
     phase = np.empty((Q, m.size), complex)
-    phase.real, phase.imag = cos[:, M:].T * (2 / P), sin[:, M:].T * (2 / P)
+    phase.real, phase.imag = cos * (2 / P), sin * (2 / P)
     phase[:, 0] /= 2
-    del angle, cos, sin  # the generator holds on to the two tables only
+    del cos, sin  # the generators hold on to the two tables only
+
+    def blocks(spectrum: np.ndarray, n: int) -> Iterator[np.ndarray]:
+        for s in range(0, Q, b):
+            yield ((phase[s : s + b, :n] * spectrum[:n]).view(np.float64)
+                   @ table[: 2 * n]).ravel()[: N - s * M]
+
     for spectrum, band in zip(spectra, bands):
-        n = band + 1
-        yield ((phase[:, :n] * spectrum[:n]).view(np.float64) @ table[: 2 * n]).ravel()[:N]
+        yield blocks(spectrum, band + 1)
 
 
-def _odd_columns(rings: list[RingConfig]) -> Iterator[tuple[RingConfig, Iterable[np.ndarray]]]:
+def _odd_columns(rings: list[RingConfig]
+                 ) -> Iterator[tuple[RingConfig, Iterable[Iterable[np.ndarray]]]]:
     """Run the recursion for a grid in one loop; yield each ring with its odd columns.
 
     Yields ``(ring, columns)`` in grid order, where ``columns`` holds the
     lattice values of c_1, c_3, .. (rescaled): the (rows, N) view of the
-    loop's rows for a packed ring, else one column at a time, summed from
-    its spectrum by ``_lattice``, to be drawn before the next ring under
-    the consumer's error state (overflow runs on as inf and nan).
+    loop's rows for a packed ring, else one column at a time, each as the
+    row blocks ``_lattice`` sums from its spectrum, to be drawn in point
+    order before the next ring under the consumer's error state (overflow
+    runs on as inf and nan).
     """
     if not rings:
         return

@@ -437,7 +437,9 @@ def test_overflow_in_the_middle_of_a_packed_slab(sine_force):
         if ring is not rings[1]:
             alone = compute_coefficients(ring).data.T
             np.testing.assert_array_equal(
-                np.array(list(columns)).view(np.uint64), alone[1::2].view(np.uint64))
+                np.array(columns if isinstance(columns, np.ndarray) else
+                         [np.concatenate(list(blocks)) for blocks in columns]).view(np.uint64),
+                alone[1::2].view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [21, 22, 256, 2**14, 2**18, 20011])
@@ -471,6 +473,123 @@ def test_lattice_values_match_a_40_digit_sum_of_their_spectrum(monkeypatch, rng,
                 exact = sum(mp.re(x * mp.expjpi(mpf(2 * m * int(i)) / N))
                             for m, x in enumerate(modes))
                 assert abs(column[i] - exact) <= 8 * ulp, (k, i)
+
+
+def one_shot_lattice(spectra, bands, N, P):
+    """Each column's lattice values as one product (Q, 2n) @ (2n, M) of all N points.
+
+    The reference for ``series._lattice``, whose row blocks split this
+    product's output rows.
+    """
+    Q = 1 << (N.bit_length() - 1) // 2
+    M = -(-N // Q)
+    m = np.arange(max(bands) + 1)
+    angle = m[:, None] * np.concatenate((np.arange(M), np.arange(0, Q * M, M)))
+    angle = ((angle + N // 2) % N - N // 2) * (2 * np.pi / N)
+    cos, sin = np.cos(angle), np.sin(angle)
+    table = np.empty((2 * m.size, M))
+    table[0::2], table[1::2] = cos[:, :M], -sin[:, :M]
+    phase = np.empty((Q, m.size), complex)
+    phase.real, phase.imag = cos[:, M:].T * (2 / P), sin[:, M:].T * (2 / P)
+    phase[:, 0] /= 2
+    return [((phase[:, : b + 1] * x[: b + 1]).view(np.float64) @ table[: 2 * b + 2]).ravel()[:N]
+            for x, b in zip(spectra, bands)]
+
+
+@pytest.mark.parametrize("n", [2**17, 2**18 + 3, 3 * 2**16 + 1])
+def test_lattice_row_blocks_match_the_one_shot_product(monkeypatch, n):
+    # The seed-7 proxy rings at J_max = 9 span 4, 9 and 7 row blocks, the
+    # last two cut at N.  The table's columns are the blocks laid end to
+    # end, and the profile is the table's max_abs, bit for bit and sign bit.
+    # Against the one-shot product they agree bit for bit on the power of
+    # two, and within 8 ulps of the column max where M is not a multiple of
+    # the BLAS kernel's width: OpenBLAS 0.3.31 on AVX-512 rounds the last
+    # M mod 8 columns of a small row block (its small-matrix kernel) and of
+    # the whole product differently, by up to 3 ulps of the column max.
+    seen = []
+    lattice = series._lattice
+
+    def spy(spectra, bands, N, P):
+        spectra = [spectrum.copy() for spectrum in spectra]
+        seen.append((spectra, bands, N, P))
+        return lattice(spectra, bands, N, P)
+
+    monkeypatch.setattr(series, "_lattice", spy)
+    ring = RingConfig(N=n, L=1.0, force=SEED7_TWO, j_max=9)
+    table = compute_coefficients(ring)
+    np.testing.assert_array_equal(
+        one_profile(ring).max_abs.view(np.uint64), table.max_abs.view(np.uint64))
+    spectra, bands, N, P = seen[0]
+    columns = [list(blocks) for blocks in lattice(spectra, bands, N, P)]
+    for k, (blocks, reference) in enumerate(zip(columns, one_shot_lattice(spectra, bands, N, P))):
+        assert len(blocks) > 1 and all(block.size <= series._BLOCK for block in blocks)
+        np.testing.assert_array_equal(
+            np.concatenate(blocks).view(np.uint64), table.data[:, 2 * k + 1].view(np.uint64))
+        if n & (n - 1) == 0:
+            np.testing.assert_array_equal(
+                table.data[:, 2 * k + 1].view(np.uint64), reference.view(np.uint64))
+        else:
+            ulp = np.spacing(np.abs(reference).max())
+            assert np.abs(table.data[:, 2 * k + 1] - reference).max() <= 8 * ulp, k
+
+
+def test_overflow_on_a_ring_of_many_row_blocks(monkeypatch):
+    # Every row block of order 9 reads NaN at this scale, and profiles and
+    # tables stop at the same order with the same message.  A NaN in one
+    # block of an otherwise finite column stops both too: the profile folds
+    # the block extremes with np.maximum and np.minimum, which carry it,
+    # where Python's max and min would drop it.
+    ring = RingConfig(N=2**18 + 3, L=1.0, force=SEED7_TWO, j_max=9, scale=1e35)
+    message = r"^coefficient overflow at order 9: rescale 1e\+35 too large for N=262147, j_max=9$"
+    with pytest.raises(OverflowError, match=message):
+        compute_coefficients(ring)
+    with pytest.raises(OverflowError, match=message):
+        one_profile(ring)
+
+    lattice = series._lattice
+
+    def one_nan(spectra, bands, N, P):
+        for k, blocks in enumerate(lattice(spectra, bands, N, P)):
+            blocks = list(blocks)
+            if k == 2:  # order 5
+                blocks[2][7] = np.nan
+            yield iter(blocks)
+
+    monkeypatch.setattr(series, "_lattice", one_nan)
+    ring = RingConfig(N=2**18 + 3, L=1.0, force=SEED7_TWO, j_max=9)
+    message = r"^coefficient overflow at order 5: "
+    with pytest.raises(OverflowError, match=message):
+        compute_coefficients(ring)
+    with pytest.raises(OverflowError, match=message):
+        one_profile(ring)
+
+
+def doubled(force):
+    """F_2: the force with every harmonic index doubled and every amplitude, a0 too, times 4."""
+    return ForceSpec(L=force.L, a0=4 * force.a0, harmonics=tuple(
+        Harmonic(2 * h.k, 4 * h.a, 4 * h.b) for h in force.harmonics))
+
+
+@pytest.mark.parametrize("n, bound", [(64, 5e-10), (2**16, 3e-6)])
+def test_harmonic_index_similarity(sine_force, n, bound):
+    # Halving lengths and scaling time by 2**(3/2) maps ring (N, F) onto
+    # two copies in ring (2N, F_2): c_ij(2N, F_2) = 2**((3j+1)/2)
+    # c_{i mod N, j}(N, F), a power of two at odd j, so the stored tables
+    # obey it exactly at one scale.  Both rings run at the larger one's auto
+    # scale.  They share neither grid nor force, so the mismatch is the
+    # engine's own error: the worst column-relative one over the odd orders
+    # reads 5.2e-11 at N = 64 and 2.6e-7 at N = 2**16 (2 and 4 row blocks)
+    # on sine at J_max = 41, and the bounds are 10 times that.  At the
+    # smaller ring's auto scale, 9.7e-5 for N = 2**16, the larger ring's
+    # order 41 moves by 0.22 of its maximum instead: the filter passes
+    # noise depending on the scale (ROADMAP item 19).
+    big = RingConfig(N=2 * n, L=1.0, force=doubled(sine_force), j_max=41)
+    small = RingConfig(N=n, L=1.0, force=sine_force, j_max=41, scale=big.scale)
+    a, b = compute_coefficients(small).data, compute_coefficients(big).data
+    for j in range(1, 42, 2):
+        twice = np.ldexp(b[:, j], -((3 * j + 1) // 2)).reshape(2, n)
+        mismatch = np.abs(twice - a[:, j]).max() / np.abs(a[:, j]).max()
+        assert mismatch <= bound, (j, mismatch)
 
 
 @pytest.mark.parametrize("force, j_max, n", [
@@ -635,8 +754,10 @@ def test_grid_rings_share_force_and_depth(sine_force):
 
 @pytest.mark.parametrize("j_max", [9, 24])
 def test_engine_peak_memory_is_a_small_multiple_of_the_table(j_max):
-    # The series rows of the proxy grid and one column's lattice values are live
-    # besides the table.
+    # Besides the table, only the series rows of the proxy grid, the lattice
+    # tables and one row block of lattice values are live: about 0.7 MiB
+    # (J_max = 9) and 0.9 MiB (24) measured, where one column of lattice values
+    # would add 1 MiB.
     config = RingConfig(N=2**17, L=1.0, force=SEED7_TWO, j_max=j_max)
     tracemalloc.start()
     try:
@@ -644,21 +765,25 @@ def test_engine_peak_memory_is_a_small_multiple_of_the_table(j_max):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * table.data.nbytes
+    assert peak < table.data.nbytes + 1.5 * 2**20
 
 
 def test_profile_peak_memory_is_one_column_not_the_table():
-    # One column's lattice values are live at a time and no table is kept: the
-    # table of N = 2**18 at j_max = 9 would take 20 MiB.
-    n = 2**18
-    config = RingConfig(N=n, L=1.0, force=SEED7_TWO, j_max=9)
-    tracemalloc.start()
-    try:
-        one_profile(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 8 * n
+    # One row block of a column's lattice values is live at a time and no
+    # table is kept, so the peak grows with the lattice tables' O(sqrt N)
+    # trig values only: one column of N = 2**20 would take 8 MiB, its
+    # table at j_max = 9 80 MiB.
+    peaks = {}
+    for n in (2**18, 2**20):
+        config = RingConfig(N=n, L=1.0, force=SEED7_TWO, j_max=9)
+        tracemalloc.start()
+        try:
+            one_profile(config)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2**20] < 1.5 * peaks[2**18]  # a column would make it 4 times
+    assert peaks[2**20] < 2 * 2**20
 
 
 def test_magnitude_profile_takes_no_copy_of_the_table():
