@@ -106,17 +106,18 @@ and folds those into the column's with ``np.maximum`` and
 ``np.minimum``, which are exact and carry NaN and inf, so the profiles
 and the overflow error are those of the tables bit for bit, and neither
 holds a column of N values.  One profile of N = 2**20 at J = 9 takes
-9.1 ms against 13-15 ms for one product per column (2 cores), and its
-traced peak falls from 16.5 MiB to 1.0 MiB.  The values are those of
-the zero-padded ``irfft(X[:n] N/P, n=N)``, X the column's spectrum, to
-within 8 ulps of the column maximum (a 40-digit sum of the same modes
-reads at most 4), for any N.  Where M is a multiple of 8, as for every
+8.6 ms against 24 ms for one product per column (one BLAS thread on one
+CPU), and its traced peak falls from 16.5 MiB to 0.9 MiB.  The values
+are those of the zero-padded ``irfft(X[:n] N/P, n=N)``, X the column's
+spectrum, to within 8 ulps of the column maximum (a 40-digit sum of the
+same modes reads at most 4), for any N.  Where M is a multiple of 8, as for every
 power of two N >= 64, they do not change with the block's row count or
 the number of BLAS threads, which split the product's output, not its
 sums.  Otherwise OpenBLAS (0.3.31 on AVX-512, as measured) sums the last
 M mod 8 columns with a kernel that depends on the product's size and
 thread count, and they can move by a few ulps of the column maximum
-(3 at J = 9 on the seed-7 force).
+against one product per column, whose own tail moved with the thread
+count too (up to 3 ulps at J = 9 and 5 at J = 24 on the seed-7 forces).
 
 The loop's cost does not depend on N: the reciprocal and square take
 O(W J**2) and the composition O(W K J**2) multiply-adds for W packed and
@@ -382,11 +383,10 @@ def _lattice(spectra: Iterable[np.ndarray], bands: list[int], N: int, P: int
     and w_m = 2 but for w_0 = 1, so a column is one complex product and one
     real product (Q, 2n) @ (2n, M) of (Re, Im) b against (cos, -sin) rows,
     n = band + 1.  Each phase 2 pi k/N takes k reduced to [-N/2, N/2) in
-    integers; where Q M = N, as for every power of two, m l M mod N is
-    (m l mod Q) M, so Q of the block phases serve every mode.  Each column
-    is an iterator over its values in point order, b = max(1, _BLOCK // M)
-    rows l of the product at a time, the last block cut at N, so no more
-    than about _BLOCK values of a column are formed at once.
+    integers.  Each column is an iterator over its values in point order,
+    b = max(1, _BLOCK // M) rows l of the product at a time, the last block
+    cut at N, so no more than about _BLOCK values of a column are formed
+    at once.
     """
     Q = 1 << (N.bit_length() - 1) // 2  # 2**floor(log2 sqrt N)
     M = -(-N // Q)
@@ -394,18 +394,14 @@ def _lattice(spectra: Iterable[np.ndarray], bands: list[int], N: int, P: int
     m = np.arange(max(bands) + 1)
 
     def turns(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """cos and sin of the phases 2 pi k/N."""
+        """cos and sin of the phases 2 pi k/N, one table's at a time to halve the peak."""
         angle = ((k + N // 2) % N - N // 2) * (2 * np.pi / N)
         return np.cos(angle), np.sin(angle)
 
     cos, sin = turns(m[:, None] * np.arange(M))  # the phases m q of the table's M columns
     table = np.empty((2 * m.size, M))
     table[0::2], table[1::2] = cos, -sin
-    if Q * M == N:  # m l M = ((m l) mod Q) M mod N: Q distinct phases
-        j = np.arange(Q)[:, None] * m % Q
-        cos, sin = (t[j] for t in turns(np.arange(0, N, M)))
-    else:
-        cos, sin = turns(np.arange(0, Q * M, M)[:, None] * m)  # m l M of the Q blocks
+    cos, sin = turns(np.arange(0, Q * M, M)[:, None] * m)  # m l M of the Q blocks
     phase = np.empty((Q, m.size), complex)
     phase.real, phase.imag = cos * (2 / P), sin * (2 / P)
     phase[:, 0] /= 2
